@@ -1,16 +1,13 @@
 // E18 — lockstep many-trial kernel: trial batches through one SoA engine.
 //
-// The adaptive batched engine (E10) spends ~0.018 s per trial at
-// n = 10^8, k = 32 — almost all of it per-draw dispatch overhead, since
-// a whole trial is only a few thousand binomial draws. The lockstep
-// kernel amortizes that overhead across a trial batch: one weight pass
-// and one batched-binomial call per event family per chunk, with
-// finished trials masked out of the active set.
+// The lockstep kernel advances a whole trial batch through one
+// structure-of-arrays tau-leap: one weight pass and one batched-binomial
+// call per event family per chunk, with finished trials masked out of
+// the active set.
 //
 //  1. Trial throughput at n = 10^8, k = 32 (adaptive chunks): seconds
 //     per trial, lockstep vs the scalar engine run trial-by-trial in
-//     this process, and vs the checked-in E10 baseline. Target >= 5x
-//     over the baseline's 0.0181585 s/trial.
+//     this process.
 //  2. Bit-identity audit: every lockstep trial must equal the scalar
 //     engine under the same seed (interactions, chunk count, winner).
 //  3. KS fidelity at property-test scale: lockstep consensus times vs
@@ -18,8 +15,7 @@
 //
 // Results land in BENCH_lockstep.json. Wall-clock numbers here are
 // single-threaded by construction (the kernel batches draws, it does
-// not spawn threads), so the speedup is algorithmic and holds on a
-// 1-core container.
+// not spawn threads), and both sides are timed in the same process.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -38,9 +34,6 @@ using namespace kusd;
 namespace {
 
 constexpr std::uint64_t kNoCap = ~std::uint64_t{0};
-// BENCH_adaptive.json (E10, repro_scale 1): adaptive full convergence at
-// n = 1e8, k = 32 with the former std::binomial_distribution sampler.
-constexpr double kBaselineSecondsPerTrial = 0.0181585;
 
 std::vector<double> exact_times(const pp::Configuration& x0, int trials,
                                 std::uint64_t seed_base) {
@@ -111,8 +104,6 @@ int main() {
     lockstep_per_trial = lockstep_seconds / static_cast<double>(trials);
     const double vs_scalar =
         scalar_per_trial / std::max(lockstep_per_trial, 1e-12);
-    const double vs_baseline =
-        kBaselineSecondsPerTrial / std::max(lockstep_per_trial, 1e-12);
 
     runner::Table table(
         {"engine", "trials", "seconds", "s/trial", "speedup"});
@@ -124,12 +115,8 @@ int main() {
                    runner::fmt(lockstep_per_trial, 5),
                    runner::fmt(vs_scalar, 1)});
     table.print();
-    std::printf("bit-identical to scalar engine: %s\n",
+    std::printf("bit-identical to scalar engine: %s\n\n",
                 bit_identical ? "yes" : "NO");
-    std::printf("vs E10 baseline %.5f s/trial: %sx (>= 5x target: %s)\n\n",
-                kBaselineSecondsPerTrial,
-                runner::fmt(vs_baseline, 1).c_str(),
-                vs_baseline >= 5.0 ? "yes" : "NO");
   }
 
   // ---- Part 3: KS fidelity at property-test scale ----
@@ -155,8 +142,6 @@ int main() {
 
   const double vs_scalar =
       scalar_per_trial / std::max(lockstep_per_trial, 1e-12);
-  const double vs_baseline =
-      kBaselineSecondsPerTrial / std::max(lockstep_per_trial, 1e-12);
   bench::JsonResult json;
   json.add_string("bench", "bench_lockstep_trials/throughput");
   json.add("repro_scale", runner::repro_scale());
@@ -166,9 +151,6 @@ int main() {
   json.add("scalar_seconds_per_trial", scalar_per_trial);
   json.add("lockstep_seconds_per_trial", lockstep_per_trial);
   json.add("speedup_vs_scalar", vs_scalar);
-  json.add("baseline_seconds_per_trial", kBaselineSecondsPerTrial);
-  json.add("speedup_vs_baseline", vs_baseline);
-  json.add_bool("speedup_target_5x_met", vs_baseline >= 5.0);
   json.add_bool("bit_identical_to_scalar", bit_identical);
   json.add("ks_trials", ks_trials);
   json.add("ks_threshold", threshold);

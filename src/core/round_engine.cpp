@@ -12,6 +12,7 @@ RoundEngine::RoundEngine(int k, int classes) : k_(k), classes_(classes) {
   weights_.resize(2 * static_cast<std::size_t>(k) *
                       static_cast<std::size_t>(classes) +
                   1);
+  draws_.resize(weights_.size());
   weighted_counts_.resize(static_cast<std::size_t>(k));
 }
 
@@ -38,7 +39,8 @@ pp::Count RoundEngine::decided_step(std::span<const pp::Count> opinions,
   pp::Count became_undecided = 0;
   for (std::size_t i = 0; i < k; ++i) {
     if (opinions[i] == 0) continue;
-    const auto partners = rng.multinomial(opinions[i], w);
+    const std::span<pp::Count> partners(draws_.data(), w.size());
+    rng.multinomial_into(opinions[i], w, partners);
     pp::Count stay = partners[i];
     if (keep_on_undecided && with_undecided) stay += partners[k];
     next[i] += stay;
@@ -63,9 +65,10 @@ pp::Count RoundEngine::adoption_step(std::span<const pp::Count> partners,
   }
   const bool with_undecided = partner_undecided > 0;
   if (with_undecided) weights_[k] = static_cast<double>(partner_undecided);
-  const auto sampled = rng.multinomial(
-      undecided,
-      std::span<const double>(weights_.data(), with_undecided ? k + 1 : k));
+  const std::size_t families = with_undecided ? k + 1 : k;
+  const std::span<pp::Count> sampled(draws_.data(), families);
+  rng.multinomial_into(
+      undecided, std::span<const double>(weights_.data(), families), sampled);
   for (std::size_t j = 0; j < k; ++j) next[j] += sampled[j];
   return with_undecided ? sampled[k] : 0;
 }
@@ -89,8 +92,9 @@ bool RoundEngine::try_async_chunk(std::span<pp::Count> opinions,
   const double total =
       static_cast<double>(n) * static_cast<double>(n);
   weights_[2 * k] = std::max(0.0, total - productive);           // no-op
-  const auto events = rng.multinomial(
-      m, std::span<const double>(weights_.data(), 2 * k + 1));
+  const std::span<pp::Count> events(draws_.data(), 2 * k + 1);
+  rng.multinomial_into(
+      m, std::span<const double>(weights_.data(), 2 * k + 1), events);
 
   // Validate before committing: a frozen-rate draw can overshoot a count.
   std::uint64_t adopted = 0, flipped = 0;
@@ -166,8 +170,10 @@ bool RoundEngine::try_async_class_chunk(std::span<pp::Count> opinions,
   }
   weights_[2 * classes * k] =
       std::max(0.0, total_weight * total_weight - productive);  // no-op
-  const auto events = rng.multinomial(
-      m, std::span<const double>(weights_.data(), 2 * classes * k + 1));
+  const std::span<pp::Count> events(draws_.data(), 2 * classes * k + 1);
+  rng.multinomial_into(
+      m, std::span<const double>(weights_.data(), 2 * classes * k + 1),
+      events);
 
   // Validate before committing, exactly as in the unstructured chunk: a
   // frozen-rate draw can overshoot a per-class count.

@@ -96,6 +96,7 @@ class RoundEngine {
   int k_;
   int classes_;
   std::vector<double> weights_;  // scratch: up to 2*k*classes+1 event weights
+  std::vector<pp::Count> draws_;  // scratch: the multinomial draw per weight
   std::vector<double> weighted_counts_;  // scratch: k degree-weighted counts
 };
 

@@ -212,6 +212,14 @@ inline constexpr std::array<double, kLogFactorialTableSize>
       0x1.dd0b6f329dea4p+8, 0x1.e1df7b911a74cp+8, 0x1.e6b592234b0c9p+8, 0x1.eb8daec863182p+8,
 };
 
+/// The Stirling residue ln(x!) - [(x+1/2) ln x - x + ln(2 pi)/2] through
+/// its 1/x^3 term: below 1/(1260 x^5) in error for x >= 128.
+inline double stirling_tail(double x) {
+  const double inv = 1.0 / x;
+  const double inv2 = inv * inv;
+  return inv * (1.0 / 12.0 - inv2 / 360.0);
+}
+
 /// Inline body of rng::log_factorial (see binomial.hpp for the
 /// contract). Lives here so the SIMD lane TUs compile it with their own
 /// ISA flags: an out-of-line call from ymm-dirty code into a legacy-SSE
@@ -220,10 +228,7 @@ inline constexpr std::array<double, kLogFactorialTableSize>
 inline double log_factorial(std::uint64_t k) {
   if (k < kLogFactorialTableSize) return kLogFactorialTable[k];
   const double dk = static_cast<double>(k);
-  const double inv = 1.0 / dk;
-  const double inv2 = inv * inv;
-  return (dk + 0.5) * log_pos(dk) - dk + kHalfLogTwoPi +
-         inv * (1.0 / 12.0 - inv2 / 360.0);
+  return (dk + 0.5) * log_pos(dk) - dk + kHalfLogTwoPi + stirling_tail(dk);
 }
 
 /// Per-(n, p) constants of Hörmann's BTRS sampler (p <= 0.5, np >= 10),
@@ -253,25 +258,207 @@ inline BtrsSetup btrs_setup(std::uint64_t n, double p) {
   return setup;
 }
 
-/// The log-domain accept constants, computed lazily on the first
-/// far-from-mode squeeze miss of a draw and cached across that draw's
-/// candidates — each is a libm call that would otherwise dominate the
-/// whole draw under the tau-leap's fresh-(n, p)-per-call access pattern.
+// ---- Far-from-mode squeeze misses: certified estimate, then reference ----
+//
+// The reference far-miss test is `lhs <= rhs` with
+//   rhs = lf(m) + lf(n-m) - lf(k) - lf(n-k) + (k-m) ln r,   r = p/q,
+// six log_pos evaluations per first miss of a draw. Most misses are
+// nowhere near the boundary, so btrs_fast_decide first settles them from
+// a libm-free estimate of the same quantity T = ln(pmf(k)/pmf(m)). With
+// d = k - m and L(x) = ln(1 + x), Stirling's series gives exactly
+//   T = -(k+1/2) L(d/m) - (n-k+1/2) L(-d/(n-m)) + d L(((n-m) r - m)/m) + S,
+// where S = s(m) - s(k) + s(n-m) - s(n-k) collects the Stirling residues
+// s(x) = lf(x) - (x+1/2) ln x + x - ln(2 pi)/2, each in (0, 1/(12x)). With
+// |d| <= m/4 and |d| <= (n-m)/4 (the estimate's guards), min(m, k) >= 3m/4
+// and min(n-m, n-k) >= 3(n-m)/4, so |S| < 1/(9m) + 1/(9(n-m)).
+//
+// The estimate decides only when lhs is farther than eps from it, where
+// eps bounds the estimate's error (|S|, the series truncation and its
+// rounding) plus the reference's own rounding. rhs is assembled from
+// terms no larger than lf(n) <= 45 n (n < 2^64); log_pos (~2 ulp), the
+// Stirling evaluation inside log_factorial and the five-way combination
+// add up to under ~45 units of 2^-53 * 45 n, so the 128 units of
+// 2^-46 * 45 * (n + 1) leave ~3x headroom (against quad-precision lgamma
+// the worst case seen is 1/60 of it). Outside eps the true T, and
+// therefore the reference's rhs, sits on the same side of lhs as the
+// estimate, so the decision equals the reference's float comparison by
+// construction; inside eps the reference runs. Draw streams stay
+// bit-identical for the scalar sampler and every lane kernel alike.
+
+// Every count entering the estimate (m, k, n-m, n-k) must be at least
+// this, which keeps the reference's log_factorial on its Stirling branch.
+inline constexpr double kFastMinCount = 128.0;
+// The estimate runs only up to this n: every count is then an exact
+// double and the reference's rounding bound stays below ~0.05. Beyond it
+// the reference's rounding outgrows any use, and btrs_huge_n_rhs decides
+// instead.
+inline constexpr double kFastMaxN = 0x1p36;
+
+/// ln(1 + x) from s = x / (2 + x), as 2 atanh(s) through the s^9 term.
+/// The caller guarantees |x| <= 1/4, so |s| <= 1/7 and the dropped tail
+/// 2 sum_{j>=5} s^(2j+1)/(2j+1) is below atanh_tail(s).
+inline double log1p_atanh(double s) {
+  const double z = s * s;
+  return 2.0 * s *
+         (1.0 + z * (1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 +
+                                                     z * (1.0 / 9.0)))));
+}
+
+/// Truncation bound of log1p_atanh: 2 |s|^11 / (11 (1 - s^2)) <= |s|^11 / 5
+/// for |s| <= 1/7.
+inline double atanh_tail(double s) {
+  const double z = s * s;
+  const double z2 = z * z;
+  return 0.2 * (z2 * z2 * z) * std::abs(s);
+}
+
+/// The far-miss constants, computed lazily on the first far-from-mode
+/// squeeze miss of a draw and cached across that draw's candidates. The
+/// reference's three log_pos terms are deferred further, to the first
+/// miss the estimate cannot decide — under the tau-leap's
+/// fresh-(n, p)-per-call pattern most draws never need them.
 struct BtrsSlowTerms {
   double alpha = 0.0;
+  // Estimate (valid when fast_ok):
+  double nm = 0.0;        // n - m
+  double eps = 0.0;       // reference rounding bound + |S| bound
+  double log1p_x3 = 0.0;  // L(((n - m) r - m) / m)
+  double tail3 = 0.0;     // truncation bound of log1p_x3
+  bool fast_ok = false;   // the per-draw guards hold
+  bool ready = false;
+  // Reference:
   double log_ratio = 0.0;
   double h = 0.0;
-  bool ready = false;
+  bool reference_ready = false;
 };
+
+/// Fills the per-draw far-miss constants. Guards come first, so a draw
+/// the estimate can never serve pays only for alpha.
+inline void btrs_far_terms(const BtrsSetup& setup, std::uint64_t n,
+                           BtrsSlowTerms& slow) {
+  slow.alpha = (2.83 + 5.1 / setup.b) * setup.spq;
+  slow.ready = true;
+  if (setup.dn > kFastMaxN || setup.m < kFastMinCount) return;
+  slow.nm = static_cast<double>(n - static_cast<std::uint64_t>(setup.m));
+  if (slow.nm < kFastMinCount) return;
+  const double scaled = slow.nm * setup.ratio;
+  if (4.0 * std::abs(scaled - setup.m) > setup.m) return;
+  const double s3 = (scaled - setup.m) / (scaled + setup.m);
+  slow.log1p_x3 = log1p_atanh(s3);
+  slow.tail3 = atanh_tail(s3);
+  // 1/(9m) + 1/(9(n-m)) = n / (9 m (n-m)).
+  slow.eps = 0x1p-46 * 45.0 * (setup.dn + 1.0) +
+             setup.dn / (9.0 * setup.m * slow.nm);
+  slow.fast_ok = true;
+}
+
+/// The log-domain left-hand side shared by the estimate and the
+/// reference: ln(v * alpha / (a/us^2 + b)).
+inline double btrs_far_lhs(const BtrsSetup& setup, double v, double us,
+                           const BtrsSlowTerms& slow) {
+  return log_pos(v * slow.alpha / (setup.a / (us * us) + setup.b));
+}
+
+enum class FarDecision { kAccept, kReject, kUndecided };
+
+/// The certified estimate (see the block comment above): kAccept or
+/// kReject only when the reference comparison is guaranteed to agree.
+inline FarDecision btrs_fast_decide(const BtrsSetup& setup, double kd,
+                                    double lhs, const BtrsSlowTerms& slow) {
+  const double d = kd - setup.m;
+  const double nk = setup.dn - kd;  // n - k
+  const double ad = std::abs(d);
+  if (!slow.fast_ok || kd < kFastMinCount || nk < kFastMinCount ||
+      4.0 * ad > setup.m || 4.0 * ad > slow.nm) {
+    return FarDecision::kUndecided;
+  }
+  // s = x / (2 + x) for x = d/m and x = -d/(n-m): 2m + d = m + k and
+  // 2(n-m) - d = (n-m) + (n-k), all exact integers below 2^37.
+  const double s1 = d / (setup.m + kd);
+  const double s2 = -d / (slow.nm + nk);
+  const double t1 = (kd + 0.5) * log1p_atanh(s1);
+  const double t2 = (nk + 0.5) * log1p_atanh(s2);
+  const double t3 = d * slow.log1p_x3;
+  const double estimate = t3 - t1 - t2;
+  // Rounding of the estimate is below ~16 ulp of |t1| + |t2| + |t3| + |d|
+  // (the |d| term carries the cancellation in (n-m) r - m); 2^-44 is 512
+  // ulp, which also absorbs the rounding of this bound and of the two
+  // comparisons below.
+  const double err =
+      slow.eps + ad * slow.tail3 + (kd + 0.5) * atanh_tail(s1) +
+      (nk + 0.5) * atanh_tail(s2) +
+      0x1p-44 * (std::abs(t1) + std::abs(t2) + std::abs(t3) + ad);
+  if (lhs < estimate - err) return FarDecision::kAccept;
+  if (lhs > estimate + err) return FarDecision::kReject;
+  return FarDecision::kUndecided;
+}
+
+/// The reference far-miss right-hand side: the log-domain pmf ratio the
+/// lhs is compared against (accept iff lhs <= rhs).
+inline double btrs_reference_rhs(const BtrsSetup& setup, std::uint64_t n,
+                                 double kd, BtrsSlowTerms& slow) {
+  if (!slow.reference_ready) {
+    slow.log_ratio = log_pos(setup.ratio);
+    slow.h = log_factorial(static_cast<std::uint64_t>(setup.m)) +
+             log_factorial(n - static_cast<std::uint64_t>(setup.m));
+    slow.reference_ready = true;
+  }
+  const auto k = static_cast<std::uint64_t>(kd);
+  return slow.h - log_factorial(k) - log_factorial(n - k) +
+         (kd - setup.m) * slow.log_ratio;
+}
+
+/// ln(1 + x) for x > -1 to a few ulp at every magnitude: log_pos of the
+/// rounded 1 + x, rescaled by x / ((1 + x) - 1) to cancel that rounding
+/// (Goldberg 1991, Theorem 4).
+inline double log1p_pos(double x) {
+  const double u = 1.0 + x;
+  if (u == 1.0) return x;
+  return log_pos(u) * (x / (u - 1.0));
+}
+
+/// The far-miss rhs above kFastMaxN, where the reference's
+/// lf(n - m) - lf(n - k) is a difference of two ~n ln n doubles whose
+/// ulp (~3e4 at n = 2^62) dwarfs the whole lhs range, which would leave
+/// the accept test deciding on rounding noise. Here the same T is
+/// evaluated in the cancellation-free form of the block comment —
+/// T = R1 + R2 + d L(((n-m) r - m)/m) with
+///   R1 = lf(m) - lf(k) + d ln m = -(k+1/2) L(d/m) + d + s(m) - s(k),
+///   R2 = lf(n-m) - lf(n-k) - d ln(n-m) = -(n-k+1/2) L(-d/(n-m)) - d
+///        + s(n-m) - s(n-k),
+/// with s(x) = stirling_tail(x), log_factorial's own. When m or k is
+/// below 128 (only at tiny p) that tail does not apply, and lf(m) - lf(k)
+/// is small enough to take directly. A k within 128 of n sits at least
+/// n/2 - 128 above the mode, where T < -n/4 and the reference's rounding
+/// cannot flip the decision.
+inline double btrs_huge_n_rhs(const BtrsSetup& setup, std::uint64_t n,
+                              double kd, BtrsSlowTerms& slow) {
+  const double nk = setup.dn - kd;
+  if (nk < kFastMinCount) return btrs_reference_rhs(setup, n, kd, slow);
+  const double nm =
+      static_cast<double>(n - static_cast<std::uint64_t>(setup.m));
+  const double d = kd - setup.m;
+  const double r2 = -(nk + 0.5) * log1p_pos(-d / nm) - d +
+                    stirling_tail(nm) - stirling_tail(nk);
+  const double scaled = nm * setup.ratio;
+  if (setup.m < kFastMinCount || kd < kFastMinCount) {
+    return log_factorial(static_cast<std::uint64_t>(setup.m)) -
+           log_factorial(static_cast<std::uint64_t>(kd)) + r2 +
+           d * log_pos(scaled);
+  }
+  const double r1 = -(kd + 0.5) * log1p_pos(d / setup.m) + d +
+                    stirling_tail(setup.m) - stirling_tail(kd);
+  return r1 + r2 + d * log1p_pos((scaled - setup.m) / setup.m);
+}
 
 /// Squeeze-miss accept test: compares v against the exact pmf ratio —
 /// multiplicatively when the candidate is near the mode (the
 /// overwhelmingly common miss at small spq, where the squeeze is
-/// weakest), in the log domain otherwise. Consumes no randomness, so the
-/// lane kernels run it scalar per lane without touching any stream.
+/// weakest), in the log domain otherwise, through the certified estimate
+/// first. Consumes no randomness, so the lane kernels run it scalar per
+/// lane without touching any stream.
 inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
                         double us, double kd, BtrsSlowTerms& slow) {
-  const auto k = static_cast<std::uint64_t>(kd);
   if (std::abs(kd - setup.m) <= kNearModeWindow) {
     // Accept iff v * alpha / (a/us^2 + b) <= pmf(k)/pmf(m); build the
     // ratio as a running product of one-step pmf ratios
@@ -289,18 +476,20 @@ inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
     const double alpha_lin = (2.83 + 5.1 / setup.b) * setup.spq;
     return v * alpha_lin <= f * (setup.a / (us * us) + setup.b);
   }
-  if (!slow.ready) {
-    slow.alpha = (2.83 + 5.1 / setup.b) * setup.spq;
-    slow.log_ratio = log_pos(setup.ratio);
-    slow.h = log_factorial(static_cast<std::uint64_t>(setup.m)) +
-             log_factorial(n - static_cast<std::uint64_t>(setup.m));
-    slow.ready = true;
+  if (!slow.ready) btrs_far_terms(setup, n, slow);
+  const double lhs = btrs_far_lhs(setup, v, us, slow);
+  if (setup.dn > kFastMaxN) {
+    return lhs <= btrs_huge_n_rhs(setup, n, kd, slow);
   }
-  const double lhs =
-      log_pos(v * slow.alpha / (setup.a / (us * us) + setup.b));
-  const double rhs = slow.h - log_factorial(k) - log_factorial(n - k) +
-                     (kd - setup.m) * slow.log_ratio;
-  return lhs <= rhs;
+  switch (btrs_fast_decide(setup, kd, lhs, slow)) {
+    case FarDecision::kAccept:
+      return true;
+    case FarDecision::kReject:
+      return false;
+    case FarDecision::kUndecided:
+      break;
+  }
+  return lhs <= btrs_reference_rhs(setup, n, kd, slow);
 }
 
 /// Hörmann's BTRS transformed-rejection sampler (np >= 10, p <= 0.5):

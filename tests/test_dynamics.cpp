@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <vector>
 
 #include "core/dynamics.hpp"
@@ -90,11 +91,20 @@ TEST(DynamicsScheduler, RejectsUndecidedAgents) {
       util::CheckError);
 }
 
-class DynamicsConvergence
-    : public ::testing::TestWithParam<const core::SamplingDynamics*> {};
+// gtest prints the parameter and CTest names each case after the printout,
+// so a case prints the dynamics' name rather than an address that changes
+// from run to run.
+struct DynamicsCase {
+  const core::SamplingDynamics* dynamics = nullptr;
+  friend void PrintTo(const DynamicsCase& c, std::ostream* os) {
+    *os << c.dynamics->name();
+  }
+};
+
+class DynamicsConvergence : public ::testing::TestWithParam<DynamicsCase> {};
 
 TEST_P(DynamicsConvergence, ReachesConsensusOnSmallPopulations) {
-  const auto& dyn = *GetParam();
+  const auto& dyn = *GetParam().dynamics;
   int converged = 0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     core::DynamicsScheduler sched(dyn, Configuration::uniform(50, 3, 0),
@@ -114,8 +124,10 @@ const core::JMajorityDynamics kThreeMajority(3);
 const core::MedianRuleDynamics kMedian;
 
 INSTANTIATE_TEST_SUITE_P(AllDynamics, DynamicsConvergence,
-                         ::testing::Values(&kVoter, &kTwoChoices,
-                                           &kThreeMajority, &kMedian));
+                         ::testing::Values(DynamicsCase{&kVoter},
+                                           DynamicsCase{&kTwoChoices},
+                                           DynamicsCase{&kThreeMajority},
+                                           DynamicsCase{&kMedian}));
 
 TEST(DynamicsScheduler, StrongMajorityUsuallyWinsUnderThreeMajority) {
   core::JMajorityDynamics m3(3);

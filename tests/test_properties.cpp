@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/transition_probs.hpp"
@@ -40,15 +41,20 @@ Configuration random_config(rng::Rng& rng, Count n, int k) {
   return Configuration(std::move(counts), undecided);
 }
 
+// Both fields are 8 bytes wide so the struct has no padding: gtest prints
+// the parameter as a byte dump and CTest names each case after it, so
+// uninitialised padding bytes would rename the cases on every build.
 struct SweepParam {
   Count n = 0;
-  int k = 0;
+  std::int64_t k = 0;
 };
+static_assert(sizeof(SweepParam) == 2 * sizeof(std::int64_t));
 
 class RandomConfigSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(RandomConfigSweep, AnalysisIdentitiesHold) {
-  const auto [n, k] = GetParam();
+  const Count n = GetParam().n;
+  const int k = static_cast<int>(GetParam().k);
   rng::Rng rng(0xABCD + n + static_cast<Count>(k));
   for (int round = 0; round < 200; ++round) {
     const auto x = random_config(rng, n, k);
@@ -115,7 +121,8 @@ TEST_P(RandomConfigSweep, UStarDriftDirection) {
   // Above u* the conditional probability of u increasing is < 1/2 for
   // uniform-support configurations (Observation 7 direction); below u* on
   // uniform supports it is > 1/2. This is the "unstable equilibrium".
-  const auto [n, k] = GetParam();
+  const Count n = GetParam().n;
+  const int k = static_cast<int>(GetParam().k);
   if (k < 2) return;
   const double ustar = analysis::u_star(n, k);
   const auto above = Configuration::uniform(

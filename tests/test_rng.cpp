@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -386,6 +388,131 @@ TEST(Binomial, LogFactorialMatchesLgamma) {
     EXPECT_NEAR(rng::log_factorial(k), exact, 1e-9 * exact) << "k=" << k;
   }
 }
+
+// ---- Goodness of fit against the exact pmf ----
+
+/// ln(a!) - ln(b!). rng::log_factorial differences while both arguments
+/// are below 2^32 (absolute error < 1e-4 there); beyond, the doubles of
+/// ln(a!) are too coarse to difference, so the ln i terms are summed in
+/// long double instead (the grid keeps |a - b| to a few thousand).
+long double log_factorial_ratio(std::uint64_t a, std::uint64_t b) {
+  if (a < b) return -log_factorial_ratio(b, a);
+  if (a < (std::uint64_t{1} << 32)) {
+    return static_cast<long double>(rng::log_factorial(a)) -
+           static_cast<long double>(rng::log_factorial(b));
+  }
+  long double sum = 0.0L;
+  for (std::uint64_t i = b + 1; i <= a; ++i) {
+    sum += std::log(static_cast<long double>(i));
+  }
+  return sum;
+}
+
+struct FitCase {
+  const char* name;
+  std::uint64_t n;
+  double p;
+};
+
+// Prints the case name, not the bytes of `name`'s pointer, into the
+// registered test names.
+void PrintTo(const FitCase& c, std::ostream* os) { *os << c.name; }
+
+class BinomialFit : public ::testing::TestWithParam<FitCase> {};
+
+TEST_P(BinomialFit, ChiSquareAgainstExactPmf) {
+  const FitCase c = GetParam();
+  // p > 1/2 is sampled by reflection; test n - x against Binomial(n, 1-p).
+  const bool reflect = c.p > 0.5;
+  const double p = reflect ? 1.0 - c.p : c.p;
+  const std::uint64_t n = c.n;
+  const long double lp = static_cast<long double>(p);
+  const long double log_ratio = std::log(lp) - std::log1p(-lp);
+  const auto center = static_cast<std::uint64_t>(
+      std::floor(static_cast<long double>(n) * lp));
+  const double sigma = std::sqrt(static_cast<double>(n) * p * (1.0 - p));
+  const auto width = static_cast<std::uint64_t>(9.0 * sigma + 30.0);
+  const std::uint64_t lo = center > width ? center - width : 0;
+  const std::uint64_t hi = std::min(n, center + width);
+  // pmf(k) / pmf(center) = [center! / k!] [(n-center)! / (n-k)!] r^(k-center).
+  std::vector<double> pmf(hi - lo + 1);
+  double mass = 0.0;
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    const long double log_rel =
+        log_factorial_ratio(center, k) +
+        log_factorial_ratio(n - center, n - k) +
+        (static_cast<long double>(k) - static_cast<long double>(center)) *
+            log_ratio;
+    pmf[k - lo] = static_cast<double>(std::exp(log_rel));
+    mass += pmf[k - lo];
+  }
+  for (double& q : pmf) q /= mass;
+
+  const int draws = 200'000;
+  rng::Rng rng(7700 + n % 1000);
+  std::vector<double> observed(pmf.size(), 0.0);
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t raw = rng::binomial(rng, n, c.p);
+    const std::uint64_t x = reflect ? n - raw : raw;
+    // Anything beyond the enumerated +-9 sigma lands in the pooled tails.
+    const std::uint64_t clamped = std::clamp(x, lo, hi);
+    observed[clamped - lo] += 1.0;
+  }
+  // Pool adjacent outcomes, tails included, until each bin expects >= 20.
+  std::vector<double> bin_expected, bin_observed;
+  double e = 0.0, o = 0.0;
+  for (std::size_t i = 0; i < pmf.size(); ++i) {
+    e += pmf[i] * draws;
+    o += observed[i];
+    if (e >= 20.0) {
+      bin_expected.push_back(e);
+      bin_observed.push_back(o);
+      e = o = 0.0;
+    }
+  }
+  ASSERT_FALSE(bin_expected.empty());
+  bin_expected.back() += e;
+  bin_observed.back() += o;
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < bin_expected.size(); ++b) {
+    const double diff = bin_observed[b] - bin_expected[b];
+    chi2 += diff * diff / bin_expected[b];
+  }
+  // Wilson-Hilferty upper quantile at z = 4.265 (alpha = 1e-5).
+  const double df = static_cast<double>(bin_expected.size() - 1);
+  ASSERT_GE(df, 5.0);
+  const double h = 2.0 / (9.0 * df);
+  const double critical = df * std::pow(1.0 - h + 4.265 * std::sqrt(h), 3);
+  EXPECT_LT(chi2, critical) << c.name << ": " << bin_expected.size()
+                            << " bins";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, BinomialFit,
+    ::testing::Values(
+        // The BINV/BTRS split at np = 10.
+        FitCase{"binv_np_9_99", 1000, 0.00999},
+        FitCase{"btrs_np_10_01", 1000, 0.01001},
+        // m near the estimate's count floor of 128.
+        FitCase{"btrs_mode_130", 1'000'000, 1.3e-4},
+        // spq ~ 46: squeeze misses on both sides of the 64-from-mode
+        // window.
+        FitCase{"btrs_window_straddle", 10'000, 0.3},
+        // p just under and just over 1/2 (the reflection switch).
+        FitCase{"btrs_p_under_half", 20'000, 0.4999},
+        FitCase{"btrs_p_over_half", 20'000, 0.5001},
+        // spq ~ 280: every miss far from the mode, the tau-leap regime.
+        FitCase{"btrs_spq_280", 1'000'000, 0.085},
+        // The estimate's n cap.
+        FitCase{"btrs_n_2e36", (std::uint64_t{1} << 36) - 1, 2e-7},
+        // n = 2^62: BINV, BTRS, and BTRS through reflection.
+        FitCase{"binv_n_2e62", std::uint64_t{1} << 62, 0x1p-61},
+        FitCase{"btrs_n_2e62", std::uint64_t{1} << 62, 0x1p-50},
+        FitCase{"btrs_n_2e62_reflected", std::uint64_t{1} << 62,
+                1.0 - 0x1p-50}),
+    [](const ::testing::TestParamInfo<FitCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Rng, MultinomialIntoMatchesMultinomial) {
   const std::vector<double> weights = {3.0, 0.0, 1.5, 0.25, 5.0};

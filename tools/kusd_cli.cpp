@@ -89,7 +89,8 @@ std::string graph_engine_names() {
       "           --threads W --chunk F --chunk-policy fixed|adaptive\n"
       "           --lockstep-schedule per-trial|shared (batched-lockstep:\n"
       "             shared = one chunk controller + uniform stream per\n"
-      "             cell; faster, deterministic, not stream-identical)\n"
+      "             cell; deterministic, not stream-identical, and\n"
+      "             measured slower than per-trial)\n"
       "           --stripe-width T (trials per work-stealing unit)\n"
       "           --shuffle-points 0|1 (shuffled execution order;\n"
       "             output order and bytes are unaffected)\n"
