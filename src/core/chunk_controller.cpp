@@ -196,11 +196,14 @@ std::uint64_t ChunkController::finalize_bound(double bound) {
   auto target = static_cast<std::uint64_t>(
       std::clamp(std::floor(bound), 1.0, static_cast<double>(max_chunk_)));
   // Geometric rate limit on growth; shrinking takes effect immediately
-  // (the error bound is a hard cap, the baseline only damps growth).
-  const auto grow_cap = static_cast<std::uint64_t>(std::min(
-      static_cast<double>(max_chunk_),
-      std::max(1.0, static_cast<double>(last_) *
-                        options_.adaptive.grow_factor)));
+  // (the error bound is a hard cap, the baseline only damps growth). The
+  // cap grows by at least one interaction per step: floor(1 * g) alone
+  // would pin a chunk of 1 forever at grow_factor < 2. At g >= 2,
+  // floor(g * last) >= last + 1 already, so the minimum changes nothing.
+  const auto geometric = static_cast<std::uint64_t>(
+      std::min(static_cast<double>(max_chunk_),
+               static_cast<double>(last_) * options_.adaptive.grow_factor));
+  const std::uint64_t grow_cap = std::max(last_ + 1, geometric);
   target = std::min(target, grow_cap);
   target = std::clamp(target, std::max<std::uint64_t>(1, min_chunk_),
                       max_chunk_);

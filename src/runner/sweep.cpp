@@ -512,13 +512,12 @@ void Sweep::run_points_on(
     }
   };
 
-  // Completed cells are buffered and the contiguous done prefix is
-  // emitted under the mutex (so the callback never runs concurrently
-  // with itself): output order and content are those of a sequential
-  // run, byte for byte, at any thread count and stripe width.
-  std::mutex mu;
+  // Workers aggregate each completed cell into its slot; the calling
+  // thread emits the slots in list order through the task graph's emit
+  // hook, so the callback runs serially, off the workers and outside any
+  // lock: output order and content are those of a sequential run, byte
+  // for byte, at any thread count and stripe width.
   std::vector<std::optional<SweepCell>> done(points.size());
-  std::size_t next_emit = 0;
   const auto on_point_done = [&](std::size_t item) {
     PointState& st = states[item];
     auto cell =
@@ -531,21 +530,14 @@ void Sweep::run_points_on(
     // until its cell reaches the front of the done prefix.
     st.outcomes = std::vector<TrialOutcome>();
     st.x0.reset();
-
-    const std::lock_guard<std::mutex> lock(mu);
     done[item] = std::move(cell);
-    while (next_emit < done.size() && done[next_emit].has_value()) {
-      // Consume the slot before invoking the callback: if on_cell throws
-      // (the exception resurfaces from TaskGraph::run), later items must
-      // not re-emit the same cell.
-      const SweepCell next = *std::move(done[next_emit]);
-      done[next_emit].reset();
-      ++next_emit;
-      on_cell(next);
-    }
+  };
+  const auto emit = [&](std::size_t item) {
+    on_cell(*done[item]);
+    done[item].reset();
   };
 
-  graph.run(pool, run_stripe, on_point_done);
+  graph.run(pool, run_stripe, on_point_done, emit);
 }
 
 std::vector<std::string> Sweep::csv_header() {

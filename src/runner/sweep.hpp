@@ -53,7 +53,9 @@
 // completed cells are buffered and emitted in grid order regardless, so
 // output order and content never depend on scheduling. The per-point
 // aggregate is handed to the callback as soon as it is next in grid
-// order, so output appears incrementally during long sweeps.
+// order, so output appears incrementally during long sweeps. Workers
+// only aggregate; the callback runs on the thread that called run(),
+// so slow output (journal and CSV flushes) never holds up a worker.
 //
 // run_selected() runs an arbitrary increasing subset of grid indices —
 // the substrate of the sweep service's `--shard i/N` partitioning and
@@ -202,8 +204,11 @@ class Sweep {
                                     const SweepPoint& point) const;
 
   /// Run the whole grid, streaming each cell in grid order (cells are
-  /// buffered as needed; see the file comment). The callback is never
-  /// invoked concurrently with itself.
+  /// buffered as needed; see the file comment). The callback runs on the
+  /// calling thread, never concurrently with itself. If it throws, no
+  /// later cell is emitted and workers stop claiming units; the
+  /// exception is rethrown once in-flight units finish. If a trial
+  /// throws, emission stops and the trial's exception is rethrown.
   void run(const std::function<void(const SweepCell&)>& on_cell) const;
 
   /// Run a subset of the grid — `indices` must be strictly increasing
@@ -224,7 +229,8 @@ class Sweep {
 
  private:
   /// Shared execution core: the task graph over (point, stripe) units,
-  /// with in-order emission. Every public run path funnels through here.
+  /// with in-order emission on the calling thread. Every public run path
+  /// funnels through here.
   void run_points_on(util::ThreadPool& pool,
                      const std::vector<SweepPoint>& points,
                      const std::function<void(const SweepCell&)>& on_cell)

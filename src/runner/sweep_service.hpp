@@ -128,7 +128,8 @@ struct SweepRowEvent {
 /// streaming every row of the shard — replayed and computed alike — in
 /// grid order. The journal line of a cell is flushed *before* the cell
 /// is handed to `on_row`, so output a consumer observed is always
-/// covered by the journal. Throws util::CheckError on an invalid shard,
+/// covered by the journal. Journaling, `on_row` and `after_cell` all run
+/// on the calling thread, one row at a time. Throws util::CheckError on an invalid shard,
 /// a journal/spec mismatch, or journal I/O failure.
 void run_sweep_service(const Sweep& sweep, const SweepServiceOptions& options,
                        const std::function<void(const SweepRowEvent&)>& on_row);

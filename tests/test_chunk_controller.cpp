@@ -80,6 +80,25 @@ TEST(ChunkController, AdaptiveGrowsGeometricallyInAFlatRegime) {
   EXPECT_LT(plateau, c.max_chunk());
 }
 
+TEST(ChunkController, GrowthBelowTwoStillRamps) {
+  // floor(1 * g) == 1 for g in (1, 2): without the one-interaction
+  // minimum step the schedule would stay pinned at the initial chunk of
+  // 1 forever. The cap must grow by at least one interaction per step.
+  const pp::Count n = 1'000'000;
+  ChunkOptions options = adaptive_options();
+  options.adaptive.grow_factor = 1.5;
+  ChunkController c(options, n);
+  const std::vector<pp::Count> opinions = {250000, 250000};
+  const pp::Count undecided = 500000;
+  std::uint64_t prev = c.propose(opinions, undecided);
+  EXPECT_EQ(prev, 2u);  // max(1 + 1, floor(1.5))
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t next = c.propose(opinions, undecided);
+    EXPECT_GT(next, prev) << "step " << i;
+    prev = next;
+  }
+}
+
 TEST(ChunkController, AdaptiveShrinksNearAbsorption) {
   // Near consensus the minority count is tiny and its relative drift per
   // interaction is large: the bound must fall well below the ceiling,
@@ -267,6 +286,20 @@ TEST(AdaptiveBatched, TakesFewerChunksThanTheFixedDefault) {
   ASSERT_TRUE(fixed.run_to_consensus(~std::uint64_t{0}));
   ASSERT_TRUE(adaptive.run_to_consensus(~std::uint64_t{0}));
   EXPECT_LT(adaptive.chunks(), fixed.chunks() / 2);
+}
+
+TEST(AdaptiveBatched, SlowGrowthFinishesInBoundedChunks) {
+  // grow_factor 1.5 once pinned the chunk at one interaction: a run at
+  // n = 5e4 took ~n * 46 single-interaction chunks. Ramping at 1.5x per
+  // step, it needs about as few chunks as the default 2x ramp.
+  const auto x0 = Configuration::uniform(50000, 4, 0);
+  ChunkOptions options = adaptive_options();
+  options.adaptive.grow_factor = 1.5;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    BatchedUsdSimulator sim(x0, rng::Rng(seed), options);
+    ASSERT_TRUE(sim.run_to_consensus(~std::uint64_t{0}));
+    EXPECT_LT(sim.chunks(), 20000u) << "seed " << seed;
+  }
 }
 
 TEST(AdaptiveBatched, TinyPopulationsTerminate) {

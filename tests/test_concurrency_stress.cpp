@@ -247,6 +247,33 @@ TEST(TaskGraphStress, ShuffledOrderStillCompletesEverything) {
   for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(runs[i].load(), 3u);
 }
 
+TEST(TaskGraphStress, EmitRunsInOrderOnTheCallingThread) {
+  // The emit hook is the handoff from workers to the caller: each item
+  // is emitted exactly once, in index order, on the thread that called
+  // run(), and only after its on_item_done returned (TSan checks that
+  // the caller's read of `finished` is ordered after the worker's write).
+  util::ThreadPool pool(8);
+  constexpr std::size_t kItems = 300;
+  std::vector<std::uint32_t> stripes(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) stripes[i] = 1 + i % 5;
+  std::vector<std::size_t> order(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) order[i] = kItems - 1 - i;
+  const runner::TaskGraph graph(std::move(stripes), std::move(order));
+  std::vector<char> finished(kItems, 0);
+  std::vector<std::size_t> emitted;
+  const auto caller = std::this_thread::get_id();
+  graph.run(
+      pool, [](const runner::TaskUnit&) {},
+      [&finished](std::size_t item) { finished[item] = 1; },
+      [&](std::size_t item) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(finished[item], 1);
+        emitted.push_back(item);
+      });
+  ASSERT_EQ(emitted.size(), kItems);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(emitted[i], i);
+}
+
 // One small but genuinely parallel sweep per schedule, byte-compared.
 // This is the contract the whole tooling layer defends: CSV output is a
 // pure function of (spec, master_seed), independent of thread count,
@@ -284,6 +311,19 @@ TEST(SweepStress, CellsByteIdenticalAcrossSchedules) {
   EXPECT_EQ(sequential, striped);
   EXPECT_EQ(sequential, wide_stripes);
   EXPECT_EQ(sequential, shuffled);
+}
+
+TEST(SweepStress, EmitterHandoffByteIdenticalAcrossThreadsAndStripes) {
+  // The calling thread emits while workers keep finishing cells: every
+  // (threads, stripe width) pair hands cells over at different moments,
+  // and the rows must not change.
+  const auto reference = sweep_rows(1, false, 1);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t width : {1u, 3u, 16u}) {
+      EXPECT_EQ(sweep_rows(width, false, threads), reference)
+          << threads << " threads, stripe width " << width;
+    }
+  }
 }
 
 TEST(SweepStress, ManySmallPointsKeepCallbackSerial) {

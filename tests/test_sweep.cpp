@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/budget.hpp"
@@ -571,6 +575,120 @@ TEST(Sweep, RejectsInvalidSpecs) {
   EXPECT_THROW(Sweep{spec}, util::CheckError);
   spec.graphs.clear();
   EXPECT_THROW(Sweep{spec}, util::CheckError);
+}
+
+// ---- Emission failure paths ----
+//
+// The calling thread emits every cell; workers only aggregate. A failing
+// consumer must stop the grid, and a failing trial must stop emission,
+// with no cell emitted twice in either case.
+
+/// A "skip" engine behind a factory that counts the trials it starts,
+/// can slow each one down, and throws on one population size: enough to
+/// see how much of a failed sweep actually ran.
+struct ProbeState {
+  std::atomic<int> started{0};
+  std::atomic<pp::Count> throw_at_n{0};
+  std::atomic<int> sleep_us{0};
+};
+
+constexpr const char* kProbeEngine = "test-probe";
+
+ProbeState& probe_state() {
+  static ProbeState probe;
+  static const bool registered = [] {
+    sim::EngineInfo info = *sim::Registry::instance().find("skip");
+    info.description = "skip behind a counting, throwing test factory";
+    info.factory = [](const pp::Configuration& x0, std::uint64_t seed,
+                      const sim::EngineOptions& options) {
+      probe.started.fetch_add(1, std::memory_order_relaxed);
+      if (x0.n() == probe.throw_at_n.load(std::memory_order_relaxed)) {
+        throw std::runtime_error("probe trial failed");
+      }
+      const int us = probe.sleep_us.load(std::memory_order_relaxed);
+      if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+      return sim::Registry::instance().create("skip", x0, seed, options);
+    };
+    sim::Registry::instance().add(kProbeEngine, std::move(info));
+    return true;
+  }();
+  (void)registered;
+  return probe;
+}
+
+/// Arms the probe for one test and disarms it on every exit path, so the
+/// registered engine is plain `skip` to the rest of the suite.
+struct ArmedProbe {
+  ArmedProbe(pp::Count throw_at_n, int sleep_us) : probe(probe_state()) {
+    probe.started.store(0);
+    probe.throw_at_n.store(throw_at_n);
+    probe.sleep_us.store(sleep_us);
+  }
+  ~ArmedProbe() {
+    probe.throw_at_n.store(0);
+    probe.sleep_us.store(0);
+  }
+  ArmedProbe(const ArmedProbe&) = delete;
+  ArmedProbe& operator=(const ArmedProbe&) = delete;
+  ProbeState& probe;
+};
+
+/// 100 probe points (n = 100, 101, ..., 199) of 4 one-trial stripes.
+SweepSpec probe_spec(std::size_t threads) {
+  SweepSpec spec;
+  spec.engines = {kProbeEngine};
+  spec.ns.clear();
+  for (pp::Count n = 100; n < 200; ++n) spec.ns.push_back(n);
+  spec.ks = {2};
+  spec.trials = 4;
+  spec.stripe_width = 1;
+  spec.master_seed = 5;
+  spec.threads = threads;
+  return spec;
+}
+
+TEST(SweepEmission, ThrowingConsumerStopsTheGrid) {
+  constexpr std::size_t kFailAt = 3;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const ArmedProbe armed(0, 500);
+    const Sweep sweep(probe_spec(threads));
+    ASSERT_EQ(sweep.grid().size(), 100u);
+    constexpr int kUnits = 400;
+    std::vector<std::size_t> emitted;
+    const auto consumer = [&emitted](const SweepCell& cell) {
+      emitted.push_back(cell.point.index);
+      if (cell.point.index == kFailAt) {
+        throw std::runtime_error("consumer failed");
+      }
+    };
+    EXPECT_THROW(sweep.run(consumer), std::runtime_error);
+    // Cells 0..j, each once, and nothing after the failing cell.
+    std::vector<std::size_t> expected(kFailAt + 1);
+    for (std::size_t i = 0; i <= kFailAt; ++i) expected[i] = i;
+    EXPECT_EQ(emitted, expected) << threads << " threads";
+    // The failure poisoned the graph: workers stopped claiming units long
+    // before the 400-unit grid (0.2 s of sleeping trials) ran out.
+    EXPECT_LT(armed.probe.started.load(), kUnits) << threads << " threads";
+  }
+}
+
+TEST(SweepEmission, ThrowingTrialStopsEmission) {
+  constexpr pp::Count kFailingN = 150;  // grid index 50
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const ArmedProbe armed(kFailingN, 0);
+    const Sweep sweep(probe_spec(threads));
+    std::vector<std::size_t> emitted;
+    const auto consumer = [&emitted](const SweepCell& cell) {
+      emitted.push_back(cell.point.index);
+    };
+    EXPECT_THROW(sweep.run(consumer), std::runtime_error);
+    // Emission is in grid order and the failing point never completes,
+    // so what was emitted is a duplicate-free prefix that stops before it.
+    for (std::size_t i = 0; i < emitted.size(); ++i) {
+      EXPECT_EQ(emitted[i], i) << threads << " threads";
+    }
+    EXPECT_LE(emitted.size(), 50u) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // output is produced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -248,17 +249,35 @@ TEST(SweepService, ResumeAfterKillAtEveryCellBoundaryIsByteIdentical) {
 
 TEST(SweepService, EmittedRowsAreAlwaysCoveredByTheJournal) {
   // The durability contract: a cell's journal line is flushed before the
-  // row reaches the consumer, so re-reading the journal from inside the
-  // consumer must always find every row observed so far.
-  const Sweep sweep(service_spec());
-  SweepServiceOptions options;
-  options.journal_path = temp_path("covered.jsonl");
-  run_sweep_service(sweep, options, [&](const SweepRowEvent& event) {
-    const Journal journal = read_journal(options.journal_path);
-    const auto it = journal.cells.find(event.index);
-    ASSERT_NE(it, journal.cells.end()) << "cell " << event.index;
-    EXPECT_EQ(it->second, *event.row);
-  });
+  // row reaches the consumer. Whenever on_row or after_cell runs, on any
+  // thread count, the journal on disk is exactly the header plus one
+  // line for every row emitted so far, this one included.
+  for (const std::size_t threads : {1u, 4u}) {
+    SweepSpec spec = service_spec();
+    spec.threads = threads;
+    spec.stripe_width = 1;
+    const Sweep sweep(spec);
+    SweepServiceOptions options;
+    options.journal_path = temp_path("covered.jsonl");
+    std::map<std::size_t, std::vector<std::string>> rows;
+    const auto expect_journal_covers_emitted = [&](const char* where) {
+      const std::string content = slurp(options.journal_path);
+      const auto lines = static_cast<std::size_t>(
+          std::count(content.begin(), content.end(), '\n'));
+      EXPECT_EQ(lines, 1 + rows.size()) << where;
+      const Journal journal = read_journal(options.journal_path);
+      EXPECT_EQ(journal.cells, rows) << where;
+    };
+    options.after_cell = [&](std::size_t computed) {
+      EXPECT_EQ(computed, rows.size());
+      expect_journal_covers_emitted("after_cell");
+    };
+    run_sweep_service(sweep, options, [&](const SweepRowEvent& event) {
+      rows[event.index] = *event.row;
+      expect_journal_covers_emitted("on_row");
+    });
+    EXPECT_EQ(rows.size(), sweep.grid().size()) << threads << " threads";
+  }
 }
 
 TEST(SweepService, ResumeRejectsJournalFromDifferentSweep) {
