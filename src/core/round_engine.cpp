@@ -24,25 +24,20 @@ pp::Count RoundEngine::decided_step(std::span<const pp::Count> opinions,
   const std::size_t k = opinions.size();
   KUSD_DCHECK(k == static_cast<std::size_t>(k_) && next.size() == k);
   KUSD_DCHECK(next.data() != opinions.data());
-  // Partner-sampling weights: the pre-round state distribution. With no
-  // undecided agents the slot is omitted entirely — a trailing zero-weight
-  // bucket would absorb the multinomial's exact-remainder treatment of the
-  // last real opinion and let floating-point error leak agents into it.
-  for (std::size_t j = 0; j < k; ++j) {
-    weights_[j] = static_cast<double>(opinions[j]);
-  }
-  const bool with_undecided = undecided > 0;
-  if (with_undecided) weights_[k] = static_cast<double>(undecided);
-  const std::span<const double> w(weights_.data(),
-                                  with_undecided ? k + 1 : k);
-
+  // An agent keeps its opinion iff its partner is favourable (same
+  // opinion, or undecided when that keeps). Partners are independent
+  // across agents, so opinion i keeps Binomial(x_i, favourable_i / n)
+  // agents, independently of the other opinions.
+  pp::Count n = undecided;
+  for (const pp::Count x : opinions) n += x;
+  const pp::Count kept_on_undecided = keep_on_undecided ? undecided : 0;
   pp::Count became_undecided = 0;
   for (std::size_t i = 0; i < k; ++i) {
     if (opinions[i] == 0) continue;
-    const std::span<pp::Count> partners(draws_.data(), w.size());
-    rng.multinomial_into(opinions[i], w, partners);
-    pp::Count stay = partners[i];
-    if (keep_on_undecided && with_undecided) stay += partners[k];
+    const double favourable =
+        static_cast<double>(opinions[i] + kept_on_undecided);
+    const pp::Count stay =
+        rng.binomial(opinions[i], favourable / static_cast<double>(n));
     next[i] += stay;
     became_undecided += opinions[i] - stay;
   }
@@ -58,8 +53,8 @@ pp::Count RoundEngine::adoption_step(std::span<const pp::Count> partners,
   KUSD_DCHECK(k == static_cast<std::size_t>(k_) && next.size() == k);
   if (undecided == 0) return 0;
   // Copy the weights before touching `next` so partners may alias next.
-  // As in decided_step, a zero partner-undecided slot is omitted so the
-  // last real opinion keeps the exact multinomial remainder.
+  // A zero partner-undecided slot is omitted so the last real opinion
+  // keeps the exact multinomial remainder.
   for (std::size_t j = 0; j < k; ++j) {
     weights_[j] = static_cast<double>(partners[j]);
   }

@@ -1,13 +1,16 @@
 // Batched whole-round primitives for the USD Markov chains.
 //
 // SyncUsd, GossipUsd and BatchedUsdSimulator all advance entire rounds in
-// aggregate: the partners of the m agents in a state are jointly multinomial
-// over the partner distribution, so a round costs O(k) binomial draws
-// instead of Θ(n) per-agent samples. This class centralizes that machinery
-// (previously duplicated ad hoc in sync_usd.cpp and gossip_usd.cpp):
+// aggregate, drawing counts instead of Θ(n) per-agent samples. This class
+// centralizes that machinery (previously duplicated ad hoc in sync_usd.cpp
+// and gossip_usd.cpp):
 //
 //  * decided_step / adoption_step — the two synchronous half-rounds, exact
-//    for the synchronized and gossip round models.
+//    for the synchronized and gossip round models. decided_step draws one
+//    binomial per non-empty opinion (the number that keeps it);
+//    adoption_step one multinomial over the k opinions and the undecided
+//    slot, at most k binomials. A gossip round is therefore at most 2k
+//    draws; a sync super-round at most k plus k per re-adoption sub-round.
 //  * try_async_chunk — a chunked-Poissonization (tau-leaping) step for the
 //    asynchronous chain: m interactions advanced with the transition rates
 //    frozen at the current configuration. Exact in the limit m -> 1 and a
@@ -46,8 +49,10 @@ class RoundEngine {
   /// opinion i samples a partner from the distribution (opinions...,
   /// undecided) and keeps i iff the partner shares it (or, when
   /// `keep_on_undecided`, is undecided); otherwise it becomes undecided.
-  /// Survivors are accumulated into `next` (size k); returns the number of
-  /// agents that became undecided. `next` must not alias `opinions`.
+  /// Drawn as stay_i ~ Binomial(x_i, (x_i + [keep] u) / n), one
+  /// rng.binomial per opinion with x_i > 0, in opinion order. Survivors
+  /// are accumulated into `next` (size k); returns the number of agents
+  /// that became undecided. `next` must not alias `opinions`.
   pp::Count decided_step(std::span<const pp::Count> opinions,
                          pp::Count undecided, bool keep_on_undecided,
                          std::span<pp::Count> next, rng::Rng& rng);

@@ -4,9 +4,10 @@
 // In each round every agent independently samples one agent uniformly at
 // random (with replacement, self included) and applies the USD rule to the
 // sampled opinion, all updates computed from the pre-round configuration.
-// The simulation is count-based: the partners of the m agents in a state
-// are jointly multinomial over the pre-round state distribution, so one
-// round costs O(k^2) binomial draws instead of O(n) samples.
+// The simulation is count-based (core::RoundEngine): the decided agents
+// that keep their opinion are one binomial per opinion, and the undecided
+// agents' adoptions one multinomial over the pre-round state distribution,
+// so one round costs at most 2k binomial draws instead of O(n) samples.
 #pragma once
 
 #include <cstdint>

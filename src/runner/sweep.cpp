@@ -244,6 +244,41 @@ struct PointState {
   util::Stopwatch watch;
 };
 
+std::vector<SweepPoint> expand_grid(const SweepSpec& spec) {
+  // With no bias, the bias axis is a single implicit point — listing
+  // several values would just duplicate work. Likewise the graph axis
+  // multiplies only engines that take a topology.
+  const std::size_t bias_points =
+      spec.bias_kind == BiasKind::kNone ? 1 : spec.bias_values.size();
+  const auto& registry = sim::Registry::instance();
+  std::vector<SweepPoint> points;
+  std::size_t index = 0;
+  for (const auto& engine : spec.engines) {
+    const sim::EngineInfo* info = registry.find(engine);
+    const bool graph_axis = info != nullptr && info->uses_graph_axis;
+    const std::size_t graph_points = graph_axis ? spec.graphs.size() : 1;
+    for (std::size_t g = 0; g < graph_points; ++g) {
+      for (const auto n : spec.ns) {
+        for (const auto k : spec.ks) {
+          for (const auto& start : spec.starts) {
+            for (std::size_t b = 0; b < bias_points; ++b) {
+              const double bias = spec.bias_kind == BiasKind::kNone
+                                      ? 0.0
+                                      : spec.bias_values[b];
+              points.push_back(SweepPoint{
+                  engine,
+                  graph_axis ? std::optional<sim::GraphSpec>(spec.graphs[g])
+                             : std::nullopt,
+                  n, k, start, bias, index++});
+            }
+          }
+        }
+      }
+    }
+  }
+  return points;
+}
+
 }  // namespace
 
 Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
@@ -333,10 +368,11 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
         break;
     }
   }
+  grid_ = expand_grid(spec_);
   // Construct every grid point's initial configuration once now, so any
   // infeasible (n, k, start, bias) combination (e.g. beta exceeding the
   // decided agents of the smallest n) fails here instead of mid-grid.
-  for (const auto& point : grid()) {
+  for (const auto& point : grid_) {
     const auto config = build_config(spec_, point);
     // Configuration itself allows decided == 0, but no engine converges
     // from it (an undecided fraction can round up to the whole population
@@ -345,41 +381,6 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
                    "sweep: undecided fraction leaves no decided agents at "
                    "n = " + std::to_string(point.n));
   }
-}
-
-std::vector<SweepPoint> Sweep::grid() const {
-  // With no bias, the bias axis is a single implicit point — listing
-  // several values would just duplicate work. Likewise the graph axis
-  // multiplies only engines that take a topology.
-  const std::size_t bias_points =
-      spec_.bias_kind == BiasKind::kNone ? 1 : spec_.bias_values.size();
-  const auto& registry = sim::Registry::instance();
-  std::vector<SweepPoint> points;
-  std::size_t index = 0;
-  for (const auto& engine : spec_.engines) {
-    const sim::EngineInfo* info = registry.find(engine);
-    const bool graph_axis = info != nullptr && info->uses_graph_axis;
-    const std::size_t graph_points = graph_axis ? spec_.graphs.size() : 1;
-    for (std::size_t g = 0; g < graph_points; ++g) {
-      for (const auto n : spec_.ns) {
-        for (const auto k : spec_.ks) {
-          for (const auto& start : spec_.starts) {
-            for (std::size_t b = 0; b < bias_points; ++b) {
-              const double bias = spec_.bias_kind == BiasKind::kNone
-                                      ? 0.0
-                                      : spec_.bias_values[b];
-              points.push_back(SweepPoint{
-                  engine,
-                  graph_axis ? std::optional<sim::GraphSpec>(spec_.graphs[g])
-                             : std::nullopt,
-                  n, k, start, bias, index++});
-            }
-          }
-        }
-      }
-    }
-  }
-  return points;
 }
 
 SweepCell Sweep::run_point(const SweepPoint& point) const {
@@ -400,21 +401,20 @@ SweepCell Sweep::run_point(util::ThreadPool& pool,
 void Sweep::run(const std::function<void(const SweepCell&)>& on_cell) const {
   // One pool for the whole grid: workers are not respawned per point.
   util::ThreadPool pool(spec_.threads);
-  run_points_on(pool, grid(), on_cell);
+  run_points_on(pool, grid_, on_cell);
 }
 
 void Sweep::run_selected(
     const std::vector<std::size_t>& indices,
     const std::function<void(const SweepCell&)>& on_cell) const {
-  const auto all = grid();
   std::vector<SweepPoint> points;
   points.reserve(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    KUSD_CHECK_MSG(indices[i] < all.size(),
+    KUSD_CHECK_MSG(indices[i] < grid_.size(),
                    "sweep: selected grid index out of range");
     KUSD_CHECK_MSG(i == 0 || indices[i] > indices[i - 1],
                    "sweep: selected grid indices must be strictly increasing");
-    points.push_back(all[indices[i]]);
+    points.push_back(grid_[indices[i]]);
   }
   util::ThreadPool pool(spec_.threads);
   run_points_on(pool, points, on_cell);

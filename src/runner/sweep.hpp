@@ -194,8 +194,8 @@ class Sweep {
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
 
   /// The grid in output order: engine-major, then graph, n, k, start,
-  /// bias.
-  [[nodiscard]] std::vector<SweepPoint> grid() const;
+  /// bias. Expanded once, by the constructor.
+  [[nodiscard]] const std::vector<SweepPoint>& grid() const { return grid_; }
 
   /// Run one grid point (trials in parallel) and aggregate it. The second
   /// form reuses an existing worker pool, as run() does across the grid.
@@ -237,6 +237,7 @@ class Sweep {
       const;
 
   SweepSpec spec_;
+  std::vector<SweepPoint> grid_;
 };
 
 }  // namespace kusd::runner

@@ -428,7 +428,7 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
   fnv.real(spec.batch_chunk_fraction);
   fnv.u64(static_cast<std::uint64_t>(spec.batch_policy));
   fnv.u64(static_cast<std::uint64_t>(spec.lockstep_schedule));
-  const auto points = sweep.grid();
+  const auto& points = sweep.grid();
   fnv.u64(points.size());
   for (const auto& point : points) {
     fnv.str(point.engine);

@@ -349,7 +349,8 @@ void register_builtin_engines(Registry& registry) {
                        const EngineOptions&) {
                       return std::make_unique<SyncEngine>(initial, seed);
                     },
-                .description = "synchronized round model (exact, O(k)/round)",
+                .description =
+                    "synchronized round model (exact, <= k draws per round)",
                 .default_budget = [](pp::Count n,
                                      int) { return sync_round_cap(n); },
                 .requires_decided_start = true});
@@ -359,7 +360,8 @@ void register_builtin_engines(Registry& registry) {
                        const EngineOptions&) {
                       return std::make_unique<GossipEngine>(initial, seed);
                     },
-                .description = "gossip/PULL round model (exact, O(k^2)/round)",
+                .description =
+                    "gossip/PULL round model (exact, <= 2k draws per round)",
                 .default_budget = [](pp::Count n, int k) {
                   return gossip_round_cap(n, k);
                 }});

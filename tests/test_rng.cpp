@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "chi_square.hpp"
 #include "rng/binomial.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -458,33 +459,10 @@ TEST_P(BinomialFit, ChiSquareAgainstExactPmf) {
     const std::uint64_t clamped = std::clamp(x, lo, hi);
     observed[clamped - lo] += 1.0;
   }
-  // Pool adjacent outcomes, tails included, until each bin expects >= 20.
-  std::vector<double> bin_expected, bin_observed;
-  double e = 0.0, o = 0.0;
-  for (std::size_t i = 0; i < pmf.size(); ++i) {
-    e += pmf[i] * draws;
-    o += observed[i];
-    if (e >= 20.0) {
-      bin_expected.push_back(e);
-      bin_observed.push_back(o);
-      e = o = 0.0;
-    }
-  }
-  ASSERT_FALSE(bin_expected.empty());
-  bin_expected.back() += e;
-  bin_observed.back() += o;
-  double chi2 = 0.0;
-  for (std::size_t b = 0; b < bin_expected.size(); ++b) {
-    const double diff = bin_observed[b] - bin_expected[b];
-    chi2 += diff * diff / bin_expected[b];
-  }
-  // Wilson-Hilferty upper quantile at z = 4.265 (alpha = 1e-5).
-  const double df = static_cast<double>(bin_expected.size() - 1);
-  ASSERT_GE(df, 5.0);
-  const double h = 2.0 / (9.0 * df);
-  const double critical = df * std::pow(1.0 - h + 4.265 * std::sqrt(h), 3);
-  EXPECT_LT(chi2, critical) << c.name << ": " << bin_expected.size()
-                            << " bins";
+  const auto fit = test::chi_square_fit(pmf, observed, draws);
+  ASSERT_GE(fit.df, 5.0);
+  EXPECT_LT(fit.statistic, fit.critical)
+      << c.name << ": " << fit.df + 1 << " bins";
 }
 
 INSTANTIATE_TEST_SUITE_P(

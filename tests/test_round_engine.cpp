@@ -1,13 +1,15 @@
 // RoundEngine primitives and the batched-round exactness properties: the
-// count-based (multinomial) synchronized and gossip rounds must have the
-// same law as literal per-agent simulations of the same round models.
+// count-based synchronized and gossip rounds must have the same law as
+// literal per-agent simulations of the same round models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "chi_square.hpp"
 #include "core/round_engine.hpp"
 #include "core/sync_usd.hpp"
 #include "gossip/gossip_usd.hpp"
@@ -53,6 +55,106 @@ TEST(RoundEngine, DecidedStepWithoutUndecidedKeepLosesMore) {
         100 - engine.decided_step(opinions, 900, false, next, rng);
   }
   EXPECT_GT(kept_with, kept_without);
+}
+
+/// The kept count of opinion i, as decided_step documents it:
+/// Binomial(x_i, (x_i + [keep] u) / n).
+double kept_probability(std::span<const Count> opinions, Count undecided,
+                        bool keep, std::size_t i) {
+  const Count favourable = opinions[i] + (keep ? undecided : 0);
+  return static_cast<double>(favourable) /
+         static_cast<double>(sum(opinions) + undecided);
+}
+
+struct DecidedCase {
+  std::vector<Count> opinions;
+  Count undecided;
+  bool keep;
+};
+
+TEST(RoundEngine, DecidedStepIsOneBinomialPerOpinion) {
+  // decided_step must consume exactly the stream of explicit per-opinion
+  // binomials on a copy of the Rng, and keep what they draw.
+  const std::vector<DecidedCase> cases = {
+      {{40, 0, 30, 20, 10}, 25, true},  // a zero-count opinion
+      {{40, 0, 30, 20, 10}, 25, false},
+      {{500, 300, 200}, 0, false},  // fully decided, as in SyncUsd phase A
+      {{3, 5}, 1'000'000, true},  // p just below 1
+  };
+  for (const auto& c : cases) {
+    const std::size_t k = c.opinions.size();
+    RoundEngine engine(static_cast<int>(k));
+    rng::Rng rng(11);
+    rng::Rng replay = rng;
+    std::vector<Count> next(k, 0);
+    const Count became =
+        engine.decided_step(c.opinions, c.undecided, c.keep, next, rng);
+    Count replay_became = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const Count stay = replay.binomial(
+          c.opinions[i], kept_probability(c.opinions, c.undecided, c.keep, i));
+      EXPECT_EQ(next[i], stay) << "opinion " << i;
+      replay_became += c.opinions[i] - stay;
+    }
+    EXPECT_EQ(became, replay_became);
+    EXPECT_EQ(rng.state(), replay.state());
+  }
+}
+
+TEST(RoundEngine, DecidedStepDrawsNothingWhenEveryAgentKeeps) {
+  // p = 1 (every partner is favourable) and empty opinions are degenerate:
+  // all agents keep, and the stream does not move.
+  const std::vector<DecidedCase> cases = {
+      {{0, 70, 0}, 30, true},  // the undecided keep the only opinion
+      {{100, 0}, 0, false},    // consensus
+      {{0, 0, 9}, 0, true},
+  };
+  for (const auto& c : cases) {
+    const std::size_t k = c.opinions.size();
+    RoundEngine engine(static_cast<int>(k));
+    rng::Rng rng(12);
+    std::vector<Count> next(k, 0);
+    EXPECT_EQ(engine.decided_step(c.opinions, c.undecided, c.keep, next, rng),
+              0u);
+    EXPECT_EQ(next, c.opinions);
+    EXPECT_EQ(rng.state(), rng::Rng(12).state());
+  }
+}
+
+TEST(RoundEngine, DecidedStepKeptCountFitsBinomial) {
+  // Chi-square fit of opinion 0's kept count against the exact
+  // Binomial(x_0, p) pmf, p = (x_0 + [keep] u) / n, at several regimes.
+  const std::vector<DecidedCase> points = {
+      {{30, 50, 20}, 40, true},    // p = 1/2
+      {{30, 50, 20}, 40, false},   // p = 3/14, small mean
+      {{120, 60, 20}, 0, false},   // p = 3/5, fully decided
+      {{2000, 1000}, 3000, true},  // p = 5/6, large mean
+  };
+  const int draws = 50'000;
+  for (const auto& c : points) {
+    const std::size_t k = c.opinions.size();
+    const Count x = c.opinions[0];
+    const double p = kept_probability(c.opinions, c.undecided, c.keep, 0);
+    SCOPED_TRACE(::testing::Message() << "x = " << x << ", p = " << p);
+    std::vector<double> pmf(x + 1);
+    for (Count s = 0; s <= x; ++s) {
+      const double xs = static_cast<double>(x), ss = static_cast<double>(s);
+      pmf[s] = std::exp(std::lgamma(xs + 1) - std::lgamma(ss + 1) -
+                        std::lgamma(xs - ss + 1) + ss * std::log(p) +
+                        (xs - ss) * std::log1p(-p));
+    }
+    RoundEngine engine(static_cast<int>(k));
+    rng::Rng rng(9100 + x);
+    std::vector<double> observed(x + 1, 0.0);
+    for (int d = 0; d < draws; ++d) {
+      std::vector<Count> next(k, 0);
+      engine.decided_step(c.opinions, c.undecided, c.keep, next, rng);
+      observed[next[0]] += 1.0;
+    }
+    const auto fit = test::chi_square_fit(pmf, observed, draws);
+    ASSERT_GE(fit.df, 5.0);
+    EXPECT_LT(fit.statistic, fit.critical) << fit.df + 1 << " bins";
+  }
 }
 
 TEST(RoundEngine, AdoptionStepConservesAndAllowsAliasing) {
@@ -180,7 +282,7 @@ std::uint64_t per_agent_sync_super_rounds(std::size_t n, int k,
 }
 
 TEST(RoundEngine, SyncUsdMatchesPerAgentReferenceInDistribution) {
-  // The acceptance property: batched (multinomial) synchronized rounds are
+  // The acceptance property: batched (count-based) synchronized rounds are
   // distributionally identical to a per-agent simulation — same seeds
   // derive both samples, statistics compared by two-sample KS.
   const Count n = 120;
