@@ -22,21 +22,6 @@ std::optional<ChunkPolicy> parse_chunk_policy(const std::string& name) {
   return std::nullopt;
 }
 
-const char* to_string(LockstepSchedule schedule) {
-  switch (schedule) {
-    case LockstepSchedule::kPerTrial: return "per-trial";
-    case LockstepSchedule::kShared: return "shared";
-  }
-  return "?";
-}
-
-std::optional<LockstepSchedule> parse_lockstep_schedule(
-    const std::string& name) {
-  if (name == "per-trial") return LockstepSchedule::kPerTrial;
-  if (name == "shared") return LockstepSchedule::kShared;
-  return std::nullopt;
-}
-
 ChunkController::ChunkController(const ChunkOptions& options, pp::Count n)
     : options_(options), n_(n) {
   KUSD_CHECK_MSG(options.chunk_fraction > 0.0 && options.chunk_fraction <= 1.0,
@@ -65,20 +50,6 @@ ChunkController::ChunkController(const ChunkOptions& options, pp::Count n)
 std::uint64_t ChunkController::propose(std::span<const pp::Count> opinions,
                                        pp::Count undecided) {
   if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
-  return finalize_bound(raw_bound(opinions, undecided));
-}
-
-std::uint64_t ChunkController::propose_from_bound(double bound) {
-  if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
-  return finalize_bound(bound);
-}
-
-double ChunkController::raw_bound(std::span<const pp::Count> opinions,
-                                  pp::Count undecided) const {
-  if (options_.policy == ChunkPolicy::kFixed) {
-    return static_cast<double>(max_chunk_);
-  }
-
   // Per-interaction moments of every count, in closed form at the frozen
   // configuration (rates in units of probability per interaction):
   //   opinion j:  gains w.p. u*x_j / n^2, loses w.p. x_j*(d - x_j) / n^2
@@ -102,7 +73,7 @@ double ChunkController::raw_bound(std::span<const pp::Count> opinions,
     apply_band(xj, du * xj * inv_n2, xj * (dd - xj) * inv_n2, tol, bound);
   }
   apply_band(du, (dd * dd - sum_sq) * inv_n2, du * dd * inv_n2, tol, bound);
-  return bound;
+  return finalize_bound(bound);
 }
 
 std::uint64_t ChunkController::propose_classes(

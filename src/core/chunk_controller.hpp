@@ -51,25 +51,6 @@ enum class ChunkPolicy {
 [[nodiscard]] std::optional<ChunkPolicy> parse_chunk_policy(
     const std::string& name);
 
-/// Who owns the chunk schedule in the lockstep many-trial kernel
-/// (core::LockstepRoundEngine).
-enum class LockstepSchedule {
-  /// One ChunkController per trial — the scalar engine's schedule replayed
-  /// per stream, preserving per-stream bit-identity (the PR-8 default).
-  kPerTrial,
-  /// One ChunkController drives every active trial of the batch and all
-  /// draws come from one shared counter-based uniform stream. Trades
-  /// per-stream bit-identity to the scalar engine for throughput; still
-  /// self-deterministic (byte-identical across runs and thread counts)
-  /// and KS-gated against the exact chain.
-  kShared,
-};
-
-[[nodiscard]] const char* to_string(LockstepSchedule schedule);
-/// Parse the CLI spelling ("per-trial", "shared").
-[[nodiscard]] std::optional<LockstepSchedule> parse_lockstep_schedule(
-    const std::string& name);
-
 /// Knobs of ChunkPolicy::kAdaptive (ignored under kFixed).
 struct AdaptiveChunkOptions {
   /// Bound on the predicted relative drift (and relative standard
@@ -127,20 +108,6 @@ class ChunkController {
   /// proposal.
   [[nodiscard]] std::uint64_t propose(std::span<const pp::Count> opinions,
                                       pp::Count undecided);
-
-  /// The stateless tau-selection bound of propose() alone: the largest
-  /// admissible chunk (in interactions, clamped to max_chunk) for this
-  /// configuration, before the trend/growth schedule. O(k), const.
-  /// Returns max_chunk under kFixed. Callers aggregating several
-  /// configurations (e.g. the shared lockstep schedule takes the minimum
-  /// over trials) feed the result to propose_from_bound().
-  [[nodiscard]] double raw_bound(std::span<const pp::Count> opinions,
-                                 pp::Count undecided) const;
-
-  /// Run an externally aggregated raw_bound() value through the one
-  /// trend/growth/clamp schedule propose() applies. Under kFixed the
-  /// bound is ignored and the constant chunk returned.
-  [[nodiscard]] std::uint64_t propose_from_bound(double bound);
 
   /// The class-structured analogue of propose() for the annealed
   /// degree-weighted chain (RoundEngine::try_async_class_chunk):

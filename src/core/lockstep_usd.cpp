@@ -1,7 +1,6 @@
 #include "core/lockstep_usd.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "pp/configuration.hpp"
 #include "rng/binomial.hpp"
@@ -10,17 +9,10 @@
 
 namespace kusd::core {
 
-namespace {
-/// counter_hi domain of the shared schedule's Philox stream: a fixed
-/// nonzero tag so the keystream can never collide with other
-/// uniform_block users keyed by the same seed at counter_hi 0.
-constexpr std::uint64_t kSharedStreamDomain = 0x6b7573644c534b44ULL;
-}  // namespace
-
 LockstepRoundEngine::LockstepRoundEngine(const pp::Configuration& initial,
                                          std::span<const std::uint64_t> seeds,
-                                         LockstepOptions options)
-    : k_(initial.k()), n_(initial.n()), schedule_(options.schedule) {
+                                         ChunkOptions options)
+    : k_(initial.k()), n_(initial.n()) {
   KUSD_CHECK_MSG(!seeds.empty(), "lockstep engine needs at least one trial");
   KUSD_CHECK_MSG(initial.decided() >= 1,
                  "an all-undecided population never converges");
@@ -34,27 +26,14 @@ LockstepRoundEngine::LockstepRoundEngine(const pp::Configuration& initial,
   for (int i = 0; i < k_; ++i) {
     if (initial.opinion(i) == n_) initial_winner = i;
   }
-  if (schedule_ == LockstepSchedule::kShared) {
-    // One controller, one stream, for the whole batch. The per-trial Rng
-    // and controller arrays stay empty: every draw under this schedule
-    // comes from the shared counter-based stream.
-    shared_controller_.emplace(options.chunk, n_);
-    shared_stream_.emplace(seeds[0], kSharedStreamDomain);
-    shared_grow_cap_.assign(trial_count,
-                            std::numeric_limits<double>::infinity());
-    shared_grow_factor_ = options.chunk.adaptive.grow_factor;
-  } else {
-    rngs_.reserve(trial_count);
-    controllers_.reserve(trial_count);
-  }
+  rngs_.reserve(trial_count);
+  controllers_.reserve(trial_count);
   for (std::size_t t = 0; t < trial_count; ++t) {
     counts_.insert(counts_.end(), initial.opinions().begin(),
                    initial.opinions().end());
     undecided_.push_back(initial.undecided());
-    if (schedule_ != LockstepSchedule::kShared) {
-      rngs_.emplace_back(seeds[t]);
-      controllers_.emplace_back(options.chunk, n_);
-    }
+    rngs_.emplace_back(seeds[t]);
+    controllers_.emplace_back(options, n_);
   }
   interactions_.assign(trial_count, 0);
   chunks_.assign(trial_count, 0);
@@ -91,48 +70,11 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
   while (!active_.empty()) {
     // 1. Chunk proposals. A trial whose last draw was rejected keeps its
     //    halved length instead (the scalar engine's halve-and-redraw loop
-    //    calls propose once per committed chunk, not per attempt). Under
-    //    the shared schedule the one controller proposes a single length
-    //    per pass from the MINIMUM admissible per-trial bound. The
-    //    minimum — not a pooled/mean configuration — because the tau band
-    //    must hold for each trial individually: trials drifting toward
-    //    different winners average into a fictitious contested state
-    //    whose huge flip rate pins a mean-configuration proposal at a
-    //    handful of interactions while every real trial would admit
-    //    chunks of order tol * n.
-    if (schedule_ == LockstepSchedule::kShared) {
-      double bound = std::numeric_limits<double>::infinity();
-      std::uint64_t fresh = 0;
-      for (const std::uint32_t t : active_) {
-        if (pending_retry_[t] != 0) continue;
-        ++fresh;
-        bound = std::min(
-            bound, shared_controller_->raw_bound(counts(t), undecided_[t]));
-      }
-      if (fresh > 0) {
-        const std::uint64_t shared_m =
-            shared_controller_->propose_from_bound(bound);
-        for (const std::uint32_t t : active_) {
-          if (pending_retry_[t] != 0) continue;
-          std::uint64_t m = std::min(shared_m, target - interactions_[t]);
-          // A trial recovering from a rejection re-approaches the shared
-          // length geometrically (see shared_grow_cap_): without this
-          // cap a trial whose admissible chunk sits below the shared
-          // proposal would re-reject the full length every pass, paying
-          // log2(m) halving retries per tiny commit.
-          if (shared_grow_cap_[t] < static_cast<double>(m)) {
-            m = std::max<std::uint64_t>(
-                1, static_cast<std::uint64_t>(shared_grow_cap_[t]));
-          }
-          m_[t] = m;
-        }
-      }
-    } else {
-      for (const std::uint32_t t : active_) {
-        if (pending_retry_[t] != 0) continue;
-        m_[t] = std::min(controllers_[t].propose(counts(t), undecided_[t]),
-                         target - interactions_[t]);
-      }
+    //    calls propose once per committed chunk, not per attempt).
+    for (const std::uint32_t t : active_) {
+      if (pending_retry_[t] != 0) continue;
+      m_[t] = std::min(controllers_[t].propose(counts(t), undecided_[t]),
+                       target - interactions_[t]);
     }
 
     // 2. Frozen event weights, replicating RoundEngine::try_async_chunk's
@@ -172,22 +114,15 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
       batch_trials_.clear();
       for (const std::uint32_t t : active_) {
         if (remaining_[t] == 0 || remaining_weight_[t] <= 0.0) continue;
-        if (schedule_ != LockstepSchedule::kShared) {
-          batch_rngs_.push_back(&rngs_[t]);
-        }
+        batch_rngs_.push_back(&rngs_[t]);
         batch_ns_.push_back(remaining_[t]);
         batch_ps_.push_back(
             std::min(1.0, weights_[t * fam + f] / remaining_weight_[t]));
         batch_trials_.push_back(t);
       }
       batch_out_.resize(batch_trials_.size());
-      if (schedule_ == LockstepSchedule::kShared) {
-        rng::binomial_batch(*shared_stream_, batch_ns_, batch_ps_,
-                            batch_out_);
-      } else {
-        rng::binomial_batch(std::span<rng::Rng* const>(batch_rngs_),
-                            batch_ns_, batch_ps_, batch_out_);
-      }
+      rng::binomial_batch(std::span<rng::Rng* const>(batch_rngs_),
+                          batch_ns_, batch_ps_, batch_out_);
       for (std::size_t i = 0; i < batch_trials_.size(); ++i) {
         const std::uint32_t t = batch_trials_[i];
         events_[t * fam + f] = batch_out_[i];
@@ -203,14 +138,8 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
     //    try_async_chunk does, then compact the active list in place:
     //    finished and target-reached trials are masked out.
     std::size_t write = 0;
-    std::uint64_t fresh_count = 0;
-    std::uint64_t fresh_rejects = 0;
     for (const std::uint32_t t : active_) {
       ++chunks_[t];
-      // pending_retry_[t] still holds its phase-1 value here: this pass
-      // took the shared proposal iff the trial entered it fresh.
-      const bool fresh = pending_retry_[t] == 0;
-      if (fresh) ++fresh_count;
       const std::uint64_t* e = &events_[t * fam];
       pp::Count* x = &counts_[t * k];
       std::uint64_t adopted = 0;
@@ -232,19 +161,8 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
         ok = false;
       }
       if (!ok) {
-        // Halving stays per trial under both schedules; the shared
-        // controller hears on_reject only when a majority of the fresh
-        // trials rejected this pass (below). With T trials an any-reject
-        // rule would fire ~T times as often as a single trial's and pin
-        // the shared proposal at its floor; a lone outlier's overshoot
-        // is already absorbed by its own halved retry.
         m_[t] = std::max<std::uint64_t>(1, m_[t] / 2);
-        if (schedule_ == LockstepSchedule::kShared) {
-          if (fresh) ++fresh_rejects;
-          shared_grow_cap_[t] = static_cast<double>(m_[t]);
-        } else {
-          controllers_[t].on_reject();
-        }
+        controllers_[t].on_reject();
         pending_retry_[t] = 1;
         active_[write++] = t;
         continue;
@@ -257,11 +175,6 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
       undecided_[t] -= adopted;
       interactions_[t] += m_[t];
       pending_retry_[t] = 0;
-      // Geometric recovery toward the uncapped shared proposal; +inf
-      // stays +inf, so never-rejected trials pay nothing here.
-      if (schedule_ == LockstepSchedule::kShared) {
-        shared_grow_cap_[t] *= shared_grow_factor_;
-      }
       for (std::size_t j = 0; j < k; ++j) {
         if (x[j] == n_) winner_[t] = static_cast<int>(j);
       }
@@ -270,9 +183,6 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
       }
     }
     active_.resize(write);
-    if (shared_controller_ && fresh_rejects * 2 > fresh_count) {
-      shared_controller_->on_reject();
-    }
   }
 }
 

@@ -19,72 +19,32 @@
 // other trials of a batch cannot change any trial's trajectory, finished
 // trials are masked out of the active set without disturbing the rest,
 // and KS fidelity vs the exact chain is inherited from the scalar engine
-// (pinned by tests/test_lockstep.cpp). The throughput win is measured by
-// bench_lockstep_trials (E18).
+// (pinned by tests/test_lockstep.cpp).
 //
-// Under LockstepSchedule::kPerTrial (the default) each trial keeps its
-// own ChunkController: the cell shares one schedule *policy* (the
-// ChunkOptions), while the adaptive controller state stays per-trial —
-// exactly what the scalar engines do, and required for the bit-identity
-// above (reject feedback and the drift trend are trajectory-dependent).
-//
-// LockstepSchedule::kShared is the opt-in throughput mode: ONE
-// ChunkController proposes a single chunk length per pass from the
-// minimum admissible per-trial tau bound (ChunkController::raw_bound
-// over the trials taking it — the band must hold for each trial
-// individually; a pooled configuration of trials drifting toward
-// different winners misreads as a contested state whose flip rate pins
-// the proposal at its floor), and every draw of the batch is
-// consumed sequentially (family-outer, trial-inner, index order) from one
-// counter-based Philox uniform stream keyed by seeds[0]. That eliminates
-// schedule divergence and the per-trial stream gather, but deliberately
-// gives up per-stream bit-identity to the scalar engine: batch
-// composition now shapes each trial's draws. The mode remains fully
-// self-deterministic — the kernel is sequential and the stream is
-// counter-based, so results are byte-identical across runs and thread
-// counts — and its marginal statistics are KS-gated against the exact
-// chain (tests/test_lockstep.cpp). Halve-on-reject stays per trial (a
-// rejected trial redraws its own halved chunk); the shared controller
-// hears on_reject only when a majority of the fresh (proposal-taking)
-// trials rejected the pass — with T trials an any-reject rule fires ~T
-// times as often as a single trial's and pins the proposal at its floor.
+// Each trial keeps its own ChunkController: the cell shares one schedule
+// *policy* (the ChunkOptions), while the adaptive controller state stays
+// per-trial — exactly what the scalar engines do, and required for the
+// bit-identity above (reject feedback and the drift trend are
+// trajectory-dependent).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
-#include "rng/uniform_block.hpp"
 
 namespace kusd::core {
-
-/// Full schedule configuration of the lockstep kernel: the chunk policy
-/// every schedule shares, plus who owns the controller(s).
-struct LockstepOptions {
-  ChunkOptions chunk;
-  LockstepSchedule schedule = LockstepSchedule::kPerTrial;
-};
 
 class LockstepRoundEngine {
  public:
   /// One trial per entry of `seeds`, all starting from `initial`. Trial t
-  /// draws from rng::Rng(seeds[t]) under the per-trial schedule; under
-  /// the shared schedule all trials draw from one Philox stream keyed by
-  /// seeds[0].
+  /// draws from rng::Rng(seeds[t]).
   LockstepRoundEngine(const pp::Configuration& initial,
                       std::span<const std::uint64_t> seeds,
-                      LockstepOptions options);
-
-  /// Per-trial schedule with the given chunk policy (the PR-8 surface;
-  /// bit-identical to the scalar tau-leap engine per stream).
-  LockstepRoundEngine(const pp::Configuration& initial,
-                      std::span<const std::uint64_t> seeds,
-                      ChunkOptions options = {})
-      : LockstepRoundEngine(initial, seeds, LockstepOptions{options}) {}
+                      ChunkOptions options = {});
 
   [[nodiscard]] std::size_t trials() const { return undecided_.size(); }
   [[nodiscard]] int k() const { return k_; }
@@ -123,31 +83,14 @@ class LockstepRoundEngine {
     return winner_[t];
   }
 
-  /// The active schedule mode.
-  [[nodiscard]] LockstepSchedule schedule() const { return schedule_; }
-
  private:
   int k_;
   pp::Count n_;
-  LockstepSchedule schedule_;
   // Trial-major SoA state: counts_[t * k + j], the rest indexed by trial.
   std::vector<pp::Count> counts_;
   std::vector<pp::Count> undecided_;
   std::vector<rng::Rng> rngs_;
   std::vector<ChunkController> controllers_;
-  // Shared-schedule state (engaged only under LockstepSchedule::kShared):
-  // the one controller driving the batch and the one uniform stream every
-  // draw consumes from, in deterministic index order.
-  std::optional<ChunkController> shared_controller_;
-  std::optional<rng::PhiloxUniformStream> shared_stream_;
-  // Per-trial geometric re-growth cap on taking the shared proposal,
-  // mirroring ChunkController's grow_factor ramp: a trial whose draw was
-  // rejected re-approaches the shared length geometrically from its
-  // halved retry instead of re-taking (and re-rejecting) the full
-  // shared proposal every pass. +inf = no cap (never rejected, or fully
-  // recovered).
-  std::vector<double> shared_grow_cap_;
-  double shared_grow_factor_ = 2.0;
   std::vector<std::uint64_t> interactions_;
   std::vector<std::uint64_t> chunks_;
   std::vector<int> winner_;  // -1 = still running

@@ -8,7 +8,6 @@
 #include "rng/binomial_detail.hpp"
 #include "rng/binomial_lanes.hpp"
 #include "rng/simd.hpp"
-#include "rng/uniform_block.hpp"
 #include "util/check.hpp"
 
 namespace kusd::rng {
@@ -167,31 +166,6 @@ void binomial_batch(std::span<Rng> rngs, std::span<const std::uint64_t> ns,
   sc.pointers.clear();
   for (Rng& rng : rngs) sc.pointers.push_back(&rng);
   batch_draw(sc.pointers, ns, ps, out);
-}
-
-void binomial_batch(PhiloxUniformStream& uniforms,
-                    std::span<const std::uint64_t> ns,
-                    std::span<const double> ps,
-                    std::span<std::uint64_t> out) {
-  KUSD_CHECK_MSG(ns.size() == ps.size() && ps.size() == out.size(),
-                 "binomial_batch: span lengths must match");
-  SetupCache cache;
-  for (std::size_t i = 0; i < ns.size(); ++i) {
-    const double p = ps[i];
-    KUSD_CHECK_MSG(p >= 0.0 && p <= 1.0, "binomial probability out of range");
-    const std::uint64_t n = ns[i];
-    if (n == 0 || p == 0.0) {
-      out[i] = 0;
-      continue;
-    }
-    if (p == 1.0) {
-      out[i] = n;
-      continue;
-    }
-    const double reduced = p > 0.5 ? 1.0 - p : p;
-    const std::uint64_t draw = reduced_draw(uniforms, n, reduced, cache);
-    out[i] = p > 0.5 ? n - draw : draw;
-  }
 }
 
 }  // namespace kusd::rng

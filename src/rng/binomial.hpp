@@ -63,18 +63,4 @@ void binomial_batch(std::span<Rng* const> rngs,
 void binomial_batch(std::span<Rng> rngs, std::span<const std::uint64_t> ns,
                     std::span<const double> ps, std::span<std::uint64_t> out);
 
-class PhiloxUniformStream;
-
-/// Shared-stream batch: out[i] = Binomial(ns[i], ps[i]) with every draw
-/// consumed sequentially, in index order, from one counter-based uniform
-/// stream (rng/uniform_block.hpp). This is the shared lockstep schedule's
-/// sampler: no per-trial streams to gather, at the deliberate cost of
-/// per-stream bit-identity to the scalar engine. Draw order is the
-/// contract here, so this path is scalar (memoized, never lane-batched)
-/// and self-deterministic by construction. Degenerate draws consume no
-/// uniforms, exactly like the Rng paths.
-void binomial_batch(PhiloxUniformStream& uniforms,
-                    std::span<const std::uint64_t> ns,
-                    std::span<const double> ps, std::span<std::uint64_t> out);
-
 }  // namespace kusd::rng

@@ -1,7 +1,6 @@
 // The BINV/BTRS sampler arithmetic, shared by the scalar sampler
-// (rng::binomial), the lane-batched cohort kernels (rng/binomial_lanes)
-// and the shared-schedule stream sampler (the PhiloxUniformStream batch
-// overload).
+// (rng::binomial) and the lane-batched cohort kernels
+// (rng/binomial_lanes).
 //
 // Everything here is the single source of truth for the sampler's
 // floating-point expressions. The lane kernels replay them term for
@@ -12,8 +11,9 @@
 // batch without changing a single rounding.
 //
 // `Uniforms` in the templated samplers is anything with a uniform01()
-// returning doubles in [0, 1): rng::Rng (per-trial streams) or
-// rng::PhiloxUniformStream (the shared lockstep schedule).
+// returning doubles in [0, 1); today that is only rng::Rng. They stay
+// templates because an inline non-template changes which call sites GCC
+// inlines them into, and with it the timed hot path.
 #pragma once
 
 #include <array>

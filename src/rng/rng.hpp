@@ -26,12 +26,6 @@ namespace kusd::rng {
   return z ^ (z >> 31);
 }
 
-/// Philox-2x64 round constants (Salmon et al.). Namespace-scoped because
-/// the SIMD keystream tiers (rng/uniform_block_*.cpp) replay the scalar
-/// rounds lane-parallel and must use the identical constants.
-inline constexpr std::uint64_t kPhiloxMultiplier = 0xD2B74407B1CE6E93ULL;
-inline constexpr std::uint64_t kPhiloxWeyl = 0x9E3779B97F4A7C15ULL;
-
 /// One Philox-2x64-10 block (Salmon et al., "Parallel random numbers: as
 /// easy as 1, 2, 3"): a 10-round bijection of the 128-bit counter space
 /// for every 64-bit key. Counter-based stream derivation rests on this
@@ -40,14 +34,16 @@ inline constexpr std::uint64_t kPhiloxWeyl = 0x9E3779B97F4A7C15ULL;
 /// needed.
 [[nodiscard]] constexpr std::array<std::uint64_t, 2> philox2x64(
     std::uint64_t counter_lo, std::uint64_t counter_hi, std::uint64_t key) {
+  constexpr std::uint64_t kMultiplier = 0xD2B74407B1CE6E93ULL;
+  constexpr std::uint64_t kWeyl = 0x9E3779B97F4A7C15ULL;
   std::uint64_t x0 = counter_lo, x1 = counter_hi;
   for (int round = 0; round < 10; ++round) {
-    const auto product = static_cast<unsigned __int128>(kPhiloxMultiplier) * x0;
+    const auto product = static_cast<unsigned __int128>(kMultiplier) * x0;
     const auto hi = static_cast<std::uint64_t>(product >> 64);
     const auto lo = static_cast<std::uint64_t>(product);
     x0 = hi ^ key ^ x1;
     x1 = lo;
-    key += kPhiloxWeyl;
+    key += kWeyl;
   }
   return {x0, x1};
 }

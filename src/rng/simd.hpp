@@ -1,10 +1,10 @@
 // Runtime SIMD tier dispatch for the sampling substrate.
 //
-// The vectorized kernels (rng/uniform_block, rng/binomial_lanes) are
-// compiled per instruction-set tier and selected here at runtime, so one
-// binary runs everywhere x86-64 runs and still uses the widest lanes the
-// host CPU has. Every tier is bit-identical by contract (tested and
-// re-audited by bench_simd_sampler), which makes the choice purely a
+// The vectorized BTRS kernels (rng/binomial_lanes) are compiled per
+// instruction-set tier and selected here at runtime, so one binary runs
+// everywhere x86-64 runs and still uses the widest lanes the host CPU
+// has. Every tier is bit-identical by contract (pinned by
+// tests/test_simd_sampler.cpp), which makes the choice purely a
 // throughput knob: results never depend on the machine that produced
 // them.
 //

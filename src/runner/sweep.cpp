@@ -100,7 +100,6 @@ sim::EngineOptions engine_options(const SweepSpec& spec,
   sim::EngineOptions options;
   options.batch.chunk_fraction = spec.batch_chunk_fraction;
   options.batch.policy = spec.batch_policy;
-  options.lockstep_schedule = spec.lockstep_schedule;
   if (point.graph.has_value()) {
     options.graph = *point.graph;
     if (topology.graph.has_value()) options.shared_graph = &*topology.graph;
@@ -195,37 +194,6 @@ SweepCell aggregate_cell(const SweepSpec& spec, const SweepPoint& point,
   return cell;
 }
 
-/// One stripe of a cell's trial batch through the engine's lockstep
-/// kernel (EngineInfo::lockstep): trials [begin, end) with exactly the
-/// per-trial seeds the scalar path would derive, outcomes written into
-/// the stripe's slots. Because the kernel is per-stream bit-identical to
-/// the single-trial engine, the stripe decomposition is invisible in the
-/// output — the same cell bytes at every stripe width and thread count.
-/// (Under LockstepSchedule::kShared the caller passes the whole cell as
-/// one stripe: a shared controller is a joint function of its cohort, so
-/// splitting it would change results.)
-void run_lockstep_stripe(const SweepSpec& spec, const SweepPoint& point,
-                         const pp::Configuration& x0,
-                         const PointTopology& topology,
-                         std::uint64_t point_seed, const sim::EngineInfo& info,
-                         std::size_t begin, std::size_t end,
-                         std::span<TrialOutcome> outcomes) {
-  std::vector<std::uint64_t> seeds(end - begin);
-  for (std::size_t t = begin; t < end; ++t) {
-    seeds[t - begin] = rng::stream_seed(point_seed, t);
-  }
-  const auto results =
-      info.lockstep(x0, seeds, engine_options(spec, point, topology),
-                    trial_budget(spec, point));
-  const int plurality = x0.argmax();
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    TrialOutcome& out = outcomes[begin + j];
-    out.parallel_time = results[j].parallel_time;
-    out.converged = results[j].converged;
-    out.plurality_won = results[j].converged && results[j].winner == plurality;
-  }
-}
-
 /// Per-point execution state, initialized by whichever worker claims the
 /// point's first stripe (std::call_once) and read-only to every later
 /// stripe; the outcome slots are written stripe-disjointly.
@@ -234,9 +202,6 @@ struct PointState {
   std::optional<pp::Configuration> x0;
   PointTopology topology;
   std::uint64_t point_seed = 0;
-  const sim::EngineInfo* info = nullptr;
-  /// Route stripes through the engine's batch kernel.
-  bool lockstep = false;
   /// Disconnected under the default budget: outcomes pre-filled with
   /// timeouts at init, stripes no-op.
   bool short_circuit = false;
@@ -424,28 +389,14 @@ void Sweep::run_points_on(
     util::ThreadPool& pool, const std::vector<SweepPoint>& points,
     const std::function<void(const SweepCell&)>& on_cell) const {
   if (points.empty()) return;
-  const auto& registry = sim::Registry::instance();
   const auto trials = static_cast<std::size_t>(spec_.trials);
   const std::size_t width = spec_.stripe_width;
   const auto stripes_per_point = static_cast<std::uint32_t>(
       trials == 0 ? 1 : (trials + width - 1) / width);
 
   // Stripe counts are a pure function of the spec — never of realized
-  // topology or results — so the unit list is deterministic. A point
-  // whose lockstep schedule shares one controller across the cohort
-  // (LockstepSchedule::kShared) collapses to a single whole-cell unit.
+  // topology or results — so the unit list is deterministic.
   std::vector<std::uint32_t> stripes(points.size(), stripes_per_point);
-  std::vector<char> whole_cell(points.size(), 0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const sim::EngineInfo* info = registry.find(points[i].engine);
-    const bool lockstep = info != nullptr && info->supports_lockstep &&
-                          static_cast<bool>(info->lockstep);
-    if (lockstep &&
-        spec_.lockstep_schedule == core::LockstepSchedule::kShared) {
-      stripes[i] = 1;
-      whole_cell[i] = 1;
-    }
-  }
 
   std::vector<std::size_t> order;
   if (spec_.shuffle_points) {
@@ -468,7 +419,6 @@ void Sweep::run_points_on(
     st.point_seed = rng::stream_seed(spec_.master_seed, point.index);
     st.topology = realize_topology(point, st.point_seed);
     st.x0 = build_config(spec_, point);
-    st.info = registry.find(point.engine);
     st.outcomes.resize(trials);
     if (st.topology.connected.has_value() && !*st.topology.connected &&
         spec_.max_time == 0 && !starts_at_consensus(*st.x0)) {
@@ -485,10 +435,7 @@ void Sweep::run_points_on(
                           static_cast<double>(point.n);
       std::fill(st.outcomes.begin(), st.outcomes.end(), out);
       st.short_circuit = true;
-      return;
     }
-    st.lockstep = st.info != nullptr && st.info->supports_lockstep &&
-                  static_cast<bool>(st.info->lockstep);
   };
 
   const auto run_stripe = [&](const TaskUnit& unit) {
@@ -496,19 +443,11 @@ void Sweep::run_points_on(
     PointState& st = states[unit.item];
     std::call_once(st.once, [&] { init_point(point, st); });
     if (st.short_circuit || trials == 0) return;
-    const std::size_t begin =
-        whole_cell[unit.item] ? 0 : unit.stripe * width;
-    const std::size_t end =
-        whole_cell[unit.item] ? trials : std::min(begin + width, trials);
-    if (st.lockstep) {
-      run_lockstep_stripe(spec_, point, *st.x0, st.topology, st.point_seed,
-                          *st.info, begin, end,
-                          std::span<TrialOutcome>(st.outcomes));
-    } else {
-      for (std::size_t t = begin; t < end; ++t) {
-        st.outcomes[t] = run_one(spec_, point, *st.x0, st.topology,
-                                 rng::stream_seed(st.point_seed, t));
-      }
+    const std::size_t begin = unit.stripe * width;
+    const std::size_t end = std::min(begin + width, trials);
+    for (std::size_t t = begin; t < end; ++t) {
+      st.outcomes[t] = run_one(spec_, point, *st.x0, st.topology,
+                               rng::stream_seed(st.point_seed, t));
     }
   };
 

@@ -38,15 +38,8 @@
 // pool full without a mode switch. Seeds derive from (master_seed, point
 // index, trial index) — never from the stripe — so the decomposition is
 // pure scheduling: CSV/JSONL output is byte-identical at any thread
-// count and stripe width. Two refinements:
-//
-//  * lockstep-capable engines (EngineInfo::supports_lockstep) route each
-//    whole stripe through the batch kernel with exactly the per-trial
-//    seeds the scalar path would use (the kernel is per-stream
-//    bit-identical, so stripes are invisible in the output);
-//  * under LockstepSchedule::kShared one controller drives the whole
-//    cell's batch, so the point collapses to a single whole-cell unit —
-//    splitting a shared-schedule cohort would change its results.
+// count and stripe width. Every engine, batched-lockstep included, runs
+// one trial at a time through its registry factory.
 //
 // shuffle_points randomizes the *execution* order of points
 // (deterministically from master_seed) for early coverage of the grid;
@@ -137,10 +130,6 @@ struct SweepSpec {
   double batch_chunk_fraction = core::BatchedOptions{}.chunk_fraction;
   /// Chunk policy for the batched engine.
   core::ChunkPolicy batch_policy = core::ChunkPolicy::kFixed;
-  /// Schedule ownership of the batched-lockstep engine: per-trial
-  /// controllers (bit-identical to the scalar engine) or one shared
-  /// controller + uniform stream per cell (throughput mode, KS-gated).
-  core::LockstepSchedule lockstep_schedule = core::LockstepSchedule::kPerTrial;
   /// Trials per (point, stripe) work unit — the work-stealing grain (see
   /// the file comment). Pure scheduling: output is byte-identical at any
   /// width. Small widths balance mixed grids better; width >= trials

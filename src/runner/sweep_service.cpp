@@ -427,7 +427,9 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
   fnv.u64(spec.max_time);
   fnv.real(spec.batch_chunk_fraction);
   fnv.u64(static_cast<std::uint64_t>(spec.batch_policy));
-  fnv.u64(static_cast<std::uint64_t>(spec.lockstep_schedule));
+  // The retired lockstep-schedule slot, hashed as the constant it always
+  // held so journals written before its removal still resume.
+  fnv.u64(0);
   const auto& points = sweep.grid();
   fnv.u64(points.size());
   for (const auto& point : points) {
@@ -452,8 +454,9 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
     flags |= info->uses_graph_axis ? 2U : 0U;
     flags |= info->uses_chunk_options ? 4U : 0U;
     flags |= info->aggregated_topology ? 8U : 0U;
-    flags |= info->supports_lockstep ? 16U : 0U;
-    flags |= info->lockstep ? 32U : 0U;
+    // Bit 16 was the retired supports_lockstep flag, always set together
+    // with `lockstep`; keeping it keeps pre-removal journal digests.
+    flags |= info->lockstep ? 16U | 32U : 0U;
     flags |= info->default_budget ? 64U : 0U;
     fnv.u64(flags);
   }

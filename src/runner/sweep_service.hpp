@@ -70,7 +70,7 @@ struct ShardRange {
                                      const ShardSpec& shard);
 
 /// Digest of everything that determines cell bytes: the expanded grid,
-/// master seed, trial count, bias/budget/chunk/lockstep settings, the
+/// master seed, trial count, bias/budget/chunk settings, the
 /// output schema, and the registry contract (flags + caps) of every
 /// swept engine. Deliberately excludes pure scheduling (threads,
 /// stripe_width, shuffle_points) and the shard coordinates — every

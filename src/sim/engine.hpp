@@ -56,11 +56,6 @@ using Observer =
 struct EngineOptions {
   /// Chunk schedule of the "batched" engine.
   core::ChunkOptions batch;
-  /// Schedule ownership of the "batched-lockstep" engine: per-trial
-  /// controllers (bit-identical to the scalar tau-leap, the default) or
-  /// one shared controller + uniform stream per batch (throughput mode,
-  /// KS-gated). Other engines ignore it.
-  core::LockstepSchedule lockstep_schedule = core::LockstepSchedule::kPerTrial;
   /// Urn backend of the "every"/"skip" engines.
   urn::UrnEngine urn = urn::UrnEngine::kAuto;
   /// Topology of the graph engines (ignored when shared_graph /

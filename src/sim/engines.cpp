@@ -325,23 +325,17 @@ void register_builtin_engines(Registry& registry) {
       {.factory =
            [](const pp::Configuration& initial, std::uint64_t seed,
               const EngineOptions& options) {
-             return std::make_unique<LockstepBatchedEngine>(
-                 initial, seed,
-                 core::LockstepOptions{options.batch,
-                                       options.lockstep_schedule});
+             return std::make_unique<LockstepBatchedEngine>(initial, seed,
+                                                            options.batch);
            },
        .description =
            "chunked tau-leap advancing a whole trial batch in lockstep",
        .default_budget = interaction_budget,
        .uses_chunk_options = true,
-       .supports_lockstep = true,
        .lockstep = [](const pp::Configuration& initial,
                       std::span<const std::uint64_t> seeds,
                       const EngineOptions& options, std::uint64_t budget) {
-         return run_lockstep_trials(
-             initial, seeds,
-             core::LockstepOptions{options.batch, options.lockstep_schedule},
-             budget);
+         return run_lockstep_trials(initial, seeds, options.batch, budget);
        }});
   registry.add("sync",
                {.factory =

@@ -12,7 +12,7 @@ std::uint64_t LockstepBatchedEngine::default_budget() const {
 
 std::vector<LockstepTrialResult> run_lockstep_trials(
     const pp::Configuration& initial, std::span<const std::uint64_t> seeds,
-    const core::LockstepOptions& options, std::uint64_t budget) {
+    const core::ChunkOptions& options, std::uint64_t budget) {
   core::LockstepRoundEngine kernel(initial, seeds, options);
   kernel.advance_all(budget);
   std::vector<LockstepTrialResult> results(seeds.size());

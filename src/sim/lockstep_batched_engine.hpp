@@ -10,8 +10,7 @@
 //    trajectory equals the `batched` engine's for the same (initial,
 //    seed, options).
 //  * run_lockstep_trials — the many-trial batch entry point published
-//    through EngineInfo::lockstep, which runner::Sweep calls once per
-//    cell instead of constructing trials one seed at a time.
+//    through EngineInfo::lockstep.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +29,7 @@ namespace kusd::sim {
 class LockstepBatchedEngine final : public Engine {
  public:
   LockstepBatchedEngine(const pp::Configuration& initial, std::uint64_t seed,
-                        const core::LockstepOptions& options)
+                        const core::ChunkOptions& options)
       : sim_(initial, std::span<const std::uint64_t>(&seed, 1), options) {}
 
   void advance(std::uint64_t budget) override {
@@ -58,13 +57,11 @@ class LockstepBatchedEngine final : public Engine {
 };
 
 /// The EngineInfo::lockstep runner of `batched-lockstep`: one lockstep
-/// kernel pass over the whole seed batch, results in seed order. Under
-/// the per-trial schedule each trial's outcome is bit-identical to the
-/// single-trial engine run with the same seed and budget; under the
-/// shared schedule the batch shares one chunk controller and uniform
-/// stream (self-deterministic, KS-gated — see core/lockstep_usd.hpp).
+/// kernel pass over the whole seed batch, results in seed order. Each
+/// trial's outcome is bit-identical to the single-trial engine run with
+/// the same seed and budget.
 [[nodiscard]] std::vector<LockstepTrialResult> run_lockstep_trials(
     const pp::Configuration& initial, std::span<const std::uint64_t> seeds,
-    const core::LockstepOptions& options, std::uint64_t budget);
+    const core::ChunkOptions& options, std::uint64_t budget);
 
 }  // namespace kusd::sim

@@ -75,17 +75,14 @@ struct EngineInfo {
   /// either (a materialized topology is Theta(n * d) memory; the whole
   /// point of an aggregated engine is to run where that is impossible).
   bool aggregated_topology = false;
-  /// The engine ships a many-trial lockstep kernel: runner::Sweep routes a
-  /// whole cell's trial batch through `lockstep` below instead of running
-  /// Engine instances one seed at a time. The kernel must keep per-stream
-  /// bit-identity (trial t of a batch equals the single-trial engine run
-  /// with seeds[t]), so output stays byte-identical across execution
-  /// modes and thread counts.
-  bool supports_lockstep = false;
-  /// The batch runner behind supports_lockstep: all of `seeds`' trials
+  /// The engine's many-trial lockstep kernel: all of `seeds`' trials
   /// advanced from `initial` until consensus or `budget` native time,
-  /// results in seed order. Unset (default) when the engine has no
-  /// lockstep kernel.
+  /// results in seed order. The kernel must keep per-stream bit-identity
+  /// (trial t of a batch equals the single-trial engine run with
+  /// seeds[t]). Drivers never need it — runner::Sweep runs every engine
+  /// one seed at a time through `factory` — it is the batch entry point
+  /// for callers timing or testing the kernel itself. Unset (default)
+  /// when the engine has no lockstep kernel.
   std::function<std::vector<LockstepTrialResult>(
       const pp::Configuration& initial, std::span<const std::uint64_t> seeds,
       const EngineOptions& options, std::uint64_t budget)>

@@ -252,18 +252,6 @@ TEST(ChunkController, PolicyNamesRoundTrip) {
   EXPECT_FALSE(core::parse_chunk_policy("psychic").has_value());
 }
 
-TEST(ChunkController, LockstepScheduleNamesRoundTrip) {
-  for (const auto schedule : {core::LockstepSchedule::kPerTrial,
-                              core::LockstepSchedule::kShared}) {
-    const auto parsed =
-        core::parse_lockstep_schedule(core::to_string(schedule));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, schedule);
-  }
-  EXPECT_FALSE(core::parse_lockstep_schedule("psychic").has_value());
-  EXPECT_FALSE(core::parse_lockstep_schedule("").has_value());
-}
-
 // ---- Adaptive engine behaviour end to end ----
 
 TEST(AdaptiveBatched, DeterministicForSameSeed) {

@@ -246,10 +246,10 @@ std::string render(const runner::Sweep& sweep) {
 }
 
 TEST(Lockstep, SweepOutputIsByteIdenticalAcrossStripesAndThreads) {
-  // Per-trial lockstep is bit-identical stream for stream, so a stripe of
-  // any width routes through one kernel call over exactly the per-trial
-  // seeds the scalar path would use — output cannot depend on thread
-  // scheduling or on how trials are cut into stripes.
+  // The sweep runs batched-lockstep one trial at a time through the
+  // registry's single-trial adapter, with seeds derived from (point,
+  // trial) alone — output cannot depend on thread scheduling or on how
+  // trials are cut into stripes.
   runner::SweepSpec spec;
   spec.ns = {400, 900};
   spec.ks = {2, 3};
@@ -272,8 +272,8 @@ TEST(Lockstep, SweepOutputIsByteIdenticalAcrossStripesAndThreads) {
 TEST(Lockstep, SweepMatchesScalarBatchedEngineCellForCell) {
   // Per-stream bit-identity lifts to the sweep: the batched-lockstep
   // column of a sweep equals the batched column on every numeric field
-  // (only the engine name differs), because the kernel replays the exact
-  // per-trial streams run_trials would have handed the scalar engine.
+  // (only the engine name differs), because the one-trial adapter replays
+  // the exact per-trial stream the scalar engine is handed.
   // Two single-engine sweeps so the grid indices — and therefore the
   // per-point and per-trial seeds — line up exactly.
   runner::SweepSpec spec;
@@ -309,137 +309,13 @@ TEST(Lockstep, SweepMatchesScalarBatchedEngineCellForCell) {
     }
   }
 
-  // Satellite contract: cutting the 5 trials into sub-width stripes
-  // routes each stripe through its own kernel call over per-trial seeds,
-  // so the rows stay pinned to the same scalar-batched streams.
+  // Cutting the 5 trials into sub-width stripes changes only which
+  // worker runs which trial, so the rows stay pinned to the same
+  // scalar-batched streams.
   spec.stripe_width = 2;
   EXPECT_EQ(collect(spec), lockstep_rows);
   spec.stripe_width = 1;
   EXPECT_EQ(collect(spec), lockstep_rows);
-}
-
-// ---- shared chunk schedule ----
-//
-// LockstepSchedule::kShared trades the per-stream bit-identity contract
-// (one controller + one rng per trial) for one controller and one
-// counter-based Philox uniform stream driving the whole batch. What it
-// must keep: self-determinism (the stream is counter-based and consumed
-// in a fixed family-outer / trial-inner order) and distributional
-// fidelity against the exact chain.
-
-using core::LockstepOptions;
-using core::LockstepSchedule;
-
-LockstepOptions shared_options(ChunkOptions chunk = {}) {
-  return LockstepOptions{chunk, LockstepSchedule::kShared};
-}
-
-TEST(LockstepShared, DeterministicAcrossRuns) {
-  // Byte-identical replay: same seeds, same options -> same interactions,
-  // chunk counts, winner, and final configuration for every trial.
-  const auto x0 = Configuration::uniform(2000, 3, 200);
-  const auto seeds = seeds_for(901, 6);
-  for (const auto policy : {ChunkPolicy::kFixed, ChunkPolicy::kAdaptive}) {
-    const auto options = shared_options(ChunkOptions{.policy = policy});
-    LockstepRoundEngine a(x0, seeds, options);
-    LockstepRoundEngine b(x0, seeds, options);
-    a.advance_all(kNoCap);
-    b.advance_all(kNoCap);
-    for (std::size_t t = 0; t < seeds.size(); ++t) {
-      ASSERT_TRUE(a.is_consensus(t)) << "trial " << t;
-      EXPECT_EQ(a.interactions(t), b.interactions(t)) << "trial " << t;
-      EXPECT_EQ(a.chunks(t), b.chunks(t)) << "trial " << t;
-      EXPECT_EQ(a.consensus_opinion(t), b.consensus_opinion(t))
-          << "trial " << t;
-      EXPECT_EQ(a.undecided(t), b.undecided(t)) << "trial " << t;
-      const auto counts_a = a.counts(t);
-      const auto counts_b = b.counts(t);
-      for (int j = 0; j < x0.k(); ++j) {
-        EXPECT_EQ(counts_a[static_cast<std::size_t>(j)],
-                  counts_b[static_cast<std::size_t>(j)])
-            << "trial " << t << " opinion " << j;
-      }
-    }
-  }
-}
-
-TEST(LockstepShared, ScheduleSelectionIsWired) {
-  const auto x0 = Configuration::uniform(1000, 3, 100);
-  const auto seeds = seeds_for(902, 3);
-  LockstepRoundEngine per_trial(x0, seeds, ChunkOptions{});
-  LockstepRoundEngine shared(x0, seeds, shared_options());
-  EXPECT_EQ(per_trial.schedule(), LockstepSchedule::kPerTrial);
-  EXPECT_EQ(shared.schedule(), LockstepSchedule::kShared);
-}
-
-TEST(LockstepShared, ConsensusTimesMatchExactChainInDistribution) {
-  // The shared schedule gives up per-stream bit-identity, so the KS gate
-  // against the exact asynchronous chain is its correctness contract
-  // (alpha = 0.001, same bar as the per-trial schedule above).
-  const auto x0 = Configuration::uniform(400, 3, 0);
-  const int trials = 350;
-  std::vector<double> exact;
-  exact.reserve(trials);
-  for (int t = 0; t < trials; ++t) {
-    UsdSimulator sim(
-        x0,
-        rng::Rng(rng::stream_seed(2402, static_cast<std::uint64_t>(t))),
-        UsdOptions{StepMode::kEveryInteraction});
-    ASSERT_TRUE(sim.run_to_consensus(100'000'000));
-    exact.push_back(static_cast<double>(sim.interactions()));
-  }
-  const auto seeds = seeds_for(2403, static_cast<std::size_t>(trials));
-  LockstepRoundEngine kernel(x0, seeds, shared_options());
-  kernel.advance_all(kNoCap);
-  std::vector<double> shared;
-  shared.reserve(trials);
-  for (std::size_t t = 0; t < seeds.size(); ++t) {
-    ASSERT_TRUE(kernel.is_consensus(t));
-    shared.push_back(static_cast<double>(kernel.interactions(t)));
-  }
-  EXPECT_LT(stats::ks_statistic(exact, shared),
-            stats::ks_threshold(exact.size(), shared.size(), 0.001));
-}
-
-TEST(LockstepShared, SweepOutputIsByteIdenticalAcrossThreads) {
-  // Self-determinism must survive the sweep wiring: the shared stream is
-  // consumed inside one kernel call per cell, so thread count and
-  // work-stealing scheduling cannot perturb the output.
-  runner::SweepSpec spec;
-  spec.ns = {400, 900};
-  spec.ks = {2, 3};
-  spec.engines = {"batched-lockstep"};
-  spec.lockstep_schedule = LockstepSchedule::kShared;
-  spec.undecided_fraction = 0.1;
-  spec.trials = 4;
-  spec.master_seed = 77;
-  spec.threads = 1;
-  const std::string sequential = render(runner::Sweep(spec));
-  for (const std::size_t threads : {2u, 6u}) {
-    for (const std::size_t width : {1u, 8u}) {
-      // Shared-schedule cells collapse to a single whole-cell unit no
-      // matter the requested stripe width — one controller drives the
-      // whole cohort, so striping would change the shared stream.
-      spec.threads = threads;
-      spec.stripe_width = width;
-      EXPECT_EQ(render(runner::Sweep(spec)), sequential)
-          << threads << " threads, stripe width " << width;
-    }
-  }
-}
-
-TEST(LockstepShared, PartialAdvanceLandsExactlyOnTarget) {
-  // The per-trial clamp (m <= target - interactions) must hold even when
-  // the proposal comes from the shared controller's min-bound schedule.
-  const auto x0 = Configuration::uniform(5000, 4, 500);
-  const auto seeds = seeds_for(903, 6);
-  LockstepRoundEngine kernel(x0, seeds, shared_options());
-  kernel.advance_all(2000);
-  for (std::size_t t = 0; t < seeds.size(); ++t) {
-    if (!kernel.is_consensus(t)) {
-      EXPECT_EQ(kernel.interactions(t), 2000u) << "trial " << t;
-    }
-  }
 }
 
 }  // namespace

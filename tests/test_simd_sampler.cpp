@@ -15,7 +15,6 @@
 #include "rng/binomial.hpp"
 #include "rng/rng.hpp"
 #include "rng/simd.hpp"
-#include "rng/uniform_block.hpp"
 
 namespace kusd {
 namespace {
@@ -44,90 +43,6 @@ std::vector<Tier> tiers_up_to_supported() {
   if (rng::simd::supported_tier() >= Tier::kSse2) tiers.push_back(Tier::kSse2);
   if (rng::simd::supported_tier() >= Tier::kAvx2) tiers.push_back(Tier::kAvx2);
   return tiers;
-}
-
-// ---- uniform_block ----
-
-TEST(UniformBlock, MatchesPhiloxReferenceOnEveryTier) {
-  // Ground truth straight from the philox2x64 definition, independent of
-  // any fill kernel: out[2i] / out[2i + 1] are block (counter_lo + i)'s
-  // words mapped by (word >> 11) * 2^-53.
-  const std::uint64_t key = 0x5EED;
-  const std::uint64_t counter_hi = 7;
-  const std::uint64_t counter_lo = 12345;
-  const std::size_t size = 1025;  // odd: ends mid-block
-  std::vector<double> expected(size);
-  for (std::size_t i = 0; i < size; i += 2) {
-    const auto block =
-        rng::philox2x64(counter_lo + i / 2, counter_hi, key);
-    expected[i] = static_cast<double>(block[0] >> 11) * 0x1.0p-53;
-    if (i + 1 < size) {
-      expected[i + 1] = static_cast<double>(block[1] >> 11) * 0x1.0p-53;
-    }
-  }
-  for (const Tier tier : tiers_up_to_supported()) {
-    TierGuard guard(tier);
-    std::vector<double> out(size, -1.0);
-    rng::uniform_block(key, counter_hi, counter_lo, out);
-    EXPECT_EQ(out, expected) << "tier " << rng::simd::to_string(tier);
-  }
-}
-
-TEST(UniformBlock, RaggedTailsAreBitIdenticalAcrossTiers) {
-  // Sizes straddling every lane-width boundary: empty, sub-block, one
-  // SSE2 iteration, one AVX2 iteration, the interleaved main-loop widths
-  // (8 SSE2 / 32 AVX2), the stream refill size, and off-by-one around
-  // each.
-  const std::size_t sizes[] = {0,  1,  2,  3,  4,  5,  7,  8,   9,
-                               15, 16, 17, 31, 32, 33, 63, 512, 1025};
-  for (const std::size_t size : sizes) {
-    std::vector<double> reference(size, -1.0);
-    {
-      TierGuard guard(Tier::kScalar);
-      rng::uniform_block(0xAB5EED, 3, 999, reference);
-    }
-    for (const Tier tier : tiers_up_to_supported()) {
-      TierGuard guard(tier);
-      std::vector<double> out(size, -2.0);
-      rng::uniform_block(0xAB5EED, 3, 999, out);
-      EXPECT_EQ(out, reference)
-          << "tier " << rng::simd::to_string(tier) << " size " << size;
-    }
-  }
-}
-
-TEST(UniformBlock, KeyAndCounterSelectDistinctStreams) {
-  std::vector<double> base(64), other(64);
-  rng::uniform_block(1, 2, 3, base);
-  rng::uniform_block(4, 2, 3, other);
-  EXPECT_NE(base, other) << "key must select the stream";
-  rng::uniform_block(1, 5, 3, other);
-  EXPECT_NE(base, other) << "counter_hi must select the stream";
-  rng::uniform_block(1, 2, 4, other);
-  EXPECT_NE(base, other) << "counter_lo must shift the stream";
-  // Shifting counter_lo by one shifts the output by one block (2 doubles).
-  EXPECT_EQ(std::vector<double>(base.begin() + 2, base.end()),
-            std::vector<double>(other.begin(), other.end() - 2));
-}
-
-TEST(UniformBlock, StreamReplaysTheBlockKeystreamAcrossRefills) {
-  // PhiloxUniformStream::uniform01 must walk exactly the
-  // uniform_block(key, counter_hi, 0, ...) sequence, including across
-  // its 512-double refill boundary, on every tier.
-  const std::size_t draws = 1300;  // > two refills
-  std::vector<double> expected(draws);
-  {
-    TierGuard guard(Tier::kScalar);
-    rng::uniform_block(0xFEED, 11, 0, expected);
-  }
-  for (const Tier tier : tiers_up_to_supported()) {
-    TierGuard guard(tier);
-    rng::PhiloxUniformStream stream(0xFEED, 11);
-    for (std::size_t i = 0; i < draws; ++i) {
-      ASSERT_EQ(stream.uniform01(), expected[i])
-          << "tier " << rng::simd::to_string(tier) << " draw " << i;
-    }
-  }
 }
 
 // ---- binomial / binomial_batch edge cases ----
@@ -252,57 +167,6 @@ TEST(BinomialEdge, RaggedBatchSizesMatchScalarLoopOnEveryTier) {
             << " lane " << i;
       }
     }
-  }
-}
-
-// ---- shared-stream batch (the shared lockstep schedule's sampler) ----
-
-TEST(BinomialSharedStream, DeterministicAndDegenerateDrawsAreFree) {
-  const std::vector<std::uint64_t> ns = {0,    2000, 800,  0,
-                                         5000, 300,  1000, 64};
-  const std::vector<double> ps = {0.4, 0.0, 0.2, 1.0, 0.45, 1.0, 0.015, 0.6};
-  std::vector<std::uint64_t> out_a(ns.size()), out_b(ns.size());
-  rng::PhiloxUniformStream stream_a(0xC0DE, 5);
-  rng::PhiloxUniformStream stream_b(0xC0DE, 5);
-  rng::binomial_batch(stream_a, ns, ps, out_a);
-  rng::binomial_batch(stream_b, ns, ps, out_b);
-  EXPECT_EQ(out_a, out_b);
-  // Degenerate lanes resolve without touching the stream.
-  EXPECT_EQ(out_a[0], 0u);
-  EXPECT_EQ(out_a[1], 0u);
-  EXPECT_EQ(out_a[3], 0u);
-  EXPECT_EQ(out_a[5], 300u);
-  // Both streams sit at the same position afterwards: the next uniform
-  // matches draw for draw.
-  EXPECT_EQ(stream_a.uniform01(), stream_b.uniform01());
-  // And the non-degenerate draws match a hand-rolled sequential pass
-  // over a fresh stream (index order is the contract).
-  rng::PhiloxUniformStream replay(0xC0DE, 5);
-  std::vector<std::uint64_t> replay_out(ns.size());
-  rng::binomial_batch(replay, ns, ps, replay_out);
-  EXPECT_EQ(replay_out, out_a);
-}
-
-TEST(BinomialSharedStream, IndependentOfActiveTier) {
-  // The shared-stream path is scalar by contract (draw order is the
-  // spec), so the active tier must not change a single draw.
-  const std::vector<std::uint64_t> ns(33, 12000);
-  std::vector<double> ps(33);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    ps[i] = 0.01 + 0.028 * static_cast<double>(i);
-  }
-  std::vector<std::uint64_t> reference(ns.size());
-  {
-    TierGuard guard(Tier::kScalar);
-    rng::PhiloxUniformStream stream(0xBEEF, 9);
-    rng::binomial_batch(stream, ns, ps, reference);
-  }
-  for (const Tier tier : tiers_up_to_supported()) {
-    TierGuard guard(tier);
-    rng::PhiloxUniformStream stream(0xBEEF, 9);
-    std::vector<std::uint64_t> out(ns.size());
-    rng::binomial_batch(stream, ns, ps, out);
-    EXPECT_EQ(out, reference) << "tier " << rng::simd::to_string(tier);
   }
 }
 

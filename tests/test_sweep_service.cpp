@@ -463,5 +463,30 @@ TEST(SweepService, DigestIgnoresSchedulingKnobs) {
   EXPECT_NE(sweep_digest(Sweep(spec)), base);
 }
 
+TEST(SweepService, DigestIsPinnedSoOldJournalsResume) {
+  // A journal resumes only under the digest that wrote it, so the digest
+  // of a fixed spec must not drift between revisions unless cell bytes
+  // do. Both values were computed before the lockstep-schedule option and
+  // the supports_lockstep flag were removed; the digest still hashes
+  // their constant slots.
+  SweepSpec spec;
+  spec.engines = {"sync", "gossip"};
+  spec.ns = {1000, 100000};
+  spec.ks = {2, 8};
+  spec.bias_kind = runner::BiasKind::kMultiplicative;
+  spec.bias_values = {1.5, 2.0};
+  spec.trials = 16;
+  spec.master_seed = 7919;
+  EXPECT_EQ(sweep_digest(Sweep(spec)), 0x107c0051b16c34f4ULL);
+
+  SweepSpec lockstep;
+  lockstep.engines = {"batched", "batched-lockstep"};
+  lockstep.ns = {100000};
+  lockstep.ks = {4};
+  lockstep.trials = 4;
+  lockstep.batch_policy = core::ChunkPolicy::kAdaptive;
+  EXPECT_EQ(sweep_digest(Sweep(lockstep)), 0x1ef520491e3318aeULL);
+}
+
 }  // namespace
 }  // namespace kusd

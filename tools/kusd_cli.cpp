@@ -87,10 +87,6 @@ std::string graph_engine_names() {
       "           --budget B (per-trial native-time cap; 0 = engine default,\n"
       "             raise it for slow topologies like --graph cycle)\n"
       "           --threads W --chunk F --chunk-policy fixed|adaptive\n"
-      "           --lockstep-schedule per-trial|shared (batched-lockstep:\n"
-      "             shared = one chunk controller + uniform stream per\n"
-      "             cell; deterministic, not stream-identical, and\n"
-      "             measured slower than per-trial)\n"
       "           --stripe-width T (trials per work-stealing unit)\n"
       "           --shuffle-points 0|1 (shuffled execution order;\n"
       "             output order and bytes are unaffected)\n"
@@ -312,7 +308,7 @@ int cmd_sweep(const Args& args) {
     static const std::set<std::string> known = {
         "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
         "undecided", "ufrac", "budget", "trials", "seed", "threads",
-        "chunk", "chunk-policy", "lockstep-schedule", "start", "stripe-width",
+        "chunk", "chunk-policy", "start", "stripe-width",
         "shuffle-points", "shard", "journal", "resume", "out", "json"};
     if (known.count(key) == 0) {
       std::fprintf(stderr, "unknown sweep option --%s\n", key.c_str());
@@ -450,17 +446,6 @@ int cmd_sweep(const Args& args) {
       usage();
     }
     spec.batch_policy = *policy;
-  }
-  {
-    const std::string schedule_name =
-        args.get_string("lockstep-schedule", "per-trial");
-    const auto schedule = core::parse_lockstep_schedule(schedule_name);
-    if (!schedule) {
-      std::fprintf(stderr, "unknown lockstep schedule '%s'\n",
-                   schedule_name.c_str());
-      usage();
-    }
-    spec.lockstep_schedule = *schedule;
   }
   {
     const std::uint64_t width =

@@ -7,10 +7,8 @@ link rot). Passes share the C++ lexing in `cpplex`, report uniform
 `Finding`s, and get per-pass allowlists with stale-entry failure from the
 framework, so an audited exception can never rot into a blanket waiver.
 
-Entry points:
-  tools/lint_all.py           run every pass (or a subset) over the repo
-  tools/lint_determinism.py   compat shim for the determinism pass
-  tools/check_doc_links.py    compat shim for the doc-links pass
+Entry point:
+  tools/lint_all.py   run every pass (or a subset, --pass NAME) over the repo
 
 See docs/verification.md for the pass table and allowlist policy.
 """

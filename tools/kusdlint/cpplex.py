@@ -1,6 +1,6 @@
 """Shared C++ lexing for the kusdlint passes.
 
-Promoted from the original lint_determinism.py and hardened: raw string
+Promoted from the original determinism linter and hardened: raw string
 literals (R"delim(...)delim") are now blanked too, so a regex pass can no
 longer be confused by an unescaped quote inside one. Everything is
 line-preserving — blanked regions are replaced character-for-character

@@ -40,9 +40,9 @@ DESCRIPTION = re.compile(
     r'\.description\s*=\s*((?:"(?:[^"\\]|\\.)*"\s*)+)')
 FLAG = re.compile(
     r"\.(requires_decided_start|uses_graph_axis|uses_chunk_options|"
-    r"aggregated_topology|supports_lockstep)\s*=\s*(true|false)")
+    r"aggregated_topology)\s*=\s*(true|false)")
 FLAGS = ("requires_decided_start", "uses_graph_axis",
-         "uses_chunk_options", "aggregated_topology", "supports_lockstep")
+         "uses_chunk_options", "aggregated_topology")
 
 # Catalog column header -> EngineInfo flag it mirrors.
 CATALOG_FLAG_COLUMNS = {
@@ -50,7 +50,6 @@ CATALOG_FLAG_COLUMNS = {
     "chunked": "uses_chunk_options",
     "decided start": "requires_decided_start",
     "aggregated": "aggregated_topology",
-    "lockstep": "supports_lockstep",
 }
 
 # Each subcommand's accepted-flag set (the reject-unknown-keys literal)

@@ -23,7 +23,7 @@ with exit 0 and a loud message — the tier-1 lanes stay hermetic, and the
 CI tidy job passes --require to turn either absence into a hard failure.
 
 Exit status: 0 clean/skipped, 1 new findings, 2 environment/usage error.
-stdlib-only, in the style of check_doc_links.py / lint_determinism.py.
+stdlib-only, in the style of the kusdlint passes (tools/lint_all.py).
 """
 
 import argparse

@@ -282,7 +282,7 @@ class RngDisciplineTest(FixtureTest):
                 self.assertIn("[raw-intrinsics]", result.stderr)
 
     def test_raw_intrinsics_inside_src_rng_are_exempt(self):
-        self.write("src/rng/uniform_block_avx2.cpp",
+        self.write("src/rng/binomial_lanes_avx2.cpp",
                    "#include <immintrin.h>\n"
                    "__m256i x = _mm256_set1_epi64x(1);\n")
         result = run_lint(self.root, "--pass", "rng-discipline")
@@ -296,6 +296,98 @@ class RngDisciplineTest(FixtureTest):
                    "auto t = rng::simd::active_tier();\n")
         result = run_lint(self.root, "--pass", "rng-discipline")
         self.assertEqual(result.returncode, 0, result.stderr)
+
+
+# One line per hazard class the determinism pass must catch.
+DETERMINISM_HAZARDS = {
+    "random-device": "std::random_device dev;",
+    "c-rand": "int x = rand() % 6;",
+    "wall-clock": "auto t = std::chrono::steady_clock::now();",
+    "std-shuffle": "std::shuffle(v.begin(), v.end(), gen);",
+    "unordered-container": "std::unordered_map<int, int> counts;",
+    "hardware-concurrency":
+        "auto n = std::thread::hardware_concurrency();",
+    "std-engine": "std::mt19937 gen;",
+}
+
+
+class DeterminismTest(FixtureTest):
+    def lint(self) -> subprocess.CompletedProcess:
+        return run_lint(self.root, "--pass", "determinism")
+
+    def test_clean_tree_passes(self):
+        self.write("src/ok.cpp", "int add(int a, int b) { return a + b; }\n")
+        result = self.lint()
+        self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_every_hazard_class_is_caught(self):
+        for code, line in DETERMINISM_HAZARDS.items():
+            with self.subTest(code=code):
+                self.write("src/bad.cpp", line + "\n")
+                result = self.lint()
+                self.assertEqual(result.returncode, 1,
+                                 f"{code} not caught: {result.stdout}")
+                self.assertIn(f"[{code}]", result.stderr)
+                self.assertIn("src/bad.cpp:1", result.stderr)
+
+    def test_time_call_is_wall_clock_but_names_are_not(self):
+        self.write("src/bad.cpp", "auto seed = time(nullptr);\n")
+        self.assertEqual(self.lint().returncode, 1)
+        # Identifiers merely containing 'time(' must not trip the check.
+        self.write("src/bad.cpp",
+                   "double parallel_time() const; double t = run_time(x);\n")
+        self.assertEqual(self.lint().returncode, 0)
+
+    def test_comments_and_strings_do_not_trip(self):
+        self.write("src/doc.cpp",
+                   "// never use std::random_device here\n"
+                   "/* std::shuffle is forbidden\n   rand() too */\n"
+                   'const char* msg = "std::unordered_map is banned";\n')
+        result = self.lint()
+        self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_allowlist_suppresses_audited_entry(self):
+        self.write("src/pool.cpp",
+                   "auto n = std::thread::hardware_concurrency();\n")
+        self.write("tools/determinism_allowlist.txt",
+                   "# audited: sizing only\n"
+                   "src/pool.cpp:hardware-concurrency\n")
+        result = self.lint()
+        self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_allowlist_is_per_hazard_not_per_file(self):
+        self.write("src/pool.cpp",
+                   "auto n = std::thread::hardware_concurrency();\n"
+                   "std::random_device dev;\n")
+        self.write("tools/determinism_allowlist.txt",
+                   "src/pool.cpp:hardware-concurrency\n")
+        result = self.lint()
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("[random-device]", result.stderr)
+        self.assertNotIn("[hardware-concurrency]", result.stderr)
+
+    def test_stale_allowlist_entry_fails(self):
+        self.write("src/ok.cpp", "int x = 0;\n")
+        self.write("tools/determinism_allowlist.txt",
+                   "src/ok.cpp:wall-clock\n")
+        result = self.lint()
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("stale allowlist entry", result.stderr)
+
+    def test_malformed_allowlist_is_a_usage_error(self):
+        self.write("src/ok.cpp", "int x = 0;\n")
+        self.write("tools/determinism_allowlist.txt", "not-an-entry\n")
+        self.assertEqual(self.lint().returncode, 2)
+
+    def test_missing_src_dir_is_a_usage_error(self):
+        self.assertEqual(self.lint().returncode, 2)
+
+    def test_findings_name_file_line_and_code(self):
+        self.write("src/deep/nested.hpp",
+                   "int a;\nint b;\nstd::mt19937 gen;\n")
+        result = self.lint()
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("src/deep/nested.hpp:3: [std-engine]", result.stderr)
 
 
 class ContractSyncTest(FixtureTest):
@@ -349,38 +441,6 @@ class ContractSyncTest(FixtureTest):
         self.assertEqual(result.returncode, 1)
         self.assertIn("[doc-flag-drift]", result.stderr)
 
-    def test_lockstep_flag_is_checked_in_the_catalog(self):
-        # supports_lockstep mirrors a `lockstep` catalog column exactly
-        # like the other EngineInfo flags: a matching cell passes, a
-        # stale one is doc-flag-drift.
-        engines = CONTRACT_FIXTURE["src/sim/engines.cpp"].replace(
-            '.description = "first test engine"',
-            '.description = "first test engine",\n'
-            '                .supports_lockstep = true')
-        catalog = """\
-# Architecture
-
-## Engine catalog
-
-| engine | description | graph axis | chunked | decided start | aggregated | lockstep |
-|--------|-------------|------------|---------|---------------|------------|----------|
-| `alpha` | first test engine | | | | | yes |
-| `beta` | graph test engine | yes | yes | | | |
-"""
-        self.write_contract_fixture(**{
-            "src/sim/engines.cpp": engines,
-            "docs/architecture.md": catalog})
-        result = run_lint(self.root, "--pass", "contract-sync")
-        self.assertEqual(result.returncode, 0, result.stderr)
-
-        self.write("docs/architecture.md", catalog.replace(
-            "| `alpha` | first test engine | | | | | yes |",
-            "| `alpha` | first test engine | | | | | |"))
-        result = run_lint(self.root, "--pass", "contract-sync")
-        self.assertEqual(result.returncode, 1)
-        self.assertIn("[doc-flag-drift]", result.stderr)
-        self.assertIn("supports_lockstep", result.stderr)
-
     def test_missing_catalog_section_fails(self):
         self.write_contract_fixture(**{
             "docs/architecture.md": "# Architecture\n\nno catalog here\n"})
@@ -429,11 +489,11 @@ class ContractSyncTest(FixtureTest):
             "tools/kusd_cli.cpp": CONTRACT_FIXTURE[
                 "tools/kusd_cli.cpp"].replace(
                 '"engine", "graph", "trials"',
-                '"engine", "graph", "trials", "lockstep-schedule"')})
+                '"engine", "graph", "trials", "stripe-width"')})
         result = run_lint(self.root, "--pass", "contract-sync")
         self.assertEqual(result.returncode, 1)
         self.assertIn("[flag-doc-drift]", result.stderr)
-        self.assertIn("lockstep-schedule", result.stderr)
+        self.assertIn("stripe-width", result.stderr)
 
     def test_merge_flag_without_doc_row_fails(self):
         # Every subcommand's known-set is covered, not just cmd_sweep's:
