@@ -8,16 +8,19 @@ namespace kusd::runner {
 namespace {
 // RFC 4180 quoting: cells containing separators, quotes, or line breaks
 // (\n or \r — bare CR also breaks naive readers) are wrapped in double
-// quotes with embedded quotes doubled.
-std::string escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
+// quotes with embedded quotes doubled. Cells that need none are appended
+// as they are.
+void append_cell(std::string& line, const std::string& cell) {
+  if (cell.find_first_of(",\"\n\r") == std::string::npos) {
+    line += cell;
+    return;
   }
-  out += '"';
-  return out;
+  line += '"';
+  for (const char c : cell) {
+    if (c == '"') line += '"';
+    line += c;
+  }
+  line += '"';
 }
 }  // namespace
 
@@ -34,11 +37,13 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
 }
 
 void CsvWriter::write_cells(const std::vector<std::string>& cells) {
+  line_.clear();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << escape(cells[i]);
+    if (i > 0) line_ += ',';
+    append_cell(line_, cells[i]);
   }
-  out_ << '\n';
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void write_trajectory_csv(const pp::Trajectory& trajectory,

@@ -16,8 +16,8 @@ class CsvWriter {
 
   void write_row(const std::vector<std::string>& cells);
 
-  /// Push buffered rows to disk — call after each row when a long run's
-  /// partial output must survive interruption.
+  /// Push buffered rows to disk — call (once per batch of rows is
+  /// enough) when a long run's partial output must survive interruption.
   void flush() { out_.flush(); }
 
   [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
@@ -26,6 +26,8 @@ class CsvWriter {
   void write_cells(const std::vector<std::string>& cells);
   std::ofstream out_;
   std::size_t width_;
+  /// One row's bytes, reused so a row costs one buffered write.
+  std::string line_;
 };
 
 /// Write a recorded trajectory as t, undecided, xmax, second, sum_squares

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "core/budget.hpp"
@@ -358,20 +357,22 @@ SweepCell Sweep::run_point(util::ThreadPool& pool,
   // The single-point form goes through the same task-graph path as whole
   // grids — one code path is what keeps cell bytes identical everywhere.
   std::optional<SweepCell> cell;
-  run_points_on(pool, {point},
-                [&cell](const SweepCell& c) { cell = c; });
+  run_points_on(pool, {point}, [&cell](std::span<const SweepCell> cells) {
+    cell = cells.front();
+  });
   return *std::move(cell);
 }
 
 void Sweep::run(const std::function<void(const SweepCell&)>& on_cell) const {
   // One pool for the whole grid: workers are not respawned per point.
   util::ThreadPool pool(spec_.threads);
-  run_points_on(pool, grid_, on_cell);
+  run_points_on(pool, grid_, [&on_cell](std::span<const SweepCell> cells) {
+    for (const SweepCell& cell : cells) on_cell(cell);
+  });
 }
 
-void Sweep::run_selected(
-    const std::vector<std::size_t>& indices,
-    const std::function<void(const SweepCell&)>& on_cell) const {
+void Sweep::run_selected(const std::vector<std::size_t>& indices,
+                         const CellBatchFn& on_cells) const {
   std::vector<SweepPoint> points;
   points.reserve(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
@@ -382,12 +383,12 @@ void Sweep::run_selected(
     points.push_back(grid_[indices[i]]);
   }
   util::ThreadPool pool(spec_.threads);
-  run_points_on(pool, points, on_cell);
+  run_points_on(pool, points, on_cells);
 }
 
-void Sweep::run_points_on(
-    util::ThreadPool& pool, const std::vector<SweepPoint>& points,
-    const std::function<void(const SweepCell&)>& on_cell) const {
+void Sweep::run_points_on(util::ThreadPool& pool,
+                          const std::vector<SweepPoint>& points,
+                          const CellBatchFn& on_cells) const {
   if (points.empty()) return;
   const auto trials = static_cast<std::size_t>(spec_.trials);
   const std::size_t width = spec_.stripe_width;
@@ -452,11 +453,12 @@ void Sweep::run_points_on(
   };
 
   // Workers aggregate each completed cell into its slot; the calling
-  // thread emits the slots in list order through the task graph's emit
-  // hook, so the callback runs serially, off the workers and outside any
-  // lock: output order and content are those of a sequential run, byte
-  // for byte, at any thread count and stripe width.
-  std::vector<std::optional<SweepCell>> done(points.size());
+  // thread hands each ready run of slots over as one batch through the
+  // task graph's emit hook, so the callback runs serially, off the
+  // workers and outside any lock: output order and content are those of
+  // a sequential run, byte for byte, at any thread count and stripe
+  // width.
+  std::vector<SweepCell> done(points.size());
   const auto on_point_done = [&](std::size_t item) {
     PointState& st = states[item];
     auto cell =
@@ -471,12 +473,62 @@ void Sweep::run_points_on(
     st.x0.reset();
     done[item] = std::move(cell);
   };
-  const auto emit = [&](std::size_t item) {
-    on_cell(*done[item]);
-    done[item].reset();
+  const auto emit = [&](std::size_t begin, std::size_t end) {
+    on_cells(std::span<const SweepCell>(done).subspan(begin, end - begin));
+    // Release the emitted cells' trial samples.
+    for (std::size_t i = begin; i < end; ++i) done[i] = SweepCell();
   };
 
   graph.run(pool, run_stripe, on_point_done, emit);
+}
+
+namespace {
+
+/// How json_line spells a column's field: a quoted name; a number that
+/// CSV spells "-" and JSON `null` when absent (engines without a graph
+/// axis); or a bare number.
+enum class JsonKind { kName, kOptionalNumber, kNumber };
+
+struct JsonColumn {
+  std::string key;
+  JsonKind kind = JsonKind::kNumber;
+};
+
+/// The output schema with each column's JSON spelling.
+std::vector<JsonColumn> classify_columns() {
+  std::vector<JsonColumn> columns;
+  for (auto& name : Sweep::csv_header()) {
+    JsonKind kind = JsonKind::kNumber;
+    if (name == "engine" || name == "graph" || name == "start" ||
+        name == "bias_kind" || name == "status") {
+      kind = JsonKind::kName;
+    } else if (name == "graph_edges" || name == "connected") {
+      kind = JsonKind::kOptionalNumber;
+    }
+    columns.push_back(JsonColumn{std::move(name), kind});
+  }
+  return columns;
+}
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c != '"' && c != '\\' && c >= 0x20) continue;
+    out.append(text, plain, i - plain);
+    plain = i + 1;
+    if (c >= 0x20) {
+      out += '\\';
+      out += static_cast<char>(c);
+    } else {
+      out += "\\u00";
+      out += "0123456789abcdef"[c >> 4];
+      out += "0123456789abcdef"[c & 0xF];
+    }
+  }
+  out.append(text, plain);
 }
 
 std::vector<std::string> Sweep::csv_header() {
@@ -527,31 +579,29 @@ std::string Sweep::json_line(const SweepCell& cell) {
 }
 
 std::string Sweep::json_line(const std::vector<std::string>& row) {
-  const auto header = csv_header();
-  KUSD_CHECK_MSG(row.size() == header.size(),
+  static const std::vector<JsonColumn> columns = classify_columns();
+  KUSD_CHECK_MSG(row.size() == columns.size(),
                  "sweep: json_line row width does not match the schema");
-  std::ostringstream os;
-  os << '{';
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << header[i] << "\":";
-    // engine, graph, start, bias_kind and status are name spellings;
-    // graph_edges and connected are numeric when present and null for
-    // engines without a graph axis (CSV spells that "-"); everything
-    // else is numeric.
-    if (header[i] == "engine" || header[i] == "graph" ||
-        header[i] == "start" || header[i] == "bias_kind" ||
-        header[i] == "status") {
-      os << '"' << row[i] << '"';
-    } else if ((header[i] == "graph_edges" || header[i] == "connected") &&
+  std::string line;
+  line += '{';
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i > 0) line += ',';
+    line += '"';
+    line += columns[i].key;
+    line += "\":";
+    if (columns[i].kind == JsonKind::kName) {
+      line += '"';
+      append_json_escaped(line, row[i]);
+      line += '"';
+    } else if (columns[i].kind == JsonKind::kOptionalNumber &&
                row[i] == "-") {
-      os << "null";
+      line += "null";
     } else {
-      os << row[i];
+      line += row[i];
     }
   }
-  os << '}';
-  return os.str();
+  line += '}';
+  return line;
 }
 
 }  // namespace kusd::runner

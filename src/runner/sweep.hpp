@@ -45,16 +45,19 @@
 // (deterministically from master_seed) for early coverage of the grid;
 // completed cells are buffered and emitted in grid order regardless, so
 // output order and content never depend on scheduling. The per-point
-// aggregate is handed to the callback as soon as it is next in grid
-// order, so output appears incrementally during long sweeps. Workers
-// only aggregate; the callback runs on the thread that called run(),
-// so slow output (journal and CSV flushes) never holds up a worker.
+// aggregate is handed over as soon as it is next in grid order, so
+// output appears incrementally during long sweeps. Workers only
+// aggregate; the calling thread takes every cell that is ready at once as
+// one batch (TaskGraph's emit range), so slow output (journal and CSV
+// flushes) never holds up a worker, and a consumer that falls behind
+// catches up with one larger batch. run() and run_point() hand the batch
+// over one cell at a time.
 //
-// run_selected() runs an arbitrary increasing subset of grid indices —
-// the substrate of the sweep service's `--shard i/N` partitioning and
-// `--resume` journal replay (runner/sweep_service.hpp), which both rest
-// on the same invariant: a cell's bytes are a pure function of
-// (spec, master_seed, grid index).
+// run_selected() runs an arbitrary increasing subset of grid indices and
+// hands over whole batches — the substrate of the sweep service's
+// `--shard i/N` partitioning and `--resume` journal replay
+// (runner/sweep_service.hpp), which both rest on the same invariant: a
+// cell's bytes are a pure function of (spec, master_seed, grid index).
 //
 // The comparable metric across engines is *parallel time*
 // (sim::Engine::parallel_time): interactions/n for the asynchronous
@@ -65,7 +68,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/batched_usd.hpp"
@@ -176,6 +181,11 @@ struct SweepCell {
   double wall_seconds = 0.0;
 };
 
+/// Append `text` to `out` as the body of a JSON string: `"` and `\`
+/// backslash-escaped, control bytes as \u00XX, everything else as is.
+/// The one escaper of the JSONL output and the sweep journal.
+void append_json_escaped(std::string& out, std::string_view text);
+
 class Sweep {
  public:
   explicit Sweep(SweepSpec spec);
@@ -200,12 +210,16 @@ class Sweep {
   /// throws, emission stops and the trial's exception is rethrown.
   void run(const std::function<void(const SweepCell&)>& on_cell) const;
 
+  /// The cells ready at one emission step, in output order.
+  using CellBatchFn = std::function<void(std::span<const SweepCell>)>;
+
   /// Run a subset of the grid — `indices` must be strictly increasing
-  /// grid indices — streaming cells in that order. Each cell's bytes
-  /// match what run() would emit for the same index: the substrate of
-  /// sharding and resume.
+  /// grid indices — streaming cells in that order, one ready batch per
+  /// call (non-empty, contiguous, in order; same calling-thread and
+  /// failure rules as run()). Each cell's bytes match what run() would
+  /// emit for the same index: the substrate of sharding and resume.
   void run_selected(const std::vector<std::size_t>& indices,
-                    const std::function<void(const SweepCell&)>& on_cell) const;
+                    const CellBatchFn& on_cells) const;
 
   /// Output schema shared by the CSV and JSONL emitters.
   [[nodiscard]] static std::vector<std::string> csv_header();
@@ -218,12 +232,11 @@ class Sweep {
 
  private:
   /// Shared execution core: the task graph over (point, stripe) units,
-  /// with in-order emission on the calling thread. Every public run path
-  /// funnels through here.
+  /// with in-order emission of ready batches on the calling thread. Every
+  /// public run path funnels through here.
   void run_points_on(util::ThreadPool& pool,
                      const std::vector<SweepPoint>& points,
-                     const std::function<void(const SweepCell&)>& on_cell)
-      const;
+                     const CellBatchFn& on_cells) const;
 
   SweepSpec spec_;
   std::vector<SweepPoint> grid_;

@@ -1,10 +1,12 @@
 #include "runner/sweep_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -59,13 +61,17 @@ class Fnv64 {
   std::uint64_t hash_ = 1469598103934665603ULL;
 };
 
-std::string to_hex16(std::uint64_t value) {
-  char buffer[17];
+void write_hex16(std::uint64_t value, char* out) {
   for (int i = 15; i >= 0; --i) {
-    buffer[i] = "0123456789abcdef"[value & 0xF];
+    out[i] = "0123456789abcdef"[value & 0xF];
     value >>= 4;
   }
-  return std::string(buffer, 16);
+}
+
+std::string to_hex16(std::uint64_t value) {
+  char buffer[16];
+  write_hex16(value, buffer);
+  return std::string(buffer, sizeof buffer);
 }
 
 std::optional<std::uint64_t> parse_hex16(std::string_view text) {
@@ -96,7 +102,19 @@ std::uint64_t row_checksum(const std::vector<std::string>& row) {
 // whose values are unsigned integers, strings, or arrays of strings.
 // Anything else — and any syntax error — is a loud failure carrying the
 // line's context, because a journal defect must never be silently
-// skipped.
+// skipped. Lines are parsed in place, as views into the file buffer.
+
+/// Where a journal line came from. The "journal: path:line" prefix of a
+/// diagnostic is only built when the line is rejected.
+struct LineContext {
+  const std::string& path;
+  std::size_t line = 0;
+
+  [[noreturn]] void reject(std::string_view what) const {
+    fail("journal: " + path + ':' + std::to_string(line) + ": " +
+         std::string(what));
+  }
+};
 
 struct JsonValue {
   enum class Kind { kNumber, kString, kArray };
@@ -106,13 +124,26 @@ struct JsonValue {
   std::vector<std::string> array;
 };
 
+/// A key one line shape reads, and the value parsed for it. Reused from
+/// line to line, so its buffers keep their capacity.
+struct JsonMember {
+  explicit JsonMember(std::string_view name) : key(name) {}
+
+  std::string_view key;
+  bool present = false;
+  JsonValue value;
+};
+
 class LineParser {
  public:
-  LineParser(std::string_view text, std::string context)
-      : text_(text), context_(std::move(context)) {}
+  /// Parse `text` as one flat object: values of the keys in `members`
+  /// land there (their `present` flags must start false); other keys are
+  /// checked and dropped.
+  LineParser(std::string_view text, const LineContext& context,
+             std::span<JsonMember> members)
+      : text_(text), context_(context), members_(members) {}
 
-  std::map<std::string, JsonValue> parse_object() {
-    std::map<std::string, JsonValue> object;
+  void parse_object() {
     expect('{');
     skip_ws();
     if (peek() == '}') {
@@ -120,30 +151,44 @@ class LineParser {
     } else {
       while (true) {
         skip_ws();
-        std::string key = parse_string();
+        parse_string(key_);
         skip_ws();
         expect(':');
         skip_ws();
-        JsonValue value = parse_value();
-        if (!object.emplace(std::move(key), std::move(value)).second) {
-          fail(context_ + ": duplicate key in JSON object");
+        JsonMember* member = find(key_);
+        const bool duplicate =
+            member != nullptr
+                ? member->present
+                : std::find(other_keys_.begin(), other_keys_.end(), key_) !=
+                      other_keys_.end();
+        parse_value(member != nullptr ? member->value : other_value_);
+        if (duplicate) context_.reject("duplicate key in JSON object");
+        if (member != nullptr) {
+          member->present = true;
+        } else {
+          other_keys_.push_back(key_);
         }
         skip_ws();
         const char c = next();
         if (c == '}') break;
-        if (c != ',') fail(context_ + ": expected ',' or '}'");
+        if (c != ',') context_.reject("expected ',' or '}'");
       }
     }
     skip_ws();
     if (pos_ != text_.size()) {
-      fail(context_ + ": trailing bytes after JSON object");
+      context_.reject("trailing bytes after JSON object");
     }
-    return object;
   }
 
  private:
+  [[nodiscard]] JsonMember* find(std::string_view key) const {
+    for (JsonMember& member : members_) {
+      if (member.key == key) return &member;
+    }
+    return nullptr;
+  }
   [[nodiscard]] char peek() const {
-    if (pos_ >= text_.size()) fail(context_ + ": truncated JSON line");
+    if (pos_ >= text_.size()) context_.reject("truncated JSON line");
     return text_[pos_];
   }
   void advance() { ++pos_; }
@@ -154,7 +199,7 @@ class LineParser {
   }
   void expect(char wanted) {
     if (next() != wanted) {
-      fail(context_ + ": expected '" + std::string(1, wanted) + '\'');
+      context_.reject("expected '" + std::string(1, wanted) + '\'');
     }
   }
   void skip_ws() {
@@ -164,18 +209,23 @@ class LineParser {
     }
   }
 
-  std::string parse_string() {
+  void parse_string(std::string& out) {
     expect('"');
-    std::string out;
+    out.clear();
     while (true) {
-      const char c = next();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail(context_ + ": raw control character in JSON string");
+      // Copy the run of plain bytes in one go; stop at the closing quote,
+      // an escape, or a control byte.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
       }
+      out.append(text_, run, pos_ - run);
+      const char c = next();
+      if (c == '"') return;
       if (c != '\\') {
-        out.push_back(c);
-        continue;
+        context_.reject("raw control character in JSON string");
       }
       const char escape = next();
       switch (escape) {
@@ -199,49 +249,50 @@ class LineParser {
             } else if (h >= 'A' && h <= 'F') {
               value |= static_cast<unsigned>(h - 'A' + 10);
             } else {
-              fail(context_ + ": bad \\u escape");
+              context_.reject("bad \\u escape");
             }
           }
           // The writer only emits \u00XX for control bytes; anything
           // beyond one byte is not ours.
-          if (value > 0xFF) fail(context_ + ": unsupported \\u escape");
+          if (value > 0xFF) context_.reject("unsupported \\u escape");
           out.push_back(static_cast<char>(value));
           break;
         }
         default:
-          fail(context_ + ": bad escape in JSON string");
+          context_.reject("bad escape in JSON string");
       }
     }
   }
 
-  JsonValue parse_value() {
-    JsonValue value;
+  void parse_value(JsonValue& value) {
     const char c = peek();
     if (c == '"') {
       value.kind = JsonValue::Kind::kString;
-      value.string = parse_string();
-      return value;
+      parse_string(value.string);
+      return;
     }
     if (c == '[') {
       advance();
       value.kind = JsonValue::Kind::kArray;
+      value.array.clear();
       skip_ws();
       if (peek() == ']') {
         advance();
-        return value;
+        return;
       }
       while (true) {
         skip_ws();
-        value.array.push_back(parse_string());
+        parse_string(value.array.emplace_back());
         skip_ws();
         const char sep = next();
-        if (sep == ']') return value;
-        if (sep != ',') fail(context_ + ": expected ',' or ']'");
+        if (sep == ']') return;
+        if (sep != ',') context_.reject("expected ',' or ']'");
       }
     }
     if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
-      fail(context_ + ": expected a string, array or unsigned integer");
+      context_.reject("expected a string, array or unsigned integer");
     }
+    value.kind = JsonValue::Kind::kNumber;
     const std::size_t start = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
@@ -252,34 +303,19 @@ class LineParser {
         digits.data(), digits.data() + digits.size(), value.number);
     if (result.ec != std::errc{} ||
         result.ptr != digits.data() + digits.size()) {
-      fail(context_ + ": integer out of range");
+      context_.reject("integer out of range");
     }
-    return value;
   }
 
   std::string_view text_;
-  std::string context_;
+  const LineContext& context_;
+  std::span<JsonMember> members_;
   std::size_t pos_ = 0;
+  std::string key_;
+  /// Keys outside `members_`, kept only to catch their duplicates.
+  std::vector<std::string> other_keys_;
+  JsonValue other_value_;
 };
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Journal lines.
@@ -297,64 +333,86 @@ std::string header_line(const JournalHeader& header) {
   return line;
 }
 
-std::string cell_line(std::size_t index, const std::vector<std::string>& row) {
-  std::string line = "{\"cell\":" + std::to_string(index);
-  line += ",\"crc\":\"" + to_hex16(row_checksum(row)) + '"';
-  line += ",\"row\":[";
+/// Append the journal line of cell `index` to `line`.
+void append_cell_line(std::string& line, std::size_t index,
+                      const std::vector<std::string>& row) {
+  char digits[20];
+  line += "{\"cell\":";
+  line.append(digits,
+              std::to_chars(digits, digits + sizeof digits, index).ptr);
+  line += ",\"crc\":\"";
+  char crc[16];
+  write_hex16(row_checksum(row), crc);
+  line.append(crc, sizeof crc);
+  line += "\",\"row\":[";
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (i > 0) line += ',';
-    line += '"' + json_escape(row[i]) + '"';
+    line += '"';
+    append_json_escaped(line, row[i]);
+    line += '"';
   }
   line += "]}\n";
-  return line;
 }
 
-const JsonValue& require(const std::map<std::string, JsonValue>& object,
-                         const std::string& key, JsonValue::Kind kind,
-                         const std::string& context) {
-  const auto it = object.find(key);
-  if (it == object.end()) fail(context + ": missing key \"" + key + '"');
-  if (it->second.kind != kind) {
-    fail(context + ": key \"" + key + "\" has the wrong type");
+const JsonValue& require(const JsonMember& member, JsonValue::Kind kind,
+                         const LineContext& context) {
+  if (!member.present) {
+    context.reject("missing key \"" + std::string(member.key) + '"');
   }
-  return it->second;
+  if (member.value.kind != kind) {
+    context.reject("key \"" + std::string(member.key) +
+                   "\" has the wrong type");
+  }
+  return member.value;
 }
 
-JournalHeader parse_header(const std::string& line,
-                           const std::string& context) {
-  auto object = LineParser(line, context).parse_object();
-  if (require(object, "kusd_journal", JsonValue::Kind::kNumber, context)
-          .number != 1) {
-    fail(context + ": unsupported journal version");
+JournalHeader parse_header(std::string_view line,
+                           const LineContext& context) {
+  std::array<JsonMember, 8> members = {
+      JsonMember("kusd_journal"), JsonMember("digest"),
+      JsonMember("points_begin"), JsonMember("points_end"),
+      JsonMember("points_total"), JsonMember("shard_index"),
+      JsonMember("shard_count"),  JsonMember("trials")};
+  LineParser(line, context, members).parse_object();
+  const auto field = [&](std::string_view key,
+                         JsonValue::Kind kind) -> const JsonValue& {
+    return require(*std::find_if(members.begin(), members.end(),
+                                 [&](const JsonMember& member) {
+                                   return member.key == key;
+                                 }),
+                   kind, context);
+  };
+  const auto number = [&](std::string_view key) {
+    return field(key, JsonValue::Kind::kNumber).number;
+  };
+  if (number("kusd_journal") != 1) {
+    context.reject("unsupported journal version");
   }
   JournalHeader header;
-  const auto digest = parse_hex16(
-      require(object, "digest", JsonValue::Kind::kString, context).string);
-  if (!digest) fail(context + ": malformed digest");
+  const auto digest =
+      parse_hex16(field("digest", JsonValue::Kind::kString).string);
+  if (!digest) context.reject("malformed digest");
   header.digest = *digest;
-  const auto number = [&](const char* key) {
-    return require(object, key, JsonValue::Kind::kNumber, context).number;
-  };
   header.points_begin = static_cast<std::size_t>(number("points_begin"));
   header.points_end = static_cast<std::size_t>(number("points_end"));
   header.points_total = static_cast<std::size_t>(number("points_total"));
   header.shard.index = static_cast<std::size_t>(number("shard_index"));
   header.shard.count = static_cast<std::size_t>(number("shard_count"));
   const std::uint64_t trials = number("trials");
-  if (trials > 1'000'000'000) fail(context + ": trials out of range");
+  if (trials > 1'000'000'000) context.reject("trials out of range");
   header.trials = static_cast<int>(trials);
 
   if (header.shard.count == 0 || header.shard.index >= header.shard.count) {
-    fail(context + ": invalid shard coordinates");
+    context.reject("invalid shard coordinates");
   }
   if (header.points_begin > header.points_end ||
       header.points_end > header.points_total) {
-    fail(context + ": invalid point range");
+    context.reject("invalid point range");
   }
   const auto canonical = shard_range(header.points_total, header.shard);
   if (header.points_begin != canonical.begin ||
       header.points_end != canonical.end) {
-    fail(context + ": point range does not match the shard block formula");
+    context.reject("point range does not match the shard block formula");
   }
   return header;
 }
@@ -480,40 +538,44 @@ Journal read_journal(const std::string& path) {
 
   Journal journal;
   const std::size_t schema_width = Sweep::csv_header().size();
+  std::array<JsonMember, 3> cell_members = {
+      JsonMember("cell"), JsonMember("crc"), JsonMember("row")};
+  auto& [cell, crc, row] = cell_members;
+  const std::string_view text(content);
   std::size_t line_number = 0;
   std::size_t pos = 0;
-  while (pos < content.size()) {
-    const std::size_t eol = content.find('\n', pos);
-    const std::string line = content.substr(pos, eol - pos);
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::string_view line = text.substr(pos, eol - pos);
     pos = eol + 1;
     ++line_number;
-    const std::string context =
-        "journal: " + path + ':' + std::to_string(line_number);
-    if (line.empty()) fail(context + ": empty line");
+    const LineContext context{path, line_number};
+    if (line.empty()) context.reject("empty line");
     if (line_number == 1) {
       journal.header = parse_header(line, context);
       continue;
     }
-    auto object = LineParser(line, context).parse_object();
+    for (auto& member : cell_members) member.present = false;
+    row.value.array.reserve(schema_width);
+    LineParser(line, context, cell_members).parse_object();
     const auto index = static_cast<std::size_t>(
-        require(object, "cell", JsonValue::Kind::kNumber, context).number);
+        require(cell, JsonValue::Kind::kNumber, context).number);
     if (index < journal.header.points_begin ||
         index >= journal.header.points_end) {
-      fail(context + ": cell index outside the journal's shard range");
+      context.reject("cell index outside the journal's shard range");
     }
-    const auto crc = parse_hex16(
-        require(object, "crc", JsonValue::Kind::kString, context).string);
-    if (!crc) fail(context + ": malformed crc");
-    auto row =
-        require(object, "row", JsonValue::Kind::kArray, context).array;
-    if (row.size() != schema_width) {
-      fail(context + ": row width does not match the output schema");
+    const auto checksum =
+        parse_hex16(require(crc, JsonValue::Kind::kString, context).string);
+    if (!checksum) context.reject("malformed crc");
+    auto& fields = require(row, JsonValue::Kind::kArray, context).array;
+    if (fields.size() != schema_width) {
+      context.reject("row width does not match the output schema");
     }
-    if (row_checksum(row) != *crc) {
-      fail(context + ": row checksum mismatch (corrupt journal line)");
+    if (row_checksum(fields) != *checksum) {
+      context.reject("row checksum mismatch (corrupt journal line)");
     }
-    if (!journal.cells.emplace(index, std::move(row)).second) {
-      fail(context + ": duplicate cell index");
+    if (!journal.cells.emplace(index, std::move(row.value.array)).second) {
+      context.reject("duplicate cell index");
     }
   }
   return journal;
@@ -575,38 +637,47 @@ void run_sweep_service(
   // Computed cells arrive in increasing grid order (run_selected), so
   // interleaving is one forward walk over the replayed map: flush every
   // recorded row below the next computed index, emit the computed row,
-  // repeat, then drain the tail.
+  // repeat, then drain the tail. `closes_batch` marks the last replayed
+  // row of the tail as the end of its batch.
   auto next_replay = replayed.cbegin();
-  const auto replay_below = [&](std::size_t bound) {
+  const auto replay_below = [&](std::size_t bound, bool closes_batch) {
     while (next_replay != replayed.cend() && next_replay->first < bound) {
       SweepRowEvent event;
       event.index = next_replay->first;
       event.row = &next_replay->second;
-      on_row(event);
       ++next_replay;
+      event.last_in_batch =
+          closes_batch &&
+          (next_replay == replayed.cend() || next_replay->first >= bound);
+      on_row(event);
     }
   };
 
   std::size_t computed = 0;
-  sweep.run_selected(todo, [&](const SweepCell& cell) {
-    replay_below(cell.point.index);
-    const auto row = Sweep::csv_row(cell);
-    if (journal != nullptr) {
-      // Flushed before the row reaches the consumer: anything observed
-      // downstream is covered by the journal, so a kill after this line
-      // loses no emitted cell.
-      write_all(journal.get(), cell_line(cell.point.index, row),
-                journal_path);
+  std::string line;  // one cell's journal line, reused across cells
+  sweep.run_selected(todo, [&](std::span<const SweepCell> cells) {
+    for (const SweepCell& cell : cells) {
+      replay_below(cell.point.index, false);
+      const auto row = Sweep::csv_row(cell);
+      if (journal != nullptr) {
+        // Flushed before the row reaches the consumer: anything observed
+        // downstream is covered by the journal, so a kill after this line
+        // loses no emitted cell.
+        line.clear();
+        append_cell_line(line, cell.point.index, row);
+        write_all(journal.get(), line, journal_path);
+      }
+      SweepRowEvent event;
+      event.index = cell.point.index;
+      event.row = &row;
+      event.cell = &cell;
+      event.last_in_batch = &cell == &cells.back();
+      on_row(event);
+      ++computed;
+      if (options.after_cell) options.after_cell(computed);
     }
-    SweepRowEvent event;
-    event.index = cell.point.index;
-    event.row = &row;
-    event.cell = &cell;
-    on_row(event);
-    ++computed;
-    if (options.after_cell) options.after_cell(computed);
   });
-  replay_below(range.end);
+  replay_below(range.end, true);
 }
 
 void merge_journals(

@@ -122,15 +122,21 @@ struct SweepRowEvent {
   std::size_t index = 0;
   const std::vector<std::string>* row = nullptr;
   const SweepCell* cell = nullptr;
+  /// This row ends the batch of rows that were ready together; a consumer
+  /// that buffers output flushes it here (and once more when the run
+  /// returns) instead of after every row.
+  bool last_in_batch = false;
 };
 
 /// Run the sweep's shard of the grid with journaling and resume,
 /// streaming every row of the shard — replayed and computed alike — in
-/// grid order. The journal line of a cell is flushed *before* the cell
-/// is handed to `on_row`, so output a consumer observed is always
-/// covered by the journal. Journaling, `on_row` and `after_cell` all run
-/// on the calling thread, one row at a time. Throws util::CheckError on an invalid shard,
-/// a journal/spec mismatch, or journal I/O failure.
+/// grid order. The journal line of a cell is written and flushed on its
+/// own, *before* the cell is handed to `on_row`, so output a consumer
+/// observed is always covered by the journal. Journaling, `on_row` and
+/// `after_cell` all run on the calling thread, one row at a time; rows
+/// arrive in batches (every cell ready at once), and the last row of a
+/// batch says so. Throws util::CheckError on an invalid shard, a
+/// journal/spec mismatch, or journal I/O failure.
 void run_sweep_service(const Sweep& sweep, const SweepServiceOptions& options,
                        const std::function<void(const SweepRowEvent&)>& on_row);
 

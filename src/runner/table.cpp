@@ -1,9 +1,10 @@
 #include "runner/table.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -11,6 +12,16 @@ namespace kusd::runner {
 
 std::string fmt(double value, int precision) {
   char buf[64];
+  // std::to_chars(fixed, precision) rounds the exact binary value half to
+  // even, as glibc's printf does, without printf's format parsing and
+  // locale lookups. Non-finite values, a negative precision, and spellings
+  // too long for the buffer (which printf truncates to 63 bytes) keep the
+  // printf path so every byte stays the same.
+  if (precision >= 0 && std::isfinite(value)) {
+    const auto result = std::to_chars(buf, buf + sizeof(buf) - 1, value,
+                                      std::chars_format::fixed, precision);
+    if (result.ec == std::errc{}) return std::string(buf, result.ptr);
+  }
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
   return buf;
 }
@@ -58,23 +69,31 @@ std::string Table::to_string() const {
       widths[c] = std::max(widths[c], row[c].size());
     }
   }
-  std::ostringstream os;
+  // Every line has the same length, so the whole table is one
+  // allocation: "|" plus " cell<pad> |" per column, plus the newline.
+  std::size_t line_size = 2;
+  for (const auto width : widths) line_size += width + 3;
+  std::string out;
+  out.reserve(line_size * (rows_.size() + 2));
   const auto emit_row = [&](const std::vector<std::string>& cells) {
-    os << '|';
+    out += '|';
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << ' ' << cells[c]
-         << std::string(widths[c] - cells[c].size() + 1, ' ') << '|';
+      out += ' ';
+      out += cells[c];
+      out.append(widths[c] - cells[c].size() + 1, ' ');
+      out += '|';
     }
-    os << '\n';
+    out += '\n';
   };
   emit_row(headers_);
-  os << '|';
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << std::string(widths[c] + 2, '-') << '|';
+  out += '|';
+  for (const auto width : widths) {
+    out.append(width + 2, '-');
+    out += '|';
   }
-  os << '\n';
+  out += '\n';
   for (const auto& row : rows_) emit_row(row);
-  return os.str();
+  return out;
 }
 
 void Table::print(std::ostream& os) const { os << to_string(); }

@@ -40,7 +40,8 @@ void TaskGraph::run(
     util::ThreadPool& pool,
     const std::function<void(const TaskUnit&)>& run_stripe,
     const std::function<void(std::size_t item)>& on_item_done,
-    const std::function<void(std::size_t item)>& emit) const {
+    const std::function<void(std::size_t begin, std::size_t end)>& emit)
+    const {
   if (units_.empty()) return;
   // Shared scheduler state, alive until wait_idle() below confirms every
   // claiming loop has exited (the pool finishes all tasks before
@@ -121,10 +122,8 @@ void TaskGraph::run(
           while (end < done.size() && done[end] != 0) ++end;
           frontier = end;
         }
-        for (; next < end && !failed.load(std::memory_order_relaxed);
-             ++next) {
-          emit(next);
-        }
+        emit(next, end);
+        next = end;
       }
     } catch (...) {
       failed.store(true, std::memory_order_relaxed);

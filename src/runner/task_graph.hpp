@@ -20,17 +20,21 @@
 // fires exactly once for that item, on the worker that finished it.
 // Calls to on_item_done for *different* items may race. Serial, in-order
 // emission is the optional `emit` hook instead: the thread that called
-// run() (otherwise idle until the batch ends) calls emit(item) for every
-// item in index order, each once that item's on_item_done has returned,
-// outside any lock and never concurrently with itself. Workers only mark
-// an item done and go back to claiming units, so slow emission (file
-// I/O) never stalls the pool.
+// run() (otherwise idle until the batch ends) takes the longest prefix of
+// items whose on_item_done has returned and calls emit(begin, end) once
+// for that whole range, outside any lock and never concurrently with
+// itself. The ranges are non-empty and tile [0, items) in order. Workers
+// only mark an item done and go back to claiming units, so slow emission
+// (file I/O) never stalls the pool; when emission falls behind, the next
+// range simply grows, and the emitter can batch its own work (one flush
+// per range instead of one per item).
 //
 // Failure: the first exception thrown by run_stripe or on_item_done wins.
 // It is captured by the pool and rethrown from run(); once any unit has
 // failed, workers stop claiming new units (in-flight units finish), so a
 // poisoned batch is abandoned quickly instead of ground to completion.
-// A worker failure also stops emission: no item after it is emitted. An
+// A worker failure also stops emission: the failed item is never done,
+// so no range reaches it, and no range is started after the failure. An
 // exception from emit poisons the batch the same way and is rethrown
 // once in-flight units finish (a worker exception raised meanwhile is
 // dropped). No item is ever emitted twice.
@@ -73,7 +77,8 @@ class TaskGraph {
 
   /// Run every unit on `pool` workers pulling from the shared cursor.
   /// Submits one claiming loop per worker (capped at the unit count),
-  /// runs `emit` (when set) on the calling thread while the workers run,
+  /// runs `emit` (when set) on the calling thread while the workers run
+  /// — emit(begin, end) hands over the done items [begin, end) at once —
   /// blocks until every unit is done or the batch failed, and rethrows
   /// the failure (see the file comment). The pool must be idle on entry
   /// and is idle again on return, so graphs can share one pool back to
@@ -81,7 +86,8 @@ class TaskGraph {
   void run(util::ThreadPool& pool,
            const std::function<void(const TaskUnit&)>& run_stripe,
            const std::function<void(std::size_t item)>& on_item_done,
-           const std::function<void(std::size_t item)>& emit = {}) const;
+           const std::function<void(std::size_t begin, std::size_t end)>&
+               emit = {}) const;
 
  private:
   std::vector<std::uint32_t> stripes_;

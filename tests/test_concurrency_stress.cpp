@@ -11,11 +11,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "rng/rng.hpp"
 #include "runner/sweep.hpp"
 #include "runner/task_graph.hpp"
 #include "runner/trials.hpp"
@@ -248,30 +251,48 @@ TEST(TaskGraphStress, ShuffledOrderStillCompletesEverything) {
 }
 
 TEST(TaskGraphStress, EmitRunsInOrderOnTheCallingThread) {
-  // The emit hook is the handoff from workers to the caller: each item
-  // is emitted exactly once, in index order, on the thread that called
-  // run(), and only after its on_item_done returned (TSan checks that
-  // the caller's read of `finished` is ordered after the worker's write).
-  util::ThreadPool pool(8);
+  // The emit hook is the handoff from workers to the caller: it gets the
+  // items as non-empty ranges that are contiguous, increasing and tile
+  // [0, items) exactly once, on the thread that called run(), and only
+  // after every item's on_item_done returned (TSan checks that the
+  // caller's read of `finished` is ordered after the worker's write).
   constexpr std::size_t kItems = 300;
-  std::vector<std::uint32_t> stripes(kItems);
-  for (std::size_t i = 0; i < kItems; ++i) stripes[i] = 1 + i % 5;
-  std::vector<std::size_t> order(kItems);
-  for (std::size_t i = 0; i < kItems; ++i) order[i] = kItems - 1 - i;
-  const runner::TaskGraph graph(std::move(stripes), std::move(order));
-  std::vector<char> finished(kItems, 0);
-  std::vector<std::size_t> emitted;
-  const auto caller = std::this_thread::get_id();
-  graph.run(
-      pool, [](const runner::TaskUnit&) {},
-      [&finished](std::size_t item) { finished[item] = 1; },
-      [&](std::size_t item) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        EXPECT_EQ(finished[item], 1);
-        emitted.push_back(item);
-      });
-  ASSERT_EQ(emitted.size(), kItems);
-  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(emitted[i], i);
+  std::vector<std::size_t> reversed(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) reversed[i] = kItems - 1 - i;
+  std::vector<std::size_t> shuffled(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) shuffled[i] = i;
+  rng::Rng(17).shuffle(std::span<std::size_t>(shuffled));
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    for (const auto* order : {&reversed, &shuffled}) {
+      util::ThreadPool pool(threads);
+      std::vector<std::uint32_t> stripes(kItems);
+      for (std::size_t i = 0; i < kItems; ++i) stripes[i] = 1 + i % 5;
+      const runner::TaskGraph graph(std::move(stripes), *order);
+      std::vector<char> finished(kItems, 0);
+      std::vector<std::pair<std::size_t, std::size_t>> ranges;
+      const auto caller = std::this_thread::get_id();
+      graph.run(
+          pool, [](const runner::TaskUnit&) {},
+          [&finished](std::size_t item) { finished[item] = 1; },
+          [&](std::size_t begin, std::size_t end) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            for (std::size_t item = begin; item < end; ++item) {
+              EXPECT_EQ(finished[item], 1);
+            }
+            ranges.emplace_back(begin, end);
+          });
+      const std::string where = std::to_string(threads) + " threads, " +
+                                (order == &reversed ? "reversed" : "shuffled");
+      ASSERT_FALSE(ranges.empty()) << where;
+      std::size_t expected_begin = 0;
+      for (const auto& [begin, end] : ranges) {
+        EXPECT_EQ(begin, expected_begin) << where;
+        EXPECT_LT(begin, end) << where;
+        expected_begin = end;
+      }
+      EXPECT_EQ(expected_begin, kItems) << where;
+    }
+  }
 }
 
 // One small but genuinely parallel sweep per schedule, byte-compared.

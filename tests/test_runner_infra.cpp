@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "runner/csv.hpp"
 #include "runner/scale.hpp"
@@ -167,6 +169,88 @@ TEST(TableFormat, Helpers) {
   EXPECT_EQ(runner::fmt_int(12), "12");
   EXPECT_EQ(runner::fmt_compact(0.0), "0");
   EXPECT_NE(runner::fmt_compact(3.1e7).find("e"), std::string::npos);
+}
+
+TEST(TableFormat, FmtMatchesPrintfByteForByte) {
+  // fmt is the sweep schema's number spelling: it must stay exactly
+  // printf's "%.*f", ties (round half to even on the exact binary value)
+  // and signed zeros included.
+  const std::vector<double> values = {
+      0.0,
+      -0.0,
+      0.125,
+      0.375,
+      2.5,
+      -2.5,
+      0.00005,
+      0.00015,
+      1e-7,
+      -1e-7,
+      1e17,
+      -1e17,
+      1e22,
+      1.5e300,
+      3.14159,
+      0.1,
+      1.0 / 3,
+      123456.7890125,
+      0.99995,
+      9.5,
+      -0.0000004,
+      4503599627370497.5,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const int precision : {0, 2, 4, 6}) {
+    for (const double value : values) {
+      char expected[64];
+      std::snprintf(expected, sizeof expected, "%.*f", precision, value);
+      EXPECT_EQ(runner::fmt(value, precision), expected)
+          << "precision " << precision << ", value " << value;
+    }
+  }
+  EXPECT_EQ(runner::fmt(0.125, 2), "0.12");
+  EXPECT_EQ(runner::fmt(0.375, 2), "0.38");
+  EXPECT_EQ(runner::fmt(-0.0, 4), "-0.0000");
+  EXPECT_EQ(runner::fmt(1e17, 0), "100000000000000000");
+  EXPECT_EQ(runner::fmt(1e-7, 6), "0.000000");
+  EXPECT_EQ(runner::fmt(2.5, 0), "2");
+}
+
+TEST(Table, RendersRaggedAndEmptyCellsExactly) {
+  runner::Table t({"a", "long header", ""});
+  t.add_row({"", "x", "wide cell"});
+  t.add_row({"12345", "", ""});
+  EXPECT_EQ(t.to_string(),
+            "| a     | long header |           |\n"
+            "|-------|-------------|-----------|\n"
+            "|       | x           | wide cell |\n"
+            "| 12345 |             |           |\n");
+  runner::Table empty({"only"});
+  EXPECT_EQ(empty.to_string(), "| only |\n|------|\n");
+}
+
+TEST(Csv, QuotesOnlyCellsThatNeedIt) {
+  const std::string path = "/tmp/kusd_test_csv_mix.csv";
+  {
+    runner::CsvWriter w(path, {"a", "b,c", "d"});
+    w.write_row({"plain", "", "x\"y"});
+    w.write_row({"\"", "1,2", "a\r\nb"});
+    w.write_row({"", "", ""});
+    w.flush();
+    EXPECT_TRUE(w.ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(),
+            "a,\"b,c\",d\n"
+            "plain,,\"x\"\"y\"\n"
+            "\"\"\"\",\"1,2\",\"a\r\nb\"\n"
+            ",,\n");
+  std::remove(path.c_str());
 }
 
 TEST(Csv, WritesEscapedRows) {

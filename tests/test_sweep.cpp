@@ -144,6 +144,22 @@ TEST(Sweep, JsonLineQuotesOnlyNameFields) {
   EXPECT_EQ(json.find("\"n\":\"300\""), std::string::npos);
 }
 
+TEST(Sweep, JsonLineEscapesNameFields) {
+  // A registry engine may be named anything; its JSONL must stay valid
+  // JSON, escaped exactly as the journal escapes it.
+  const Sweep sweep(tiny_spec());
+  SweepCell cell = sweep.run_point(sweep.grid()[0]);
+  cell.point.engine = "a\"b\\c";
+  const std::string json = Sweep::json_line(cell);
+  EXPECT_EQ(json.rfind("{\"engine\":\"a\\\"b\\\\c\",\"graph\":\"-\",", 0), 0u)
+      << json;
+  auto row = Sweep::csv_row(cell);
+  EXPECT_EQ(Sweep::json_line(row), json);
+  row[10] = "tab\there";
+  EXPECT_NE(Sweep::json_line(row).find("\"status\":\"tab\\u0009here\""),
+            std::string::npos);
+}
+
 TEST(Sweep, OutputIsByteIdenticalAcrossThreadsStripesAndShuffle) {
   // The acceptance bar for the work-stealing task graph: the streamed
   // CSV (and so the JSONL) is a pure function of (spec, master_seed) —

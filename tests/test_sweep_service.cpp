@@ -280,6 +280,31 @@ TEST(SweepService, EmittedRowsAreAlwaysCoveredByTheJournal) {
   }
 }
 
+TEST(SweepService, LastRowOfEveryBatchIsMarked) {
+  // Consumers flush buffered output on last_in_batch, so the run's final
+  // row must always carry it, whatever mix of replayed and computed rows
+  // came before.
+  const Sweep sweep(service_spec());
+  const std::size_t points = sweep.grid().size();
+  for (const std::size_t stop : {std::size_t{0}, std::size_t{3}, points}) {
+    const std::string journal =
+        temp_path("batch_" + std::to_string(stop) + ".jsonl");
+    ASSERT_EQ(run_and_kill(sweep, journal, stop), stop);
+    SweepServiceOptions options;
+    options.resume_path = journal;
+    std::vector<bool> marks;
+    run_sweep_service(sweep, options, [&](const SweepRowEvent& event) {
+      marks.push_back(event.last_in_batch);
+    });
+    ASSERT_EQ(marks.size(), points) << "resume after " << stop;
+    EXPECT_TRUE(marks.back()) << "resume after " << stop;
+    if (stop == points) {
+      // Nothing computed: the replayed rows are one batch.
+      EXPECT_EQ(std::count(marks.begin(), marks.end(), true), 1);
+    }
+  }
+}
+
 TEST(SweepService, ResumeRejectsJournalFromDifferentSweep) {
   const Sweep sweep(service_spec(123));
   const Sweep other(service_spec(124));
@@ -387,6 +412,120 @@ TEST(SweepService, JournalReaderRejectsEveryCorruption) {
     expect_rejected(slurp(lower_options.journal_path) + foreign,
                     "out-of-range cell");
   }
+}
+
+TEST(SweepService, JournalParserAcceptRejectSetIsPinned) {
+  // The journal grammar, line by line: what a strict reader must accept
+  // beyond the writer's own spelling, and the exact diagnostic (with the
+  // file and line number) for each defect it must refuse.
+  const Sweep sweep(service_spec());
+  const std::string journal = temp_path("parser.jsonl");
+  SweepServiceOptions write;
+  write.journal_path = journal;
+  render_service(sweep, write);
+  const std::string good = slurp(journal);
+  const std::size_t header_end = good.find('\n') + 1;
+  const std::string header = good.substr(0, header_end);
+  const std::string line =
+      good.substr(header_end, good.find('\n', header_end) - header_end);
+  const std::vector<std::string> row = read_journal(journal).cells.at(0);
+  ASSERT_EQ(row.front(), "skip");
+
+  // The line is {"cell":0,"crc":CRC,"row":ROW}; rebuild it in other
+  // shapes from its value texts.
+  ASSERT_EQ(line.rfind("{\"cell\":0,\"crc\":", 0), 0u) << line;
+  const std::size_t crc_at = line.find("\"crc\":") + 6;
+  const std::size_t row_at = line.find(",\"row\":");
+  const std::string crc = line.substr(crc_at, row_at - crc_at);
+  const std::string row_text =
+      line.substr(row_at + 7, line.size() - 1 - (row_at + 7));
+  ASSERT_EQ(row_text.front(), '[');
+  ASSERT_EQ(row_text.back(), ']');
+  const auto replace_all = [](std::string text, const std::string& from,
+                              const std::string& to) {
+    for (std::size_t at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size())) {
+      text.replace(at, from.size(), to);
+    }
+    return text;
+  };
+  const auto replace_first = [](std::string text, const std::string& from,
+                                const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+
+  const std::string path = temp_path("parser_case.jsonl");
+  const auto expect_accepted = [&](const std::string& cell_line,
+                                   const std::string& what) {
+    spit(path, header + cell_line + "\n");
+    try {
+      const Journal parsed = read_journal(path);
+      ASSERT_EQ(parsed.cells.size(), 1u) << what;
+      EXPECT_EQ(parsed.cells.at(0), row) << what;
+    } catch (const util::CheckError& e) {
+      ADD_FAILURE() << what << " rejected: " << e.what();
+    }
+  };
+  const auto expect_rejected = [&](const std::string& content,
+                                   std::size_t line_number,
+                                   const std::string& message) {
+    spit(path, content);
+    try {
+      (void)read_journal(path);
+      ADD_FAILURE() << "accepted a line with: " << message;
+    } catch (const util::CheckError& e) {
+      const std::string expected =
+          path + ':' + std::to_string(line_number) + ": " + message;
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << "got: " << e.what() << "\nwant: " << expected;
+    }
+  };
+  const auto expect_cell_rejected = [&](const std::string& cell_line,
+                                        const std::string& message) {
+    expect_rejected(header + cell_line + "\n", 2, message);
+  };
+
+  expect_accepted(line, "the writer's own line");
+  expect_accepted("{\"row\":" + row_text + ",\"cell\":0,\"crc\":" + crc + "}",
+                  "permuted key order");
+  expect_accepted(
+      "{ \"cell\" :\t0 ,\t\"crc\": " + crc + " , \"row\" :\t" +
+          replace_all(replace_all(replace_all(row_text, "\",\"", "\" ,\t \""),
+                                  "[", "[ "),
+                      "]", "\t]") +
+          " }  \t",
+      "spaces and tabs between tokens");
+  expect_accepted(
+      replace_first(replace_first(line, "\"cell\"", "\"c\\u0065ll\""),
+                    "\"skip\"", "\"\\u0073\\u006Bip\""),
+      "\\u00XX escapes in a key and a field");
+
+  expect_cell_rejected(replace_first(line, "{", "{\"cell\":0,"),
+                       "duplicate key in JSON object");
+  expect_cell_rejected(line + " x", "trailing bytes after JSON object");
+  expect_cell_rejected(replace_first(line, "\"skip\"", "\"sk\x01ip\""),
+                       "raw control character in JSON string");
+  expect_cell_rejected(replace_first(line, "\"skip\"", "\"\\u00g3kip\""),
+                       "bad \\u escape");
+  expect_cell_rejected(replace_first(line, "\"skip\"", "\"\\u0173kip\""),
+                       "unsupported \\u escape");
+  expect_cell_rejected(
+      replace_first(line, "\"cell\":0", "\"cell\":18446744073709551616"),
+      "integer out of range");
+  expect_cell_rejected(replace_first(line, "\"cell\":0", "\"cell\":\"0\""),
+                       "key \"cell\" has the wrong type");
+  expect_cell_rejected(replace_first(line, ",\"crc\":" + crc, ""),
+                       "missing key \"crc\"");
+  {
+    // Drop the last field: the width check runs before the checksum.
+    const std::size_t last = line.rfind(",\"");
+    expect_cell_rejected(line.substr(0, last) + "]}",
+                         "row width does not match the output schema");
+  }
+  expect_rejected(replace_first(header, "}\n", "} x\n"), 1,
+                  "trailing bytes after JSON object");
 }
 
 TEST(SweepMerge, RejectsMissingOverlappingAndForeignShards) {

@@ -503,17 +503,26 @@ int cmd_sweep(const Args& args) {
       runner::shard_range(sweep.grid().size(), service.shard);
   const std::size_t total = shard_block.end - shard_block.begin;
   std::size_t cells = 0;
+  // Rows are written as they arrive but flushed once per batch of rows
+  // that were ready together: the journal (flushed per cell by the
+  // service, before the row gets here) is the durable record, so the CSV
+  // and JSONL may trail it by at most one batch and never lead it. The
+  // stderr progress lines are buffered the same way (nothing has been
+  // written to stderr yet, which setvbuf requires).
+  static char progress_buffer[1 << 16];
+  std::setvbuf(stderr, progress_buffer, _IOFBF, sizeof progress_buffer);
+  const auto flush_outputs = [&] {
+    if (csv) csv->flush();
+    if (json != nullptr) std::fflush(json);
+    std::fflush(stderr);
+  };
   runner::run_sweep_service(
       sweep, service, [&](const runner::SweepRowEvent& event) {
         table.add_row(*event.row);
-        if (csv) {
-          csv->write_row(*event.row);
-          csv->flush();
-        }
+        if (csv) csv->write_row(*event.row);
         if (json != nullptr) {
           std::fprintf(json, "%s\n",
                        runner::Sweep::json_line(*event.row).c_str());
-          std::fflush(json);
         }
         ++cells;
         // Live progress on stderr; the aligned table needs all rows for
@@ -521,18 +530,21 @@ int cmd_sweep(const Args& args) {
         if (event.cell == nullptr) {
           std::fprintf(stderr, "[%zu/%zu] cell %zu replayed from journal\n",
                        cells, total, event.index);
-          return;
+        } else {
+          const runner::SweepCell& cell = *event.cell;
+          std::fprintf(stderr,
+                       "[%zu/%zu] %s%s%s n=%llu k=%d done in %.2fs\n", cells,
+                       total, cell.point.engine.c_str(),
+                       cell.point.graph.has_value() ? " " : "",
+                       cell.point.graph.has_value()
+                           ? sim::to_string(*cell.point.graph).c_str()
+                           : "",
+                       static_cast<unsigned long long>(cell.point.n),
+                       cell.point.k, cell.wall_seconds);
         }
-        const runner::SweepCell& cell = *event.cell;
-        std::fprintf(stderr, "[%zu/%zu] %s%s%s n=%llu k=%d done in %.2fs\n",
-                     cells, total, cell.point.engine.c_str(),
-                     cell.point.graph.has_value() ? " " : "",
-                     cell.point.graph.has_value()
-                         ? sim::to_string(*cell.point.graph).c_str()
-                         : "",
-                     static_cast<unsigned long long>(cell.point.n),
-                     cell.point.k, cell.wall_seconds);
+        if (event.last_in_batch) flush_outputs();
       });
+  flush_outputs();
   table.print();
   int rc = 0;
   if (csv && !csv->ok()) {

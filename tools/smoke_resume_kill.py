@@ -10,6 +10,11 @@ every cell boundary (tests/test_sweep_service.cpp); this smoke pins the
 KUSD_SWEEP_TRIP_CELLS hook raises it after N journaled cells), a real
 resume invocation, and a byte diff of the CSV/JSONL artifacts against a
 golden uninterrupted run. A single-journal `kusd merge` is diffed too.
+Rows reach the CSV/JSONL and the stderr progress lines in batches (one
+flush per batch of ready cells), so the golden run is also checked to
+print exactly one `[i/N]` progress line per cell, i = 1..N in order, and
+its artifacts at --threads 2 must equal a `--threads 1 --stripe-width 1`
+run's.
 
 Usage: smoke_resume_kill.py /path/to/kusd [workdir]
 Exit 0 on success; 1 with a diagnostic on any contract violation.
@@ -17,6 +22,7 @@ Exit 0 on success; 1 with a diagnostic on any contract violation.
 
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -59,20 +65,39 @@ def main():
 
     golden_csv = work / "golden.csv"
     golden_jsonl = work / "golden.jsonl"
+    serial_csv = work / "serial.csv"
+    serial_jsonl = work / "serial.jsonl"
     journal = work / "journal.jsonl"
     out_csv = work / "out.csv"
     out_jsonl = work / "out.jsonl"
     merged_csv = work / "merged.csv"
-    for path in (golden_csv, golden_jsonl, journal, out_csv, out_jsonl,
-                 merged_csv):
+    for path in (golden_csv, golden_jsonl, serial_csv, serial_jsonl,
+                 journal, out_csv, out_jsonl, merged_csv):
         path.unlink(missing_ok=True)
 
-    # 1. Golden: the uninterrupted run.
+    # 1. Golden: the uninterrupted run, one progress line per cell.
     result = run([str(kusd), *SWEEP_ARGS,
                   "--out", str(golden_csv), "--json", str(golden_jsonl)])
     if result.returncode != 0:
         fail(f"golden run failed ({result.returncode}):\n{result.stderr}")
-    print("ok: golden run complete")
+    progress = [int(m.group(1)) for m in
+                re.finditer(rf"^\[(\d+)/{GRID_CELLS}\] ", result.stderr,
+                            re.MULTILINE)]
+    if progress != list(range(1, GRID_CELLS + 1)):
+        fail(f"golden run printed progress lines {progress}, expected "
+             f"1..{GRID_CELLS} in order:\n{result.stderr}")
+    print(f"ok: golden run complete, {GRID_CELLS} progress lines in order")
+
+    # The golden artifacts are a pure function of the sweep: a serial run
+    # with one trial per work unit writes the same bytes.
+    serial_args = list(SWEEP_ARGS)
+    serial_args[serial_args.index("--threads") + 1] = "1"
+    result = run([str(kusd), *serial_args, "--stripe-width", "1",
+                  "--out", str(serial_csv), "--json", str(serial_jsonl)])
+    if result.returncode != 0:
+        fail(f"serial run failed ({result.returncode}):\n{result.stderr}")
+    expect_same(serial_csv, golden_csv, "serial CSV")
+    expect_same(serial_jsonl, golden_jsonl, "serial JSONL")
 
     # 2. Kill: same sweep, journaled, SIGKILL after TRIP_CELLS cells.
     env = dict(os.environ, KUSD_SWEEP_TRIP_CELLS=str(TRIP_CELLS))
