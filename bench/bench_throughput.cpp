@@ -85,9 +85,16 @@ void BM_UrnEngine(benchmark::State& state) {
   for (auto _ : state) stepper.step(state);
   state.SetItemsProcessed(stepper.interactions());
 }
+// The crossover sweep behind urn::kLinearThreshold.
 BENCHMARK(BM_UrnEngine)
     ->Args({16, 0})
     ->Args({16, 1})
+    ->Args({32, 0})
+    ->Args({32, 1})
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Args({128, 0})
+    ->Args({128, 1})
     ->Args({256, 0})
     ->Args({256, 1});
 

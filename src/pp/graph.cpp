@@ -98,7 +98,10 @@ InteractionGraph InteractionGraph::erdos_renyi(std::uint32_t n, double p,
     }
     const auto v = static_cast<std::uint32_t>(u + 1 + rem);
     edges.emplace_back(u, v);
-    idx += 1 + (p < 1.0 ? rng.geometric_failures(p) : 0);
+    const std::uint64_t gap = p < 1.0 ? rng.geometric_failures(p) : 0;
+    // Saturate: a gap near UINT64_MAX (tiny p) must end the scan, not wrap
+    // idx back into range.
+    idx = gap >= total - idx ? total : idx + 1 + gap;
   }
   KUSD_CHECK_MSG(!edges.empty(), "G(n,p) came out empty; increase p");
   return InteractionGraph(n, std::move(edges));

@@ -14,6 +14,8 @@
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace kusd::rng {
 
 /// SplitMix64 step: the canonical 64-bit mixing function. Used for seeding
@@ -98,7 +100,22 @@ class Rng {
 
   /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection
   /// method (unbiased). bound must be positive.
-  std::uint64_t bounded(std::uint64_t bound);
+  std::uint64_t bounded(std::uint64_t bound) {
+    KUSD_DCHECK(bound > 0);
+    // Lemire's nearly-divisionless method.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -110,7 +127,9 @@ class Rng {
   bool bernoulli(double p) { return uniform01() < p; }
 
   /// Number of failures before the first success of a Bernoulli(p) sequence
-  /// (support {0, 1, 2, ...}). Exact inversion; p must be in (0, 1].
+  /// (support {0, 1, 2, ...}). Exact inversion, floor(log(u) / log1p(-p))
+  /// for u = 1 - uniform01(), saturated at UINT64_MAX where the quotient
+  /// leaves the uint64 range; p must be in (0, 1].
   std::uint64_t geometric_failures(double p);
 
   /// Binomial(n, p) sample. Exact, via the in-repo BINV/BTRS sampler

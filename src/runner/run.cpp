@@ -19,7 +19,6 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
   // is only a legacy spelling of the engine name.
   sim::EngineOptions engine_options;
   engine_options.batch = options.batch;
-  engine_options.urn = options.urn;
   engine_options.graph = options.graph;
   const std::string name = options.engine.empty()
                                ? core::engine_name(options.mode)

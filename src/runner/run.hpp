@@ -22,7 +22,6 @@
 #include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
-#include "urn/urn.hpp"
 
 namespace kusd::runner {
 
@@ -38,8 +37,6 @@ struct RunOptions {
   /// "sync", "gossip", "graph", or anything registered); empty derives
   /// the name from `mode`.
   std::string engine;
-  /// Urn backend of the every/skip engines.
-  urn::UrnEngine urn = urn::UrnEngine::kAuto;
   /// Chunk schedule for the batched engine: fixed chunk fraction or the
   /// error-controlled adaptive policy (see chunk_controller.hpp).
   core::BatchedOptions batch;

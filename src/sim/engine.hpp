@@ -36,7 +36,6 @@
 #include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
-#include "urn/urn.hpp"
 
 namespace kusd::pp {
 class DegreeClassModel;
@@ -56,8 +55,6 @@ using Observer =
 struct EngineOptions {
   /// Chunk schedule of the "batched" engine.
   core::ChunkOptions batch;
-  /// Urn backend of the "every"/"skip" engines.
-  urn::UrnEngine urn = urn::UrnEngine::kAuto;
   /// Topology of the graph engines (ignored when shared_graph /
   /// shared_degrees is set, except that callers should keep the two
   /// consistent for reporting).

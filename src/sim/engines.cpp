@@ -19,7 +19,6 @@
 #include "sim/batched_graph_engine.hpp"
 #include "sim/graph_spec.hpp"
 #include "sim/lockstep_batched_engine.hpp"
-#include "urn/urn.hpp"
 #include "util/check.hpp"
 
 namespace kusd::sim {
@@ -42,8 +41,8 @@ namespace {
 class UsdEngine final : public Engine {
  public:
   UsdEngine(const pp::Configuration& initial, std::uint64_t seed,
-            core::StepMode mode, urn::UrnEngine urn)
-      : sim_(initial, rng::Rng(seed), core::UsdOptions{mode, urn}) {}
+            core::StepMode mode)
+      : sim_(initial, rng::Rng(seed), core::UsdOptions{mode}) {}
 
   void advance(std::uint64_t budget) override {
     const std::uint64_t target = saturating_add(sim_.interactions(), budget);
@@ -289,10 +288,9 @@ void register_builtin_engines(Registry& registry) {
   registry.add("every",
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
-                       const EngineOptions& options) {
+                       const EngineOptions&) {
                       return std::make_unique<UsdEngine>(
-                          initial, seed, core::StepMode::kEveryInteraction,
-                          options.urn);
+                          initial, seed, core::StepMode::kEveryInteraction);
                     },
                 .description = "exact chain, one interaction per step",
                 .default_budget = interaction_budget,
@@ -300,10 +298,9 @@ void register_builtin_engines(Registry& registry) {
   registry.add("skip",
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
-                       const EngineOptions& options) {
+                       const EngineOptions&) {
                       return std::make_unique<UsdEngine>(
-                          initial, seed, core::StepMode::kSkipUnproductive,
-                          options.urn);
+                          initial, seed, core::StepMode::kSkipUnproductive);
                     },
                 .description =
                     "exact chain, geometric skips over unproductive runs",

@@ -64,6 +64,17 @@ TEST(InteractionGraph, ErdosRenyiPOneIsComplete) {
   EXPECT_EQ(g.num_edges(), 50u * 49u / 2u);
 }
 
+TEST(InteractionGraph, ErdosRenyiTinyPFailsAsEmpty) {
+  // Edge probabilities so small that the geometric gap overflows uint64:
+  // the gap saturates, so the scan ends before the first edge and the
+  // empty graph is reported instead of wrapping into some other graph.
+  for (const double p : {1e-20, 1e-30, 1e-300}) {
+    rng::Rng r(17);
+    EXPECT_THROW(InteractionGraph::erdos_renyi(100, p, r), util::CheckError)
+        << "p=" << p;
+  }
+}
+
 TEST(InteractionGraph, DisconnectedDetected) {
   rng::Rng r(11);
   // Tiny p: isolated vertices almost surely.

@@ -156,6 +156,86 @@ TEST(Rng, GeometricRejectsInvalidP) {
   EXPECT_THROW(r.geometric_failures(1.5), util::CheckError);
 }
 
+// An Rng whose next next_u64() is `x`: xoshiro256++ outputs
+// rotl(s0 + s3, 23) + s0, so s0 = 0 and s3 = rotr(x, 23) pin it.
+rng::Rng rng_returning(std::uint64_t x) {
+  rng::Rng r;
+  r.set_state({0, 1, 2, (x >> 23) | (x << 41)});
+  return r;
+}
+
+// The u that geometric_failures draws from the raw word x.
+double geometric_u(std::uint64_t x) {
+  return 1.0 - static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+// The libm inversion geometric_failures must reproduce draw for draw,
+// saturated where the quotient leaves the uint64 range.
+std::uint64_t geometric_reference(double u, double p) {
+  const double q = std::log(u) / std::log1p(-p);
+  if (q >= 0x1p64) return ~std::uint64_t{0};
+  return static_cast<std::uint64_t>(std::floor(q));
+}
+
+TEST(Rng, GeometricFailuresSaturatesForTinyP) {
+  // log(u) / log1p(-1e-300) is ~1e300 for every u < 1: far past 2^64.
+  rng::Rng r(30);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(r.geometric_failures(1e-300), ~std::uint64_t{0});
+  }
+}
+
+TEST(Rng, GeometricFailuresMatchLibmInversion) {
+  // 10^7 random (p, u) pairs: half with p uniform on (0, 1], half
+  // log-uniform on [1e-15, 1], so both sides of any fast-path floor see
+  // millions of draws.
+  rng::Rng pick(811);
+  for (int i = 0; i < 10'000'000; ++i) {
+    const double p = (i & 1) != 0 ? 1.0 - pick.uniform01()
+                                  : std::pow(10.0, -15.0 * pick.uniform01());
+    const std::uint64_t x = pick.next_u64();
+    rng::Rng r = rng_returning(x);
+    ASSERT_EQ(r.geometric_failures(p), geometric_reference(geometric_u(x), p))
+        << "p=" << p << " x=" << x;
+  }
+}
+
+TEST(Rng, GeometricFailuresExactAtPowerBoundaries) {
+  // u = (1-p)^m is where the inversion steps from m to m-1. Probe the
+  // attainable u (multiples of 2^-53) nearest each power for m <= 8, one
+  // grid step either side, and at relative offsets around 2^-40.
+  std::vector<double> ps = {0x1p-4,      0x1p-4 + 0x1p-56, 0.0625 - 1e-17,
+                            0.07,        0.1,              0.125,
+                            0.25,        1.0 / 3.0,        0.5,
+                            0.5 + 1e-16, 0.7,              0.9,
+                            0.999,       1.0 - 0x1p-30,    1.0 - 0x1p-53};
+  rng::Rng pick(812);
+  for (int i = 0; i < 200; ++i) ps.push_back(0.05 + 0.95 * pick.uniform01());
+  const double offsets[] = {0.0, 0x1p-41, -0x1p-41, 0x1p-40, -0x1p-40,
+                            0x1p-39, -0x1p-39};
+  for (const double p : ps) {
+    for (int m = 0; m <= 8; ++m) {
+      const double power = std::pow(1.0 - p, m);
+      for (const double offset : offsets) {
+        const double target = power * (1.0 + offset);
+        if (target > 1.0 || target < 0x1p-53) continue;
+        const auto j = static_cast<std::int64_t>(
+            std::llround((1.0 - target) * 0x1p53));
+        for (std::int64_t d = -1; d <= 1; ++d) {
+          const std::int64_t grid = j + d;
+          if (grid < 0 || grid >= (std::int64_t{1} << 53)) continue;
+          const std::uint64_t x = static_cast<std::uint64_t>(grid) << 11;
+          rng::Rng r = rng_returning(x);
+          ASSERT_EQ(r.geometric_failures(p),
+                    geometric_reference(geometric_u(x), p))
+              << "p=" << p << " m=" << m << " offset=" << offset
+              << " d=" << d;
+        }
+      }
+    }
+  }
+}
+
 TEST(Rng, BinomialMeanAndVariance) {
   rng::Rng r(31);
   const std::uint64_t n = 1000;

@@ -28,6 +28,44 @@ TEST(Urn, FindIdenticalAcrossEngines) {
   }
 }
 
+TEST(Urn, FindAgreesAcrossEnginesWithZeroCountsAnywhere) {
+  // Zero-count categories at the front, in the middle and at the back,
+  // in runs and alone; every position r must map to the same category,
+  // the first one whose prefix sum exceeds r.
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {0, 0, 3, 1, 0, 5},
+      {2, 0, 0, 0, 4, 0, 1},
+      {1, 6, 0, 2, 0, 0},
+      {0, 7, 0},
+      {0, 0, 0, 9},
+      {5},
+      {0, 1},
+      {3, 0},
+  };
+  std::vector<std::vector<std::uint64_t>> all = cases;
+  rng::Rng pick(91);
+  for (const std::size_t k : {16, 63, 64, 65, 70, 130}) {
+    std::vector<std::uint64_t> counts(k);
+    for (auto& c : counts) c = pick.bounded(3) == 0 ? 0 : pick.bounded(5);
+    counts.front() = 0;
+    counts.back() = 0;
+    counts[k / 2] = 0;
+    counts[1] += 1;  // keep the total positive
+    all.push_back(counts);
+  }
+  for (const auto& counts : all) {
+    urn::Urn lin(counts, urn::UrnEngine::kLinear);
+    urn::Urn fen(counts, urn::UrnEngine::kFenwick);
+    std::size_t expected = 0;
+    std::uint64_t prefix = counts[0];
+    for (std::uint64_t r = 0; r < lin.total(); ++r) {
+      while (prefix <= r) prefix += counts[++expected];
+      ASSERT_EQ(lin.find(r), expected) << "k=" << counts.size() << " r=" << r;
+      ASSERT_EQ(fen.find(r), expected) << "k=" << counts.size() << " r=" << r;
+    }
+  }
+}
+
 TEST(Urn, MovePreservesTotal) {
   const std::vector<std::uint64_t> counts{5, 5, 5};
   urn::Urn u(counts);

@@ -204,6 +204,64 @@ TEST(UsdSimulator, SkipAndPlainWinnerFrequenciesAgree) {
   EXPECT_NEAR(f_skip, 0.5, 0.04);
 }
 
+// Golden streams: exact step, interaction and winner counts of both
+// stepping modes at n=2000 from uniform starts (k=70 runs on the Fenwick
+// index). Any change to the draw sequence of the urn, Rng::bounded or the
+// geometric jump moves these numbers.
+struct GoldenRun {
+  StepMode mode;
+  int k;
+  std::uint64_t seed;
+  std::uint64_t steps;
+  std::uint64_t interactions;
+  int winner;
+};
+
+TEST(UsdSimulator, GoldenStreamsArePinned) {
+  constexpr StepMode kEvery = StepMode::kEveryInteraction;
+  constexpr StepMode kSkip = StepMode::kSkipUnproductive;
+  const GoldenRun pins[] = {
+      {kEvery, 2, 1, 37859, 37859, 0},
+      {kEvery, 2, 2, 43711, 43711, 1},
+      {kEvery, 2, 3, 46758, 46758, 0},
+      {kEvery, 4, 1, 63103, 63103, 3},
+      {kEvery, 4, 2, 62381, 62381, 3},
+      {kEvery, 4, 3, 70255, 70255, 1},
+      {kEvery, 16, 1, 102192, 102192, 14},
+      {kEvery, 16, 2, 83883, 83883, 6},
+      {kEvery, 16, 3, 106119, 106119, 7},
+      {kEvery, 70, 1, 102539, 102539, 55},
+      {kEvery, 70, 2, 110782, 110782, 49},
+      {kEvery, 70, 3, 144899, 144899, 20},
+      {kSkip, 2, 1, 11332, 43544, 1},
+      {kSkip, 2, 2, 10526, 38909, 0},
+      {kSkip, 2, 3, 9486, 41782, 0},
+      {kSkip, 4, 1, 23096, 59978, 2},
+      {kSkip, 4, 2, 22224, 62982, 1},
+      {kSkip, 4, 3, 20958, 59275, 3},
+      {kSkip, 16, 1, 46744, 107618, 14},
+      {kSkip, 16, 2, 37628, 90840, 9},
+      {kSkip, 16, 3, 34764, 83226, 3},
+      {kSkip, 70, 1, 62760, 142135, 23},
+      {kSkip, 70, 2, 70300, 161638, 41},
+      {kSkip, 70, 3, 43796, 106357, 5},
+  };
+  for (const GoldenRun& pin : pins) {
+    UsdSimulator sim(Configuration::uniform(2000, pin.k, 100),
+                     rng::Rng(rng::stream_seed(pin.seed, 0)),
+                     UsdOptions{pin.mode});
+    std::uint64_t steps = 0;
+    for (; !sim.is_consensus() && steps < 100'000'000; ++steps) sim.step();
+    EXPECT_EQ(steps, pin.steps) << engine_name(pin.mode) << " k=" << pin.k
+                                << " seed=" << pin.seed;
+    EXPECT_EQ(sim.interactions(), pin.interactions)
+        << engine_name(pin.mode) << " k=" << pin.k << " seed=" << pin.seed;
+    ASSERT_TRUE(sim.is_consensus());
+    EXPECT_EQ(sim.consensus_opinion(), pin.winner)
+        << engine_name(pin.mode) << " k=" << pin.k << " seed=" << pin.seed;
+  }
+}
+
 // Fenwick vs linear urn engines must also agree (second ablation axis).
 TEST(UsdSimulator, UrnEnginesAgreeInDistribution) {
   const auto x0 = Configuration::uniform(80, 3, 0);
