@@ -26,18 +26,11 @@ BatchedUsdSimulator::BatchedUsdSimulator(const pp::Configuration& initial,
 
 void BatchedUsdSimulator::step(std::uint64_t max_length) {
   KUSD_DCHECK(!winner_.has_value());
-  KUSD_DCHECK(max_length >= 1);
-  std::uint64_t m =
-      std::min(controller_.propose(opinions_, undecided_), max_length);
-  // A frozen-rate draw can overshoot a count; halve and redraw. m == 1
-  // realizes exactly one interaction-chain event and always succeeds.
-  while (true) {
-    ++chunks_;
-    if (engine_.try_async_chunk(opinions_, undecided_, n_, m, rng_)) break;
-    controller_.on_reject();
-    m = std::max<std::uint64_t>(1, m / 2);
-  }
-  interactions_ += m;
+  interactions_ += tau_leap_step(controller_, engine_, opinions_,
+                                 std::span(&undecided_, 1), kUnitWeight,
+                                 max_length, rng_, chunks_);
+  // A consensus has no undecided agents, so the O(k) scan can wait.
+  if (undecided_ != 0) return;
   for (std::size_t i = 0; i < opinions_.size(); ++i) {
     if (opinions_[i] == n_) winner_ = static_cast<int>(i);
   }

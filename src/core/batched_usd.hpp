@@ -3,7 +3,9 @@
 //
 // Each step freezes the per-interaction transition rates at the current
 // configuration and draws the aggregate event counts of a whole chunk of
-// interactions from one multinomial (RoundEngine::try_async_chunk). This
+// interactions from one multinomial: the class-structured tau-leap of
+// RoundEngine and ChunkController (core::tau_leap_step) with one class of
+// weight 1, which sim::BatchedGraphEngine runs over degree classes. This
 // is the standard tau-leap approximation of the jump chain: exact when
 // the chunk is a single interaction, and accurate whenever the rates
 // change little across a chunk. The chunk length comes from a

@@ -49,59 +49,38 @@ ChunkController::ChunkController(const ChunkOptions& options, pp::Count n)
 
 std::uint64_t ChunkController::propose(std::span<const pp::Count> opinions,
                                        pp::Count undecided) {
-  if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
-  // Per-interaction moments of every count, in closed form at the frozen
-  // configuration (rates in units of probability per interaction):
-  //   opinion j:  gains w.p. u*x_j / n^2, loses w.p. x_j*(d - x_j) / n^2
-  //   undecided:  gains w.p. sum_j x_j*(d - x_j) / n^2 = (d^2 - S2) / n^2,
-  //               loses w.p. u*d / n^2
-  // The admissible chunk is the largest m keeping both m*|mu| (drift) and
-  // m*sigma2 (fluctuation variance) within the tolerance band of every
-  // count, i.e. the standard tau-selection bound, computable in O(k).
-  const double tol = options_.adaptive.drift_tolerance;
-  const double dn = static_cast<double>(n_);
-  const double inv_n2 = 1.0 / (dn * dn);
-  const double du = static_cast<double>(undecided);
-  const double dd = dn - du;  // decided agents
-
-  double bound = static_cast<double>(max_chunk_);
-  double sum_sq = 0.0;
-  for (const pp::Count count : opinions) {
-    if (count == 0) continue;
-    const double xj = static_cast<double>(count);
-    sum_sq += xj * xj;
-    apply_band(xj, du * xj * inv_n2, xj * (dd - xj) * inv_n2, tol, bound);
-  }
-  apply_band(du, (dd * dd - sum_sq) * inv_n2, du * dd * inv_n2, tol, bound);
-  return finalize_bound(bound);
+  return propose_classes(opinions, std::span(&undecided, 1), kUnitWeight);
 }
 
 std::uint64_t ChunkController::propose_classes(
     std::span<const pp::Count> opinions, std::span<const pp::Count> undecided,
     std::span<const double> weights) {
   if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
-  const std::size_t classes = undecided.size();
-  KUSD_DCHECK(classes >= 1 && weights.size() == classes &&
-              opinions.size() % classes == 0);
-  const std::size_t k = opinions.size() / classes;
+  KUSD_DCHECK(!undecided.empty() && opinions.size() % undecided.size() == 0);
+  weighted_scratch_.resize(opinions.size() / undecided.size());
+  return propose_classes(
+      opinions, undecided, weights,
+      weighted_totals(opinions, undecided, weights, weighted_scratch_));
+}
 
-  // Degree-weighted totals of the annealed chain: the rates below MUST
-  // mirror RoundEngine::try_async_class_chunk (in units of probability
-  // per interaction after dividing by W^2) — a divergence silently
-  // detunes the error control.
-  if (weighted_scratch_.size() < k) weighted_scratch_.resize(k);
-  double weighted_undecided = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_scratch_[j] = 0.0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    weighted_undecided += weights[c] * static_cast<double>(undecided[c]);
-    for (std::size_t j = 0; j < k; ++j) {
-      weighted_scratch_[j] +=
-          weights[c] * static_cast<double>(opinions[c * k + j]);
-    }
-  }
-  double weighted_decided = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_decided += weighted_scratch_[j];
-  const double total_weight = weighted_undecided + weighted_decided;
+std::uint64_t ChunkController::propose_classes(
+    std::span<const pp::Count> opinions, std::span<const pp::Count> undecided,
+    std::span<const double> weights, const WeightedTotals& totals) {
+  if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
+  const std::size_t classes = undecided.size();
+  const std::size_t k = totals.per_opinion.size();
+  KUSD_DCHECK(weights.size() == classes && opinions.size() == classes * k);
+
+  // Per-interaction moments of every count: the kernel's frozen rates
+  // over W^2 (WeightedTotals names the totals).
+  //   opinion (c, j): gains w_c u_c X_j, loses w_c x_cj (W_d - X_j)
+  //   undecided of c: gains w_c (D_c W_d - sum_j x_cj X_j), loses w_c u_c W_d
+  // At one class of weight 1 these are u x_j, x_j (d - x_j), d^2 - S2 and
+  // u d over n^2, bit for bit. The admissible chunk is the largest m
+  // keeping both m*|mu| (drift) and m*sigma2 (fluctuation variance)
+  // within the tolerance band of every count, in one pass per class.
+  const std::span<const double> totals_j = totals.per_opinion;
+  const double total_weight = totals.undecided + totals.decided;
   if (total_weight <= 0.0) return finalize_bound(1.0);
   const double inv_w2 = 1.0 / (total_weight * total_weight);
   const double tol = options_.adaptive.drift_tolerance;
@@ -109,28 +88,23 @@ std::uint64_t ChunkController::propose_classes(
   double bound = static_cast<double>(max_chunk_);
   for (std::size_t c = 0; c < classes; ++c) {
     const double wc = weights[c];
+    const double uc = static_cast<double>(undecided[c]);
+    pp::Count decided_c = 0;
+    double cross = 0.0;  // sum_j x_cj X_j
     for (std::size_t j = 0; j < k; ++j) {
       const pp::Count count = opinions[c * k + j];
       if (count == 0) continue;
       const double xcj = static_cast<double>(count);
-      const double gain =
-          wc * static_cast<double>(undecided[c]) * weighted_scratch_[j] *
-          inv_w2;
-      const double loss =
-          wc * xcj * (weighted_decided - weighted_scratch_[j]) * inv_w2;
-      apply_band(xcj, gain, loss, tol, bound);
+      decided_c += count;
+      cross += xcj * totals_j[j];
+      apply_band(xcj, wc * uc * totals_j[j] * inv_w2,
+                 wc * xcj * (totals.decided - totals_j[j]) * inv_w2, tol,
+                 bound);
     }
-  }
-  for (std::size_t c = 0; c < classes; ++c) {
-    const double wc = weights[c];
-    const double uc = static_cast<double>(undecided[c]);
-    double flips = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      flips += static_cast<double>(opinions[c * k + j]) *
-               (weighted_decided - weighted_scratch_[j]);
-    }
-    apply_band(uc, wc * flips * inv_w2, wc * uc * weighted_decided * inv_w2,
-               tol, bound);
+    apply_band(uc,
+               wc * (static_cast<double>(decided_c) * totals.decided - cross) *
+                   inv_w2,
+               wc * uc * totals.decided * inv_w2, tol, bound);
   }
   return finalize_bound(bound);
 }

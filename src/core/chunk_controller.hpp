@@ -1,13 +1,13 @@
-// Chunk-length control for the tau-leaping batched simulator.
+// Chunk-length control for the tau-leaping batched simulators.
 //
-// BatchedUsdSimulator advances the asynchronous USD chain in chunks of m
-// interactions with the transition rates frozen at the chunk's starting
-// configuration. The approximation error of a chunk is governed by how far
-// the per-interaction rates drift across it, and that drift is predictable
-// in O(k) from the current counts: the expected per-interaction change of
-// every count (and its variance) is a closed-form function of
-// (x_1..x_k, u, n). ChunkController turns that prediction into a step-size
-// policy:
+// The tau-leap (RoundEngine::try_async_class_chunk) advances the USD chain
+// in chunks of m interactions with the transition rates frozen at the
+// chunk's starting configuration. The approximation error of a chunk is
+// governed by how far the rates drift across it, and that drift is
+// predictable in O(classes * k): the expected per-interaction change of
+// every count (and its variance) is a closed-form function of the
+// per-class counts and class weights. ChunkController turns that
+// prediction into a step-size policy:
 //
 //  * ChunkPolicy::kFixed — the PR-2 behaviour, bit-for-bit: a constant
 //    chunk of chunk_fraction * n interactions. Kept as the default so
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 
 namespace kusd::core {
@@ -102,24 +103,25 @@ class ChunkController {
   [[nodiscard]] const ChunkOptions& options() const { return options_; }
 
   /// Propose the next chunk length (always >= 1) for the current
-  /// configuration. O(k). Under kFixed the proposal is the constant
-  /// chunk_fraction * n; under kAdaptive it is the error bound described
-  /// in the file comment, geometrically rate-limited against the previous
-  /// proposal.
-  [[nodiscard]] std::uint64_t propose(std::span<const pp::Count> opinions,
-                                      pp::Count undecided);
-
-  /// The class-structured analogue of propose() for the annealed
-  /// degree-weighted chain (RoundEngine::try_async_class_chunk):
-  /// `opinions` is class-major (class c, opinion j at c * k + j),
-  /// `undecided` per class, `weights[c]` the per-member sampling weight of
-  /// class c. Same tau-selection band — every per-class count's predicted
-  /// drift and fluctuation stay within the tolerance — and the same
-  /// trend/growth schedule, in O(classes * k). With one class of weight 1
-  /// it computes exactly propose()'s bound.
+  /// configuration of the class-structured chain
+  /// (RoundEngine::try_async_class_chunk): `opinions` is class-major
+  /// (class c, opinion j at c * k + j), `undecided` per class, `weights[c]`
+  /// the per-member sampling weight of class c. O(classes * k). Under
+  /// kFixed the proposal is the constant chunk_fraction * n; under
+  /// kAdaptive it is the error bound described in the file comment, every
+  /// per-class count's predicted drift and fluctuation within the
+  /// tolerance, geometrically rate-limited against the previous proposal.
   [[nodiscard]] std::uint64_t propose_classes(
       std::span<const pp::Count> opinions, std::span<const pp::Count> undecided,
       std::span<const double> weights);
+  /// The same with the configuration's totals precomputed.
+  [[nodiscard]] std::uint64_t propose_classes(
+      std::span<const pp::Count> opinions, std::span<const pp::Count> undecided,
+      std::span<const double> weights, const WeightedTotals& totals);
+
+  /// propose_classes for the unstructured chain: one class of weight 1.
+  [[nodiscard]] std::uint64_t propose(std::span<const pp::Count> opinions,
+                                      pp::Count undecided);
 
   /// Feedback from the simulator: the last chunk overshot a count and was
   /// rejected by the frozen-rate draw. Shrinks the adaptive baseline so
@@ -132,7 +134,7 @@ class ChunkController {
   [[nodiscard]] std::uint64_t max_chunk() const { return max_chunk_; }
 
  private:
-  /// Shared tail of the adaptive policies: trend lookahead, clamping to
+  /// Tail of the adaptive policy: trend lookahead, clamping to
   /// [min_chunk, max_chunk] and the geometric growth limit applied to a
   /// raw tau bound.
   [[nodiscard]] std::uint64_t finalize_bound(double raw_bound);

@@ -1,5 +1,8 @@
 #include "core/round_engine.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -68,143 +71,129 @@ pp::Count RoundEngine::adoption_step(std::span<const pp::Count> partners,
   return with_undecided ? sampled[k] : 0;
 }
 
-bool RoundEngine::try_async_chunk(std::span<pp::Count> opinions,
-                                  pp::Count& undecided, pp::Count n,
-                                  std::uint64_t m, rng::Rng& rng) {
-  const std::size_t k = opinions.size();
-  KUSD_DCHECK(k == static_cast<std::size_t>(k_));
-  const pp::Count decided = n - undecided;
-  // Event weights in units of n^2 * probability, frozen at the current
-  // configuration: adoption of j, flip of j, and the unproductive rest.
-  const double du = static_cast<double>(undecided);
-  double productive = 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const double xj = static_cast<double>(opinions[j]);
-    weights_[j] = du * xj;                                       // adopt j
-    weights_[k + j] = xj * static_cast<double>(decided - opinions[j]);
-    productive += weights_[j] + weights_[k + j];
+WeightedTotals weighted_totals(std::span<const pp::Count> opinions,
+                               std::span<const pp::Count> undecided,
+                               std::span<const double> weights,
+                               std::span<double> per_opinion) {
+  const std::size_t classes = undecided.size();
+  const std::size_t k = per_opinion.size();
+  KUSD_DCHECK(weights.size() == classes && opinions.size() == classes * k);
+  WeightedTotals totals{.per_opinion = per_opinion};
+  // One pass: class 0 initializes X (the bits of adding to 0.0), and W_d
+  // sums exact class counts, so no rounded sum is chained over k.
+  for (std::size_t c = 0; c < classes; ++c) {
+    const double wc = weights[c];
+    totals.undecided += wc * static_cast<double>(undecided[c]);
+    pp::Count decided_c = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const pp::Count x = opinions[c * k + j];
+      const double y = wc * static_cast<double>(x);
+      per_opinion[j] = c == 0 ? y : per_opinion[j] + y;
+      decided_c += x;
+    }
+    totals.decided += wc * static_cast<double>(decided_c);
   }
-  const double total =
-      static_cast<double>(n) * static_cast<double>(n);
-  weights_[2 * k] = std::max(0.0, total - productive);           // no-op
-  const std::span<pp::Count> events(draws_.data(), 2 * k + 1);
-  rng.multinomial_into(
-      m, std::span<const double>(weights_.data(), 2 * k + 1), events);
-
-  // Validate before committing: a frozen-rate draw can overshoot a count.
-  std::uint64_t adopted = 0, flipped = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    if (opinions[j] + events[j] < events[k + j]) return false;
-    adopted += events[j];
-    flipped += events[k + j];
-  }
-  if (undecided + flipped < adopted) return false;
-  // The exact chain preserves decided >= 1 (a flip needs two differently-
-  // decided agents); all-undecided would be absorbing here, so a draw that
-  // flips every decided agent must also be rejected.
-  if (undecided + flipped - adopted == static_cast<std::uint64_t>(n)) {
-    return false;
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    opinions[j] += events[j];
-    opinions[j] -= events[k + j];
-  }
-  undecided += flipped;
-  undecided -= adopted;
-  return true;
+  return totals;
 }
 
 bool RoundEngine::try_async_class_chunk(std::span<pp::Count> opinions,
                                         std::span<pp::Count> undecided,
                                         std::span<const double> weights,
                                         std::uint64_t m, rng::Rng& rng) {
+  return try_async_class_chunk(opinions, undecided, weights,
+                               weigh(opinions, undecided, weights), m, rng);
+}
+
+WeightedTotals RoundEngine::weigh(std::span<const pp::Count> opinions,
+                                  std::span<const pp::Count> undecided,
+                                  std::span<const double> weights) {
+  return weighted_totals(opinions, undecided, weights, weighted_counts_);
+}
+
+bool RoundEngine::try_async_class_chunk(std::span<pp::Count> opinions,
+                                        std::span<pp::Count> undecided,
+                                        std::span<const double> weights,
+                                        const WeightedTotals& totals,
+                                        std::uint64_t m, rng::Rng& rng) {
   const std::size_t k = static_cast<std::size_t>(k_);
   const std::size_t classes = static_cast<std::size_t>(classes_);
   KUSD_DCHECK(opinions.size() == k * classes);
   KUSD_DCHECK(undecided.size() == classes && weights.size() == classes);
+  KUSD_DCHECK(totals.per_opinion.size() == k);
 
-  // Degree-weighted totals: X_j^w = sum_c w_c x_{c,j}, U^w = sum_c w_c u_c,
-  // W = U^w + sum_j X_j^w. Endpoints are independently weight-proportional,
-  // so event weights live in units of W^2 * probability. NOTE: any change
-  // to these rates must be mirrored in ChunkController::propose_classes,
-  // whose tau bound is derived from exactly this model (as propose() is
-  // from try_async_chunk's).
-  double weighted_undecided = 0.0;
-  double total_weight = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_counts_[j] = 0.0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    weighted_undecided += weights[c] * static_cast<double>(undecided[c]);
-    for (std::size_t j = 0; j < k; ++j) {
-      weighted_counts_[j] +=
-          weights[c] * static_cast<double>(opinions[c * k + j]);
-    }
-  }
-  double weighted_decided = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_decided += weighted_counts_[j];
-  total_weight = weighted_undecided + weighted_decided;
+  // Endpoints are independently weight-proportional, so event weights
+  // live in units of W^2 * probability, W = U + W_d the total weight.
+  // ChunkController::propose_classes bounds the chunk from these rates.
+  const std::span<const double> totals_j = totals.per_opinion;
+  const double total_weight = totals.undecided + totals.decided;
   if (total_weight <= 0.0) return false;  // no interacting vertices at all
 
-  // Event families, mirroring try_async_chunk's layout per class block:
-  // adopt(c, j) at [c*k + j], flip(c, j) at [classes*k + c*k + j], no-op
-  // last. adopt(c, j): responder (c, undecided) meets initiator of opinion
-  // j; flip(c, j): responder (c, j) meets a differently-decided initiator.
-  const std::size_t adopt0 = 0;
-  const std::size_t flip0 = classes * k;
+  // Event families: adopt(c, j) at [c*k + j], flip(c, j) at
+  // [classes*k + c*k + j], no-op last. adopt(c, j): responder
+  // (c, undecided) meets an initiator of opinion j; flip(c, j): responder
+  // (c, j) meets a differently-decided initiator.
+  double* const adopt = weights_.data();
+  double* const flip = adopt + classes * k;
   double productive = 0.0;
   for (std::size_t c = 0; c < classes; ++c) {
-    const double wc = weights[c];
-    const double uc = static_cast<double>(undecided[c]);
+    const double wu = weights[c] * static_cast<double>(undecided[c]);
     for (std::size_t j = 0; j < k; ++j) {
-      const double xcj = static_cast<double>(opinions[c * k + j]);
-      weights_[adopt0 + c * k + j] = wc * uc * weighted_counts_[j];
-      weights_[flip0 + c * k + j] =
-          wc * xcj * (weighted_decided - weighted_counts_[j]);
-      productive +=
-          weights_[adopt0 + c * k + j] + weights_[flip0 + c * k + j];
+      const std::size_t i = c * k + j;
+      adopt[i] = wu * totals_j[j];
+      flip[i] = weights[c] * static_cast<double>(opinions[i]) *
+                (totals.decided - totals_j[j]);
+      productive += adopt[i] + flip[i];
     }
   }
-  weights_[2 * classes * k] =
+  const std::size_t families = 2 * classes * k + 1;
+  weights_[families - 1] =
       std::max(0.0, total_weight * total_weight - productive);  // no-op
-  const std::span<pp::Count> events(draws_.data(), 2 * classes * k + 1);
+  const std::span<pp::Count> events(draws_.data(), families);
   rng.multinomial_into(
-      m, std::span<const double>(weights_.data(), 2 * classes * k + 1),
-      events);
+      m, std::span<const double>(weights_.data(), families), events);
+  const pp::Count* const adopted = events.data();
+  const pp::Count* const flipped = adopted + classes * k;
 
-  // Validate before committing, exactly as in the unstructured chunk: a
-  // frozen-rate draw can overshoot a per-class count.
-  std::uint64_t total_adopted = 0, total_flipped = 0;
-  std::uint64_t total_decided = 0;
+  // Validate before committing: a frozen-rate draw can overshoot a count.
+  // The exact chain also keeps decided >= 1 (a flip needs a differently-
+  // decided initiator), so a draw into the absorbing all-undecided state
+  // is rejected too.
+  std::uint64_t decided_after = 0;
   for (std::size_t c = 0; c < classes; ++c) {
     std::uint64_t adopted_c = 0, flipped_c = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      if (opinions[c * k + j] + events[adopt0 + c * k + j] <
-          events[flip0 + c * k + j]) {
-        return false;
-      }
-      adopted_c += events[adopt0 + c * k + j];
-      flipped_c += events[flip0 + c * k + j];
-      total_decided += opinions[c * k + j];
+      const std::size_t i = c * k + j;
+      if (opinions[i] + adopted[i] < flipped[i]) return false;
+      adopted_c += adopted[i];
+      flipped_c += flipped[i];
+      decided_after += opinions[i] + adopted[i] - flipped[i];
     }
     if (undecided[c] + flipped_c < adopted_c) return false;
-    total_adopted += adopted_c;
-    total_flipped += flipped_c;
   }
-  // The exact chain preserves decided >= 1 globally (a flip needs a
-  // differently-decided initiator); reject a draw that would leave the
-  // absorbing all-undecided state.
-  if (total_decided + total_adopted == total_flipped) return false;
+  if (decided_after == 0) return false;
+  // Commit. A class's undecided delta is one wrapping sum of flips minus
+  // adoptions, exact because the validated result is in range.
   for (std::size_t c = 0; c < classes; ++c) {
-    std::uint64_t adopted_c = 0, flipped_c = 0;
+    std::uint64_t net_flipped = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      opinions[c * k + j] += events[adopt0 + c * k + j];
-      opinions[c * k + j] -= events[flip0 + c * k + j];
-      adopted_c += events[adopt0 + c * k + j];
-      flipped_c += events[flip0 + c * k + j];
+      const std::size_t i = c * k + j;
+      opinions[i] += adopted[i];
+      opinions[i] -= flipped[i];
+      net_flipped += flipped[i] - adopted[i];
     }
-    undecided[c] += flipped_c;
-    undecided[c] -= adopted_c;
+    undecided[c] += net_flipped;
   }
   return true;
+}
+
+bool RoundEngine::try_async_chunk(std::span<pp::Count> opinions,
+                                  pp::Count& undecided,
+                                  [[maybe_unused]] pp::Count n,
+                                  std::uint64_t m, rng::Rng& rng) {
+  KUSD_DCHECK(n == std::accumulate(opinions.begin(), opinions.end(),
+                                   undecided));
+  return try_async_class_chunk(opinions, std::span(&undecided, 1),
+                               kUnitWeight, m, rng);
 }
 
 }  // namespace kusd::core

@@ -1,9 +1,8 @@
 // Batched whole-round primitives for the USD Markov chains.
 //
-// SyncUsd, GossipUsd and BatchedUsdSimulator all advance entire rounds in
-// aggregate, drawing counts instead of Θ(n) per-agent samples. This class
-// centralizes that machinery (previously duplicated ad hoc in sync_usd.cpp
-// and gossip_usd.cpp):
+// SyncUsd, GossipUsd, BatchedUsdSimulator and sim::BatchedGraphEngine all
+// advance the chain in aggregate, drawing counts instead of Θ(n)
+// per-agent samples. This class centralizes that machinery:
 //
 //  * decided_step / adoption_step — the two synchronous half-rounds, exact
 //    for the synchronized and gossip round models. decided_step draws one
@@ -11,16 +10,15 @@
 //    adoption_step one multinomial over the k opinions and the undecided
 //    slot, at most k binomials. A gossip round is therefore at most 2k
 //    draws; a sync super-round at most k plus k per re-adoption sub-round.
-//  * try_async_chunk — a chunked-Poissonization (tau-leaping) step for the
-//    asynchronous chain: m interactions advanced with the transition rates
-//    frozen at the current configuration. Exact in the limit m -> 1 and a
+//  * try_async_class_chunk — the one chunked-Poissonization (tau-leaping)
+//    step of the asynchronous chain: m interactions advanced with the
+//    transition rates frozen at the current configuration. The population
+//    is partitioned into weighted degree classes and interaction endpoints
+//    are sampled with probability proportional to per-member class weight
+//    (the annealed scheduler of sim::BatchedGraphEngine). The unstructured
+//    chain of BatchedUsdSimulator is its one-class, unit-weight case, which
+//    try_async_chunk spells out. Exact in the limit m -> 1 and a
 //    documented approximation for m > 1 (see BatchedUsdSimulator).
-//  * try_async_class_chunk — the same tau-leap generalized to a population
-//    partitioned into weighted degree classes (the annealed scheduler of
-//    sim::BatchedGraphEngine): interaction endpoints are sampled with
-//    probability proportional to per-member class weight instead of
-//    uniformly. With one class of weight 1 its event layout and rates
-//    reduce exactly to try_async_chunk.
 //
 // The engine owns only scratch buffers; all population state is the
 // caller's. Methods are deterministic given the caller's Rng.
@@ -34,6 +32,26 @@
 #include "rng/rng.hpp"
 
 namespace kusd::core {
+
+/// The class weights of the unstructured chain: one class of weight 1.
+inline constexpr double kUnitWeight[] = {1.0};
+
+/// Degree-weighted totals, the inputs of the tau-leap's frozen rates and
+/// of its tau bound: X_j = sum_c w_c x_cj, U = sum_c w_c u_c and
+/// W_d = sum_c w_c D_c (D_c: class c's decided count). At one class of
+/// weight 1 each is the exact count, for counts up to 2^53.
+struct WeightedTotals {
+  std::span<const double> per_opinion;
+  double undecided = 0.0;
+  double decided = 0.0;
+};
+
+/// The totals of class-major `opinions`, per-class `undecided` and
+/// `weights`, with X_j written to `per_opinion` (size k).
+WeightedTotals weighted_totals(std::span<const pp::Count> opinions,
+                               std::span<const pp::Count> undecided,
+                               std::span<const double> weights,
+                               std::span<double> per_opinion);
 
 class RoundEngine {
  public:
@@ -66,18 +84,6 @@ class RoundEngine {
                           pp::Count partner_undecided, pp::Count undecided,
                           std::span<pp::Count> next, rng::Rng& rng);
 
-  /// Attempt to advance `m` interactions of the asynchronous chain in one
-  /// multinomial draw with the event rates frozen at the current
-  /// configuration: per interaction, opinion j gains an agent w.p.
-  /// u*x_j / n^2 (adoption) and loses one w.p. x_j*(d - x_j) / n^2 (flip to
-  /// undecided), where d = n - u. Applies the aggregate deltas to
-  /// (`opinions`, `undecided`) and returns true; returns false without
-  /// modifying the state when the draw would drive a count negative or
-  /// leave zero decided agents — a state the exact chain cannot reach (the
-  /// caller should retry with a smaller m — m == 1 always succeeds).
-  bool try_async_chunk(std::span<pp::Count> opinions, pp::Count& undecided,
-                       pp::Count n, std::uint64_t m, rng::Rng& rng);
-
   /// Class-structured tau-leap: advance `m` interactions of the annealed
   /// degree-weighted chain in one multinomial draw with rates frozen at
   /// the current configuration. The population is partitioned into
@@ -85,17 +91,35 @@ class RoundEngine {
   /// (class c, opinion j at index c * k + j), `undecided` the per-class
   /// undecided counts, and `weights[c]` the per-member sampling weight
   /// (degree) of class c. Per interaction, responder and initiator are
-  /// independently weight-proportional; only the responder transitions
-  /// (adopt / flip), exactly as in the unstructured chain. Applies the
-  /// aggregate deltas and returns true; returns false without modifying
-  /// the state when the frozen-rate draw would drive a count negative or
-  /// leave zero decided agents (the caller retries with a smaller m —
-  /// m == 1 always succeeds). With one class of weight 1 this is
-  /// try_async_chunk's event layout and rates verbatim.
+  /// independently weight-proportional, and only the responder
+  /// transitions: an undecided responder adopts the initiator's opinion, a
+  /// decided one meeting a differently-decided initiator becomes
+  /// undecided. Applies the aggregate deltas and returns true; returns
+  /// false without modifying the state when the frozen-rate draw would
+  /// drive a count negative or leave zero decided agents, a state the
+  /// exact chain cannot reach (the caller retries with a smaller m;
+  /// m == 1 always succeeds).
   bool try_async_class_chunk(std::span<pp::Count> opinions,
                              std::span<pp::Count> undecided,
                              std::span<const double> weights, std::uint64_t m,
                              rng::Rng& rng);
+  /// The same with the configuration's totals (weigh()) precomputed.
+  bool try_async_class_chunk(std::span<pp::Count> opinions,
+                             std::span<pp::Count> undecided,
+                             std::span<const double> weights,
+                             const WeightedTotals& totals, std::uint64_t m,
+                             rng::Rng& rng);
+
+  /// weighted_totals into engine scratch, valid until the next weigh().
+  WeightedTotals weigh(std::span<const pp::Count> opinions,
+                       std::span<const pp::Count> undecided,
+                       std::span<const double> weights);
+
+  /// The unstructured chain, one class of weight 1: per interaction,
+  /// opinion j gains an agent w.p. u*x_j / n^2 and loses one w.p.
+  /// x_j*(d - x_j) / n^2, d = n - u. Needs an engine of one class.
+  bool try_async_chunk(std::span<pp::Count> opinions, pp::Count& undecided,
+                       pp::Count n, std::uint64_t m, rng::Rng& rng);
 
  private:
   int k_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/budget.hpp"
+#include "core/stepping.hpp"
 #include "pp/configuration.hpp"
 #include "pp/degree_classes.hpp"
 #include "rng/rng.hpp"
@@ -44,62 +45,36 @@ BatchedGraphEngine::BatchedGraphEngine(const pp::Configuration& initial,
   const std::size_t classes = model_.num_classes();
   class_weights_.reserve(classes);
   for (const auto& c : model_.classes()) class_weights_.push_back(c.degree);
-  class_counts_.assign(classes * k, 0);
-  class_undecided_.assign(classes, 0);
-  totals_.assign(initial.opinions().begin(), initial.opinions().end());
-  undecided_total_ = initial.undecided();
 
-  if (classes == 1) {
-    for (std::size_t j = 0; j < k; ++j) class_counts_[j] = totals_[j];
-    class_undecided_[0] = undecided_total_;
-  } else {
-    // Uniformly random embedding, aggregated: each state's agents are
-    // split over the classes proportionally to class size (the
-    // multinomial limit of the per-vertex random labeling the
-    // materialized engine shuffles explicitly — an O(1/sqrt(n))
-    // perturbation of the exact hypergeometric split, below the annealed
-    // approximation's own error). State totals stay exact.
-    std::vector<double> size_weights;
-    size_weights.reserve(classes);
-    for (const auto& c : model_.classes()) {
-      size_weights.push_back(static_cast<double>(c.size));
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-      const auto split = rng_.multinomial(totals_[j], size_weights);
-      for (std::size_t c = 0; c < classes; ++c) {
-        class_counts_[c * k + j] = split[c];
-      }
-    }
-    const auto split = rng_.multinomial(undecided_total_, size_weights);
-    for (std::size_t c = 0; c < classes; ++c) class_undecided_[c] = split[c];
+  // Uniformly random embedding, aggregated: each state's agents are split
+  // over the classes proportionally to class size (the multinomial limit
+  // of the per-vertex random labeling the materialized engine shuffles
+  // explicitly — an O(1/sqrt(n)) perturbation of the exact hypergeometric
+  // split, below the annealed approximation's own error). State totals
+  // stay exact, and one class draws nothing.
+  std::vector<double> size_weights;
+  size_weights.reserve(classes);
+  for (const auto& c : model_.classes()) {
+    size_weights.push_back(static_cast<double>(c.size));
   }
-
+  class_counts_.resize(classes * k);
   for (std::size_t j = 0; j < k; ++j) {
-    if (totals_[j] == n_) winner_ = static_cast<int>(j);
+    const auto split = rng_.multinomial(initial.opinions()[j], size_weights);
+    for (std::size_t c = 0; c < classes; ++c) {
+      class_counts_[c * k + j] = split[c];
+    }
   }
+  class_undecided_ = rng_.multinomial(initial.undecided(), size_weights);
+  totals_.resize(k);
+  refresh_totals();
 }
 
 void BatchedGraphEngine::step(std::uint64_t max_length) {
   KUSD_DCHECK(!winner_.has_value());
-  KUSD_DCHECK(max_length >= 1);
-  std::uint64_t m = std::min(
-      controller_.propose_classes(class_counts_, class_undecided_,
-                                  class_weights_),
-      max_length);
-  // A frozen-rate draw can overshoot a per-class count; halve and redraw.
-  // m == 1 realizes exactly one event of the annealed chain and always
-  // succeeds, so near-consensus states fall back to the exact
-  // per-interaction limit of the model.
-  while (true) {
-    ++chunks_;
-    if (engine_.try_async_class_chunk(class_counts_, class_undecided_,
-                                      class_weights_, m, rng_)) {
-      break;
-    }
-    controller_.on_reject();
-    m = std::max<std::uint64_t>(1, m / 2);
-  }
-  interactions_ += m;
+  interactions_ +=
+      core::tau_leap_step(controller_, engine_, class_counts_,
+                          class_undecided_, class_weights_, max_length, rng_,
+                          chunks_);
   refresh_totals();
 }
 

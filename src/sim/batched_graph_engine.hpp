@@ -10,8 +10,9 @@
 // and whole Theta(n)-interaction chunks advance through one multinomial
 // draw over the (state-pair x degree-class) event families
 // (core::RoundEngine::try_async_class_chunk) with chunk lengths scheduled
-// by the same error-controlled core::ChunkController the batched engine
-// uses. Chunks that overshoot a count are halved and redrawn down to
+// by core::ChunkController::propose_classes: the same step
+// (core::tau_leap_step) the batched engine takes with one class of
+// weight 1. Chunks that overshoot a count are halved and redrawn down to
 // m = 1 — a single interaction of the annealed chain, which is always
 // exact — so near consensus the engine degrades gracefully to the exact
 // per-interaction limit of its model, the role pp::GraphScheduler plays
@@ -90,13 +91,6 @@ class BatchedGraphEngine final : public Engine {
   [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
   [[nodiscard]] const pp::DegreeClassModel& degree_model() const {
     return model_;
-  }
-  /// Class-major per-(class, opinion) counts (classes * k entries).
-  [[nodiscard]] std::span<const pp::Count> class_counts() const {
-    return class_counts_;
-  }
-  [[nodiscard]] std::span<const pp::Count> class_undecided() const {
-    return class_undecided_;
   }
 
  private:

@@ -6,6 +6,7 @@
 // (random regular).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -108,29 +109,43 @@ TEST(DegreeClasses, GraphSpecExtractionMatchesTheFamilies) {
 // ---- Class-structured tau-leap ----
 
 TEST(RoundEngineClassChunk, SingleUnitClassMatchesUnstructuredChunk) {
-  // With one class of weight 1 the class-structured chunk must reproduce
-  // try_async_chunk bit for bit: same event layout, same rates, same
-  // multinomial consumption.
-  std::vector<pp::Count> a_opinions = {400, 250, 100};
-  pp::Count a_undecided = 250;
-  std::vector<pp::Count> b_opinions = a_opinions;
-  std::vector<pp::Count> b_undecided = {a_undecided};
-  const std::vector<double> unit_weight = {1.0};
-  const pp::Count n = 1000;
+  // One class must reproduce the unstructured chain bit for bit: same
+  // event layout, same rates, same multinomial consumption, same tau
+  // bound. Weight 1 is the flat chain's own case; scaling every weight by
+  // a power of two is exact, and the multinomial and the bound see only
+  // ratios, so weights 4 and 8 (a regular:4 or regular:8 topology) replay
+  // it too.
+  for (const double weight : {1.0, 4.0, 8.0}) {
+    SCOPED_TRACE(weight);
+    std::vector<pp::Count> a_opinions = {400, 250, 100};
+    pp::Count a_undecided = 250;
+    std::vector<pp::Count> b_opinions = a_opinions;
+    std::vector<pp::Count> b_undecided = {a_undecided};
+    const std::vector<double> class_weight = {weight};
+    const pp::Count n = 1000;
 
-  core::RoundEngine plain(3);
-  core::RoundEngine classed(3, 1);
-  rng::Rng rng_a(12345), rng_b(12345);
-  for (int step = 0; step < 50; ++step) {
-    const bool ok_a = plain.try_async_chunk(a_opinions, a_undecided, n,
-                                            n / 10, rng_a);
-    const bool ok_b = classed.try_async_class_chunk(
-        b_opinions, b_undecided, unit_weight, n / 10, rng_b);
-    ASSERT_EQ(ok_a, ok_b) << step;
-    ASSERT_EQ(a_opinions, b_opinions) << step;
-    ASSERT_EQ(a_undecided, b_undecided[0]) << step;
+    core::RoundEngine plain(3);
+    core::RoundEngine classed(3, 1);
+    core::ChunkOptions adaptive;
+    adaptive.policy = core::ChunkPolicy::kAdaptive;
+    core::ChunkController plain_controller(adaptive, n);
+    core::ChunkController classed_controller(adaptive, n);
+    rng::Rng rng_a(12345), rng_b(12345);
+    for (int step = 0; step < 50; ++step) {
+      ASSERT_EQ(plain_controller.propose(a_opinions, a_undecided),
+                classed_controller.propose_classes(b_opinions, b_undecided,
+                                                   class_weight))
+          << step;
+      const bool ok_a = plain.try_async_chunk(a_opinions, a_undecided, n,
+                                              n / 10, rng_a);
+      const bool ok_b = classed.try_async_class_chunk(
+          b_opinions, b_undecided, class_weight, n / 10, rng_b);
+      ASSERT_EQ(ok_a, ok_b) << step;
+      ASSERT_EQ(a_opinions, b_opinions) << step;
+      ASSERT_EQ(a_undecided, b_undecided[0]) << step;
+    }
+    EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());  // same stream position
   }
-  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());  // same stream position
 }
 
 TEST(RoundEngineClassChunk, RejectsOvershootWithoutMutation) {
@@ -252,6 +267,39 @@ TEST(BatchedGraphEngine, SharedDegreeModelMatchesOwnedConstruction) {
   ASSERT_TRUE(b->run_to_consensus(b->default_budget()));
   EXPECT_EQ(a->elapsed(), b->elapsed());
   EXPECT_EQ(a->consensus_opinion(), b->consensus_opinion());
+}
+
+TEST(BatchedGraphEngine, SingleClassTopologyReplaysBatched) {
+  // regular:8 is one class of weight 8, and a power-of-two weight is
+  // exact, so graph-batched must replay the flat batched engine trial for
+  // trial at the same seed: the same counts at every advance boundary and
+  // the same consensus time and winner.
+  const auto x0 = Configuration::uniform(1000000, 8, 0);
+  for (const auto policy :
+       {core::ChunkPolicy::kFixed, core::ChunkPolicy::kAdaptive}) {
+    SCOPED_TRACE(core::to_string(policy));
+    sim::EngineOptions options;
+    options.batch.policy = policy;
+    options.graph = GraphSpec{GraphSpec::Kind::kRegular, 8};
+    const auto flat = sim::Registry::instance().create("batched", x0, 5,
+                                                       options);
+    const auto graph = sim::Registry::instance().create("graph-batched", x0,
+                                                        5, options);
+    // Consensus takes about 100 n interactions here; 4000 quarter-n
+    // advances is ten times that.
+    for (int i = 0; i < 4000 && !flat->is_consensus(); ++i) {
+      flat->advance(x0.n() / 4);
+      graph->advance(x0.n() / 4);
+      ASSERT_EQ(flat->elapsed(), graph->elapsed());
+      ASSERT_TRUE(std::equal(flat->counts().begin(), flat->counts().end(),
+                             graph->counts().begin(), graph->counts().end()))
+          << "at t=" << flat->elapsed();
+      ASSERT_EQ(flat->undecided(), graph->undecided());
+      ASSERT_EQ(flat->is_consensus(), graph->is_consensus());
+    }
+    ASSERT_TRUE(flat->is_consensus());
+    EXPECT_EQ(flat->consensus_opinion(), graph->consensus_opinion());
+  }
 }
 
 TEST(BatchedGraphEngine, RejectsMismatchedSharedModel) {

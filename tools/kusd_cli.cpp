@@ -86,7 +86,8 @@ std::string graph_engine_names() {
       "           [--beta B1,... | --alpha A1,...] --trials T --ufrac F\n"
       "           --budget B (per-trial native-time cap; 0 = engine default,\n"
       "             raise it for slow topologies like --graph cycle)\n"
-      "           --threads W --chunk F --chunk-policy fixed|adaptive\n"
+      "           --threads W --chunk-policy fixed|adaptive\n"
+      "           --chunk F (fixed policy only: chunk as a fraction of n)\n"
       "           --stripe-width T (trials per work-stealing unit)\n"
       "           --shuffle-points 0|1 (shuffled execution order;\n"
       "             output order and bytes are unaffected)\n"
@@ -446,6 +447,16 @@ int cmd_sweep(const Args& args) {
       usage();
     }
     spec.batch_policy = *policy;
+    // The adaptive schedule never reads the fixed chunk fraction, yet the
+    // journal digest hashes it: accepting both would silently run the
+    // same sweep under a different digest.
+    if (*policy == core::ChunkPolicy::kAdaptive &&
+        args.options.count("chunk") != 0) {
+      std::fprintf(stderr,
+                   "--chunk sets the fixed policy's chunk and has no effect "
+                   "under --chunk-policy adaptive\n");
+      usage();
+    }
   }
   {
     const std::uint64_t width =
