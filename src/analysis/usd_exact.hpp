@@ -1,5 +1,5 @@
 // Exact finite-Markov-chain analysis of the k-opinion USD for small n and
-// k — the general-k companion of Usd2ExactSolver.
+// k (k = 2 included).
 //
 // The state space is every support vector (x_1..x_k) with sum <= n (the
 // undecided count implied); expected consensus time and the win

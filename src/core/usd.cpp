@@ -26,15 +26,6 @@ pp::PairTransition UsdProtocol::apply(int responder, int initiator) const {
   return {responder, initiator};  // unproductive
 }
 
-const char* engine_name(StepMode mode) {
-  switch (mode) {
-    case StepMode::kEveryInteraction: return "every";
-    case StepMode::kSkipUnproductive: return "skip";
-    case StepMode::kBatchedRounds: return "batched";
-  }
-  return "?";
-}
-
 namespace {
 std::uint64_t square(pp::Count c) {
   return static_cast<std::uint64_t>(c) * static_cast<std::uint64_t>(c);
@@ -48,9 +39,6 @@ UsdSimulator::UsdSimulator(const pp::Configuration& initial, rng::Rng rng,
       n_(initial.n()),
       rng_(rng),
       mode_(options.mode) {
-  KUSD_CHECK_MSG(mode_ != StepMode::kBatchedRounds,
-                 "StepMode::kBatchedRounds is served by BatchedUsdSimulator "
-                 "(use runner::run_usd or construct it directly)");
   KUSD_CHECK_MSG(n_ < (std::uint64_t{1} << 32),
                  "population must fit in 32 bits (n^2 must fit in 64)");
   KUSD_CHECK_MSG(initial.decided() >= 1,

@@ -49,15 +49,7 @@ enum class StepMode {
   /// kEveryInteraction (validated by property tests) but much faster in
   /// regimes where most interactions change nothing.
   kSkipUnproductive,
-  /// Advance whole chunks of Θ(n) interactions per O(k) multinomial draw
-  /// (chunked Poissonization / tau-leaping). A documented approximation of
-  /// the asynchronous chain, handled by BatchedUsdSimulator; run_usd
-  /// dispatches to it, UsdSimulator itself rejects this mode.
-  kBatchedRounds,
 };
-
-/// sim::Registry spelling of a StepMode ("every", "skip", "batched").
-[[nodiscard]] const char* engine_name(StepMode mode);
 
 struct UsdOptions {
   StepMode mode = StepMode::kEveryInteraction;

@@ -15,12 +15,11 @@ namespace kusd::rng {
 namespace {
 
 
-/// Within-call memo of the last reduced (n, p) setup. The lockstep kernel
-/// calls the batch with one event family's — frequently identical —
-/// parameters across hundreds of trials, and the sweep's trial-inner
-/// loops repeat (n, p) run-length-wise, so recomputing the sqrt/exp
-/// setup per draw was pure waste. Correctness-neutral: the setup is a
-/// pure function of (n, p), pinned by the bit-identity tests.
+/// Within-call memo of the last reduced (n, p) setup. A batch of
+/// many trials' draws of one event family repeats (n, p) run-length-wise,
+/// so recomputing the sqrt/exp setup per draw is waste. Correctness-
+/// neutral: the setup is a pure function of (n, p), pinned by the
+/// bit-identity tests.
 struct SetupCache {
   std::uint64_t n = 0;
   double p = -1.0;  // impossible reduced p: never matches

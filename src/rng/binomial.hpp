@@ -44,15 +44,15 @@ namespace kusd::rng {
 /// (n - Binomial(n, 1 - p)).
 [[nodiscard]] std::uint64_t binomial(Rng& rng, std::uint64_t n, double p);
 
-/// Batched entry point for lockstep many-trial kernels: out[i] =
-/// binomial(*rngs[i], ns[i], ps[i]). Each draw comes from its own trial's
-/// stream, so every per-stream draw sequence is exactly what the scalar
-/// call would produce — batching changes dispatch cost and execution
-/// order, never per-stream results. Internally the batch is partitioned
-/// into cohorts (degenerate / BINV / BTRS) with per-(n, p) setup
-/// memoization, and the BTRS cohort runs through the lane-batched SIMD
-/// kernel of the active tier (rng/simd.hpp), so draws may execute in any
-/// order across the batch. All spans must have equal length, and the rng
+/// Batched entry point for many-trial callers (kusdbench's trace times it
+/// as rng.binomial_batch_ns): out[i] = binomial(*rngs[i], ns[i], ps[i]).
+/// Each draw comes from its own trial's stream, so every per-stream draw
+/// sequence is exactly what the scalar call would produce — batching
+/// changes dispatch cost and execution order, never per-stream results.
+/// Internally the batch is partitioned into cohorts (degenerate / BINV /
+/// BTRS) with per-(n, p) setup memoization, and the BTRS cohort runs
+/// through the lane-batched SIMD kernel of the active tier (rng/simd.hpp),
+/// so draws may execute in any order across the batch. All spans must have equal length, and the rng
 /// pointers must be distinct within one call (one draw per stream);
 /// callers needing several draws from one stream make several calls.
 void binomial_batch(std::span<Rng* const> rngs,

@@ -3,10 +3,9 @@
 // claims (did the initial plurality win? was the winner initially
 // significant?). This is the entry point the examples and most benches use.
 //
-// The engine is resolved through sim::Registry: pick it either with the
-// legacy StepMode knob (the asynchronous engines) or by registry name via
-// RunOptions::engine, which also opens the round models ("sync",
-// "gossip") and the graph-restricted scheduler ("graph", with
+// The engine is resolved by name through sim::Registry
+// (RunOptions::engine): the asynchronous engines, the round models
+// ("sync", "gossip") and the graph-restricted scheduler ("graph", with
 // RunOptions::graph selecting the topology).
 //
 // This driver lives in runner — above sim in the layering DAG — because
@@ -19,7 +18,6 @@
 
 #include "core/batched_usd.hpp"
 #include "core/phase_tracker.hpp"
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
 
@@ -31,12 +29,9 @@ struct RunOptions {
   /// the engine's generous default budget (for the asynchronous engines,
   /// 64 * k * n * (ln n + 1) — several times the paper's O(k n log n)).
   std::uint64_t max_interactions = 0;
-  /// Legacy engine selector, used when `engine` is empty.
-  core::StepMode mode = core::StepMode::kSkipUnproductive;
   /// sim::Registry name of the engine to run ("every", "skip", "batched",
-  /// "sync", "gossip", "graph", or anything registered); empty derives
-  /// the name from `mode`.
-  std::string engine;
+  /// "sync", "gossip", "graph", or anything registered).
+  std::string engine = "skip";
   /// Chunk schedule for the batched engine: fixed chunk fraction or the
   /// error-controlled adaptive policy (see chunk_controller.hpp).
   core::BatchedOptions batch;

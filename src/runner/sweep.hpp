@@ -38,8 +38,8 @@
 // pool full without a mode switch. Seeds derive from (master_seed, point
 // index, trial index) — never from the stripe — so the decomposition is
 // pure scheduling: CSV/JSONL output is byte-identical at any thread
-// count and stripe width. Every engine, batched-lockstep included, runs
-// one trial at a time through its registry factory.
+// count and stripe width. Every engine runs one trial at a time through
+// its registry factory.
 //
 // shuffle_points randomizes the *execution* order of points
 // (deterministically from master_seed) for early coverage of the grid;

@@ -7,10 +7,9 @@
 //
 // The batch runs as a one-item TaskGraph whose stripes are *contiguous*
 // trial ranges pulled by workers from a shared cursor — the same stripe
-// decomposition runner::Sweep uses for its (point, stripe) units, so a
-// stripe [begin, end) maps 1:1 onto a lockstep batch-kernel cohort with
-// the same seeds. Striping is pure scheduling: seeds depend only on the
-// trial index, never the stripe.
+// decomposition runner::Sweep uses for its (point, stripe) units.
+// Striping is pure scheduling: seeds depend only on the trial index,
+// never the stripe.
 #pragma once
 
 #include <algorithm>

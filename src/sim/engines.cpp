@@ -18,7 +18,6 @@
 #include "rng/rng.hpp"
 #include "sim/batched_graph_engine.hpp"
 #include "sim/graph_spec.hpp"
-#include "sim/lockstep_batched_engine.hpp"
 #include "util/check.hpp"
 
 namespace kusd::sim {
@@ -274,6 +273,24 @@ class GraphUsdEngine final : public Engine {
 
 constexpr pp::Count kMaxN32 = (std::uint64_t{1} << 32) - 1;
 
+/// batched-lockstep's EngineInfo::lockstep: one `batched` engine per seed,
+/// results in seed order, so trial t is the batched run with seeds[t].
+std::vector<LockstepTrialResult> run_batched_trials(
+    const pp::Configuration& initial, std::span<const std::uint64_t> seeds,
+    const EngineOptions& options, std::uint64_t budget) {
+  KUSD_CHECK_MSG(!seeds.empty(), "lockstep engine needs at least one trial");
+  std::vector<LockstepTrialResult> results;
+  results.reserve(seeds.size());
+  for (const std::uint64_t seed : seeds) {
+    BatchedEngine engine(initial, seed, options.batch);
+    const bool converged = engine.run_to_consensus(budget);
+    results.push_back({.parallel_time = engine.parallel_time(),
+                       .converged = converged,
+                       .winner = converged ? engine.consensus_opinion() : -1});
+  }
+  return results;
+}
+
 }  // namespace
 
 void register_builtin_engines(Registry& registry) {
@@ -317,23 +334,18 @@ void register_builtin_engines(Registry& registry) {
                     "chunked tau-leap, O(k) per Theta(n) interactions",
                 .default_budget = interaction_budget,
                 .uses_chunk_options = true});
-  registry.add(
-      "batched-lockstep",
-      {.factory =
-           [](const pp::Configuration& initial, std::uint64_t seed,
-              const EngineOptions& options) {
-             return std::make_unique<LockstepBatchedEngine>(initial, seed,
-                                                            options.batch);
-           },
-       .description =
-           "chunked tau-leap advancing a whole trial batch in lockstep",
-       .default_budget = interaction_budget,
-       .uses_chunk_options = true,
-       .lockstep = [](const pp::Configuration& initial,
-                      std::span<const std::uint64_t> seeds,
-                      const EngineOptions& options, std::uint64_t budget) {
-         return run_lockstep_trials(initial, seeds, options.batch, budget);
-       }});
+  registry.add("batched-lockstep",
+               {.factory =
+                    [](const pp::Configuration& initial, std::uint64_t seed,
+                       const EngineOptions& options) {
+                      return std::make_unique<BatchedEngine>(initial, seed,
+                                                             options.batch);
+                    },
+                .description = "alias of batched, kept for kusdbench's "
+                               "trace (ROADMAP item 2)",
+                .default_budget = interaction_budget,
+                .uses_chunk_options = true,
+                .lockstep = run_batched_trials});
   registry.add("sync",
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,

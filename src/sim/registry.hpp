@@ -36,8 +36,7 @@
 
 namespace kusd::sim {
 
-/// One trial's outcome from a lockstep batch run (EngineInfo::lockstep):
-/// the fields runner::Sweep aggregates into a cell.
+/// One trial's outcome from a many-trial batch run (EngineInfo::lockstep).
 struct LockstepTrialResult {
   /// Cross-engine comparable time (interactions / n for the tau-leap
   /// kernel), at consensus or at the budget.
@@ -75,14 +74,13 @@ struct EngineInfo {
   /// either (a materialized topology is Theta(n * d) memory; the whole
   /// point of an aggregated engine is to run where that is impossible).
   bool aggregated_topology = false;
-  /// The engine's many-trial lockstep kernel: all of `seeds`' trials
-  /// advanced from `initial` until consensus or `budget` native time,
-  /// results in seed order. The kernel must keep per-stream bit-identity
-  /// (trial t of a batch equals the single-trial engine run with
-  /// seeds[t]). Drivers never need it — runner::Sweep runs every engine
-  /// one seed at a time through `factory` — it is the batch entry point
-  /// for callers timing or testing the kernel itself. Unset (default)
-  /// when the engine has no lockstep kernel.
+  /// A many-trial entry point: all of `seeds`' trials run from `initial`
+  /// until consensus or `budget` native time, results in seed order;
+  /// throws util::CheckError on an empty `seeds`. Trial t must equal the
+  /// single-trial engine run with seeds[t]. Only batched-lockstep sets it,
+  /// as a loop over the `batched` engine kept for kusdbench's trace;
+  /// drivers never need it (runner::Sweep runs every engine one seed at a
+  /// time through `factory`).
   std::function<std::vector<LockstepTrialResult>(
       const pp::Configuration& initial, std::span<const std::uint64_t> seeds,
       const EngineOptions& options, std::uint64_t budget)>

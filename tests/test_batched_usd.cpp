@@ -104,12 +104,6 @@ TEST(BatchedUsd, RejectsAllUndecidedAndBadChunk) {
                util::CheckError);
 }
 
-TEST(BatchedUsd, UsdSimulatorRejectsBatchedMode) {
-  EXPECT_THROW(UsdSimulator(Configuration::uniform(100, 2, 0), rng::Rng(12),
-                            UsdOptions{StepMode::kBatchedRounds}),
-               util::CheckError);
-}
-
 TEST(BatchedUsd, SupportsPopulationsBeyond32Bits) {
   // UsdSimulator caps n below 2^32; the batched engine must not.
   const pp::Count n = (std::uint64_t{1} << 32) + 10;
@@ -186,7 +180,7 @@ TEST(BatchedUsd, RunObservedNeverOvershootsTheCap) {
 
 TEST(BatchedUsd, RunUsdDispatchesBatchedMode) {
   runner::RunOptions opts;
-  opts.mode = StepMode::kBatchedRounds;
+  opts.engine = "batched";
   const auto result =
       runner::run_usd(Configuration::uniform(20000, 4, 0), 77, opts);
   EXPECT_TRUE(result.converged);

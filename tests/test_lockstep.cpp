@@ -1,37 +1,30 @@
-// LockstepRoundEngine: per-stream bit-identity with the scalar batched
-// engine, batch-composition independence, masking near consensus, KS
-// fidelity against the exact chain, and sweep-level byte determinism of
+// batched-lockstep's many-trial entry point (EngineInfo::lockstep):
+// per-seed bit-identity with the batched registry engine, batch-composition
+// independence, exact budget landing, and sweep-level byte determinism of
 // the batched-lockstep registry engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/batched_usd.hpp"
-#include "core/lockstep_usd.hpp"
-#include "core/usd.hpp"
+#include "core/budget.hpp"
+#include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "runner/sweep.hpp"
 #include "sim/registry.hpp"
-#include "stats/summary.hpp"
 #include "util/check.hpp"
 
 namespace kusd {
 namespace {
 
-using core::BatchedOptions;
-using core::BatchedUsdSimulator;
 using core::ChunkOptions;
 using core::ChunkPolicy;
-using core::LockstepRoundEngine;
-using core::StepMode;
-using core::UsdOptions;
-using core::UsdSimulator;
 using pp::Configuration;
-
-constexpr std::uint64_t kNoCap = ~std::uint64_t{0};
+using sim::LockstepTrialResult;
 
 std::vector<std::uint64_t> seeds_for(std::uint64_t base, std::size_t count) {
   std::vector<std::uint64_t> seeds(count);
@@ -41,176 +34,172 @@ std::vector<std::uint64_t> seeds_for(std::uint64_t base, std::size_t count) {
   return seeds;
 }
 
-/// The tentpole contract: trial t of a lockstep batch is bit-for-bit the
-/// scalar BatchedUsdSimulator run with seeds[t] — same interactions, same
-/// chunk count (including halved retries), same winner, same final
-/// counts.
-void expect_bit_identical_to_scalar(const Configuration& x0,
-                                    const ChunkOptions& options,
-                                    std::uint64_t seed_base,
-                                    std::size_t trials) {
+std::uint64_t default_budget(const Configuration& x0) {
+  return core::default_interaction_cap(x0.n(), x0.k());
+}
+
+std::vector<LockstepTrialResult> run_lockstep(
+    const Configuration& x0, std::span<const std::uint64_t> seeds,
+    const ChunkOptions& options, std::uint64_t budget) {
+  const sim::EngineInfo* info =
+      sim::Registry::instance().find("batched-lockstep");
+  EXPECT_NE(info, nullptr);
+  EXPECT_TRUE(info->lockstep);
+  sim::EngineOptions engine_options;
+  engine_options.batch = options;
+  return info->lockstep(x0, seeds, engine_options, budget);
+}
+
+void expect_same_trial(const LockstepTrialResult& a,
+                       const LockstepTrialResult& b, std::size_t t) {
+  EXPECT_EQ(a.converged, b.converged) << "trial " << t;
+  EXPECT_EQ(a.winner, b.winner) << "trial " << t;
+  EXPECT_EQ(a.parallel_time, b.parallel_time) << "trial " << t;
+}
+
+/// Trial t of a lockstep batch is bit-for-bit the `batched` registry
+/// engine run with seeds[t] under the same options and budget.
+void expect_bit_identical_to_batched(const Configuration& x0,
+                                     const ChunkOptions& options,
+                                     std::uint64_t seed_base,
+                                     std::size_t trials) {
   const auto seeds = seeds_for(seed_base, trials);
-  LockstepRoundEngine lockstep(x0, seeds, options);
-  lockstep.advance_all(kNoCap);
+  const std::uint64_t budget = default_budget(x0);
+  const auto results = run_lockstep(x0, seeds, options, budget);
+  ASSERT_EQ(results.size(), trials);
+  sim::EngineOptions engine_options;
+  engine_options.batch = options;
   for (std::size_t t = 0; t < trials; ++t) {
-    BatchedUsdSimulator scalar(x0, rng::Rng(seeds[t]), options);
-    ASSERT_TRUE(scalar.run_to_consensus(kNoCap)) << "trial " << t;
-    ASSERT_TRUE(lockstep.is_consensus(t)) << "trial " << t;
-    EXPECT_EQ(lockstep.interactions(t), scalar.interactions())
+    const auto engine =
+        sim::Registry::instance().create("batched", x0, seeds[t],
+                                         engine_options);
+    ASSERT_TRUE(engine->run_to_consensus(budget)) << "trial " << t;
+    EXPECT_TRUE(results[t].converged) << "trial " << t;
+    EXPECT_EQ(results[t].winner, engine->consensus_opinion())
         << "trial " << t;
-    EXPECT_EQ(lockstep.chunks(t), scalar.chunks()) << "trial " << t;
-    EXPECT_EQ(lockstep.consensus_opinion(t), scalar.consensus_opinion())
+    EXPECT_EQ(results[t].parallel_time, engine->parallel_time())
         << "trial " << t;
-    const auto counts = lockstep.counts(t);
-    for (int j = 0; j < x0.k(); ++j) {
-      EXPECT_EQ(counts[static_cast<std::size_t>(j)], scalar.opinion(j))
-          << "trial " << t << " opinion " << j;
-    }
-    EXPECT_EQ(lockstep.undecided(t), scalar.undecided()) << "trial " << t;
   }
 }
 
 TEST(Lockstep, BitIdenticalToScalarFixedChunks) {
-  expect_bit_identical_to_scalar(Configuration::uniform(3000, 4, 300),
-                                 ChunkOptions{}, 801, 8);
+  expect_bit_identical_to_batched(Configuration::uniform(3000, 4, 300),
+                                  ChunkOptions{}, 801, 8);
 }
 
 TEST(Lockstep, BitIdenticalToScalarAdaptiveChunks) {
-  expect_bit_identical_to_scalar(
+  expect_bit_identical_to_batched(
       Configuration::uniform(3000, 4, 300),
       ChunkOptions{.policy = ChunkPolicy::kAdaptive}, 802, 8);
 }
 
 TEST(Lockstep, BitIdenticalToScalarWithBiasedStart) {
-  expect_bit_identical_to_scalar(
+  expect_bit_identical_to_batched(
       Configuration({2600, 2000, 1400}, 1000),
       ChunkOptions{.policy = ChunkPolicy::kAdaptive}, 803, 6);
 }
 
 TEST(Lockstep, BatchCompositionDoesNotChangeAnyStream) {
-  // A trial's draw sequence depends only on its own seed: running it
-  // alone must equal running it shoulder-to-shoulder with six others.
+  // A trial's result depends only on its own seed: running it alone must
+  // equal running it inside a batch of seven.
   const auto x0 = Configuration::uniform(2000, 3, 200);
   const auto seeds = seeds_for(804, 7);
-  LockstepRoundEngine batch(x0, seeds, ChunkOptions{});
-  batch.advance_all(kNoCap);
+  const std::uint64_t budget = default_budget(x0);
+  const auto batch = run_lockstep(x0, seeds, ChunkOptions{}, budget);
+  ASSERT_EQ(batch.size(), seeds.size());
   for (std::size_t t = 0; t < seeds.size(); ++t) {
-    LockstepRoundEngine solo(
-        x0, std::span<const std::uint64_t>(&seeds[t], 1), ChunkOptions{});
-    solo.advance_all(kNoCap);
-    EXPECT_EQ(batch.interactions(t), solo.interactions(0)) << "trial " << t;
-    EXPECT_EQ(batch.chunks(t), solo.chunks(0)) << "trial " << t;
-    EXPECT_EQ(batch.consensus_opinion(t), solo.consensus_opinion(0))
-        << "trial " << t;
+    const auto solo = run_lockstep(
+        x0, std::span<const std::uint64_t>(&seeds[t], 1), ChunkOptions{},
+        budget);
+    ASSERT_EQ(solo.size(), 1u);
+    expect_same_trial(batch[t], solo[0], t);
   }
 }
 
 TEST(Lockstep, RepeatedRunsAreDeterministic) {
   const auto x0 = Configuration::uniform(2500, 3, 0);
   const auto seeds = seeds_for(805, 5);
-  LockstepRoundEngine a(x0, seeds, ChunkOptions{});
-  LockstepRoundEngine b(x0, seeds, ChunkOptions{});
-  a.advance_all(kNoCap);
-  b.advance_all(kNoCap);
+  const std::uint64_t budget = default_budget(x0);
+  const auto a = run_lockstep(x0, seeds, ChunkOptions{}, budget);
+  const auto b = run_lockstep(x0, seeds, ChunkOptions{}, budget);
+  ASSERT_EQ(a.size(), seeds.size());
+  ASSERT_EQ(b.size(), seeds.size());
   for (std::size_t t = 0; t < seeds.size(); ++t) {
-    EXPECT_EQ(a.interactions(t), b.interactions(t));
-    EXPECT_EQ(a.chunks(t), b.chunks(t));
-    EXPECT_EQ(a.consensus_opinion(t), b.consensus_opinion(t));
+    EXPECT_TRUE(a[t].converged) << "trial " << t;
+    expect_same_trial(a[t], b[t], t);
   }
 }
 
 TEST(Lockstep, PartialAdvanceLandsExactlyOnTarget) {
-  // Chunks are clamped so every still-running trial stops at exactly the
-  // interaction target, never past it.
+  // Chunks are clamped to the budget: a trial still running when it runs
+  // out stops at exactly budget interactions, never past it.
   const auto x0 = Configuration::uniform(5000, 4, 500);
   const auto seeds = seeds_for(806, 6);
-  LockstepRoundEngine kernel(x0, seeds, ChunkOptions{});
-  const std::uint64_t target = 2000;
-  kernel.advance_all(target);
+  const std::uint64_t budget = 2000;
+  const auto results = run_lockstep(x0, seeds, ChunkOptions{}, budget);
+  ASSERT_EQ(results.size(), seeds.size());
   for (std::size_t t = 0; t < seeds.size(); ++t) {
-    EXPECT_LE(kernel.interactions(t), target);
-    if (!kernel.is_consensus(t)) {
-      EXPECT_EQ(kernel.interactions(t), target) << "trial " << t;
-    }
+    EXPECT_FALSE(results[t].converged) << "trial " << t;
+    EXPECT_EQ(results[t].winner, -1) << "trial " << t;
+    EXPECT_EQ(results[t].parallel_time,
+              static_cast<double>(budget) / static_cast<double>(x0.n()))
+        << "trial " << t;
   }
 }
 
 TEST(Lockstep, FinishedTrialsAreMaskedOut) {
-  // Once a trial reaches consensus it is frozen: further advance_all
-  // calls must not move its interaction clock or its counts, while the
-  // stragglers keep running.
+  // A budget that some trials beat and others do not: every trial, the
+  // finished and the stopped alike, equals the `batched` engine run with
+  // its seed under that budget, and a straggler stops at the budget.
   const auto x0 = Configuration::uniform(600, 2, 0);
   const auto seeds = seeds_for(807, 12);
-  LockstepRoundEngine kernel(x0, seeds, ChunkOptions{});
-  // Step in small increments until at least one trial has finished while
-  // another is still running — the mixed regime masking must handle.
-  std::uint64_t target = 0;
-  while (kernel.unfinished() == seeds.size() && target < 100'000'000) {
-    target += 600;
-    kernel.advance_all(target);
+  const auto uncapped =
+      run_lockstep(x0, seeds, ChunkOptions{}, default_budget(x0));
+  std::vector<double> times;
+  for (const auto& r : uncapped) {
+    ASSERT_TRUE(r.converged);
+    times.push_back(r.parallel_time);
   }
-  ASSERT_LT(kernel.unfinished(), seeds.size());
-  std::vector<bool> was_done(seeds.size());
-  std::vector<std::uint64_t> snapshot_interactions(seeds.size());
-  std::vector<std::vector<pp::Count>> snapshot_counts(seeds.size());
+  std::sort(times.begin(), times.end());
+  ASSERT_LT(times.front(), times.back());
+  // Halfway between the fastest and the slowest trial.
+  const auto budget = static_cast<std::uint64_t>(
+      (times.front() + times.back()) / 2.0 * static_cast<double>(x0.n()));
+  const auto capped = run_lockstep(x0, seeds, ChunkOptions{}, budget);
+  ASSERT_EQ(capped.size(), seeds.size());
+  std::size_t finished = 0;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
-    was_done[t] = kernel.is_consensus(t);
-    snapshot_interactions[t] = kernel.interactions(t);
-    const auto counts = kernel.counts(t);
-    snapshot_counts[t].assign(counts.begin(), counts.end());
-  }
-  kernel.advance_all(kNoCap);
-  EXPECT_EQ(kernel.unfinished(), 0u);
-  for (std::size_t t = 0; t < seeds.size(); ++t) {
-    if (!was_done[t]) continue;
-    EXPECT_EQ(kernel.interactions(t), snapshot_interactions[t])
-        << "trial " << t;
-    const auto counts = kernel.counts(t);
-    for (int j = 0; j < x0.k(); ++j) {
-      EXPECT_EQ(counts[static_cast<std::size_t>(j)],
-                snapshot_counts[t][static_cast<std::size_t>(j)])
-          << "trial " << t << " opinion " << j;
+    const auto engine = sim::Registry::instance().create("batched", x0,
+                                                         seeds[t]);
+    engine->run_to_consensus(budget);
+    const LockstepTrialResult alone{
+        .parallel_time = engine->parallel_time(),
+        .converged = engine->is_consensus(),
+        .winner = engine->is_consensus() ? engine->consensus_opinion() : -1};
+    expect_same_trial(capped[t], alone, t);
+    if (capped[t].converged) {
+      ++finished;
+    } else {
+      EXPECT_EQ(capped[t].parallel_time,
+                static_cast<double>(budget) / static_cast<double>(x0.n()))
+          << "trial " << t;
     }
   }
+  EXPECT_GT(finished, 0u);
+  EXPECT_LT(finished, seeds.size());
 }
 
 TEST(Lockstep, RejectsEmptyBatchAndAllUndecidedStart) {
   const auto x0 = Configuration::uniform(100, 2, 0);
   const std::vector<std::uint64_t> none;
-  EXPECT_THROW(LockstepRoundEngine(x0, none, ChunkOptions{}),
-               util::CheckError);
+  EXPECT_THROW(
+      (void)run_lockstep(x0, none, ChunkOptions{}, default_budget(x0)),
+      util::CheckError);
   const auto all_undecided = Configuration({0, 0}, 50);
   const auto seeds = seeds_for(808, 2);
-  EXPECT_THROW(LockstepRoundEngine(all_undecided, seeds, ChunkOptions{}),
+  EXPECT_THROW((void)run_lockstep(all_undecided, seeds, ChunkOptions{},
+                                  default_budget(x0)),
                util::CheckError);
-}
-
-TEST(Lockstep, ConsensusTimesMatchExactChainInDistribution) {
-  // Same KS bar the scalar batched engine clears: lockstep tau-leap
-  // consensus times vs the exact asynchronous chain, alpha = 0.001.
-  const auto x0 = Configuration::uniform(400, 3, 0);
-  const int trials = 350;
-  std::vector<double> exact;
-  exact.reserve(trials);
-  for (int t = 0; t < trials; ++t) {
-    UsdSimulator sim(
-        x0,
-        rng::Rng(rng::stream_seed(2400, static_cast<std::uint64_t>(t))),
-        UsdOptions{StepMode::kEveryInteraction});
-    ASSERT_TRUE(sim.run_to_consensus(100'000'000));
-    exact.push_back(static_cast<double>(sim.interactions()));
-  }
-  const auto seeds = seeds_for(2401, static_cast<std::size_t>(trials));
-  LockstepRoundEngine kernel(x0, seeds, ChunkOptions{});
-  kernel.advance_all(kNoCap);
-  std::vector<double> lockstep;
-  lockstep.reserve(trials);
-  for (std::size_t t = 0; t < seeds.size(); ++t) {
-    ASSERT_TRUE(kernel.is_consensus(t));
-    lockstep.push_back(static_cast<double>(kernel.interactions(t)));
-  }
-  EXPECT_LT(stats::ks_statistic(exact, lockstep),
-            stats::ks_threshold(exact.size(), lockstep.size(), 0.001));
 }
 
 TEST(Lockstep, RegistryEngineMatchesBatchedEngine) {

@@ -247,18 +247,19 @@ TEST(UsdSimulator, GoldenStreamsArePinned) {
       {kSkip, 70, 3, 43796, 106357, 5},
   };
   for (const GoldenRun& pin : pins) {
+    const char* mode = pin.mode == kEvery ? "every" : "skip";
     UsdSimulator sim(Configuration::uniform(2000, pin.k, 100),
                      rng::Rng(rng::stream_seed(pin.seed, 0)),
                      UsdOptions{pin.mode});
     std::uint64_t steps = 0;
     for (; !sim.is_consensus() && steps < 100'000'000; ++steps) sim.step();
-    EXPECT_EQ(steps, pin.steps) << engine_name(pin.mode) << " k=" << pin.k
+    EXPECT_EQ(steps, pin.steps) << mode << " k=" << pin.k
                                 << " seed=" << pin.seed;
     EXPECT_EQ(sim.interactions(), pin.interactions)
-        << engine_name(pin.mode) << " k=" << pin.k << " seed=" << pin.seed;
+        << mode << " k=" << pin.k << " seed=" << pin.seed;
     ASSERT_TRUE(sim.is_consensus());
     EXPECT_EQ(sim.consensus_opinion(), pin.winner)
-        << engine_name(pin.mode) << " k=" << pin.k << " seed=" << pin.seed;
+        << mode << " k=" << pin.k << " seed=" << pin.seed;
   }
 }
 

@@ -185,6 +185,29 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
+// Every subcommand rejects keys outside its own `known` set: a typo'd
+// flag (`--seeed 5` running seed 1, `--trails 500` running the default 25
+// trials for hours) or one the subcommand never reads must fail loudly,
+// not run a different experiment. The bias-value flag must also match
+// the bias kind.
+void require_known_options(const Args& args,
+                           const std::set<std::string>& known) {
+  const std::string bias_kind = args.get_string("bias", "none");
+  for (const auto& [key, value] : args.options) {
+    if (known.count(key) == 0) {
+      std::fprintf(stderr, "unknown %s option --%s\n", args.command.c_str(),
+                   key.c_str());
+      usage();
+    }
+    if ((key == "beta" && bias_kind != "additive") ||
+        (key == "alpha" && bias_kind != "multiplicative")) {
+      std::fprintf(stderr, "--%s requires --bias %s\n", key.c_str(),
+                   key == "beta" ? "additive" : "multiplicative");
+      usage();
+    }
+  }
+}
+
 pp::Configuration build_config(const Args& args) {
   const pp::Count n = args.get_u64("n", 100000);
   const int k = static_cast<int>(args.get_u64("k", 8));
@@ -203,11 +226,15 @@ pp::Configuration build_config(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
+  static const std::set<std::string> known = {
+      "n", "k", "undecided", "bias", "beta", "alpha", "seed", "engine",
+      "graph"};
+  require_known_options(args, known);
   const auto x0 = build_config(args);
   runner::RunOptions opts;
-  opts.engine = args.get_string("engine", "");
-  if (!opts.engine.empty() &&
-      !sim::Registry::instance().contains(opts.engine)) {
+  opts.engine = args.get_string("engine", opts.engine);
+  const auto* info = sim::Registry::instance().find(opts.engine);
+  if (info == nullptr) {
     std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());
     usage();
   }
@@ -215,10 +242,7 @@ int cmd_run(const Args& args) {
   if (!graph_name.empty()) {
     // Same contract as sweep: a --graph that no chosen engine reads is a
     // mistaken experiment, not a default to ignore silently.
-    const auto* info = opts.engine.empty()
-                           ? nullptr
-                           : sim::Registry::instance().find(opts.engine);
-    if (info == nullptr || !info->uses_graph_axis) {
+    if (!info->uses_graph_axis) {
       std::fprintf(stderr, "--graph requires a topology-taking engine (%s)\n",
                    graph_engine_names().c_str());
       usage();
@@ -301,27 +325,12 @@ std::vector<double> parse_double_list(const std::string& spec) {
 }
 
 int cmd_sweep(const Args& args) {
-  // Unknown keys must fail, not be dropped: `--trails 500` running the
-  // default 25 trials for hours is worse than an error. The bias-value
-  // flag must also match the bias kind.
-  const std::string bias_kind = args.get_string("bias", "none");
-  for (const auto& [key, value] : args.options) {
-    static const std::set<std::string> known = {
-        "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
-        "undecided", "ufrac", "budget", "trials", "seed", "threads",
-        "chunk", "chunk-policy", "start", "stripe-width",
-        "shuffle-points", "shard", "journal", "resume", "out", "json"};
-    if (known.count(key) == 0) {
-      std::fprintf(stderr, "unknown sweep option --%s\n", key.c_str());
-      usage();
-    }
-    if ((key == "beta" && bias_kind != "additive") ||
-        (key == "alpha" && bias_kind != "multiplicative")) {
-      std::fprintf(stderr, "--%s requires --bias %s\n", key.c_str(),
-                   key == "beta" ? "additive" : "multiplicative");
-      usage();
-    }
-  }
+  static const std::set<std::string> known = {
+      "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
+      "undecided", "ufrac", "budget", "trials", "seed", "threads",
+      "chunk", "chunk-policy", "start", "stripe-width",
+      "shuffle-points", "shard", "journal", "resume", "out", "json"};
+  require_known_options(args, known);
 
   runner::SweepSpec spec;
   spec.ns = parse_count_list(args.get_string("n", "100000"));
@@ -336,6 +345,7 @@ int cmd_sweep(const Args& args) {
   spec.ks = ks;
   if (spec.ns.empty() || spec.ks.empty()) usage();
 
+  const std::string bias_kind = args.get_string("bias", "none");
   if (bias_kind == "additive") {
     spec.bias_kind = runner::BiasKind::kAdditive;
     spec.bias_values = parse_double_list(
@@ -575,13 +585,8 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_merge(const Args& args) {
-  for (const auto& [key, value] : args.options) {
-    static const std::set<std::string> known = {"inputs", "out", "json"};
-    if (known.count(key) == 0) {
-      std::fprintf(stderr, "unknown merge option --%s\n", key.c_str());
-      usage();
-    }
-  }
+  static const std::set<std::string> known = {"inputs", "out", "json"};
+  require_known_options(args, known);
   const auto inputs = split_list(args.get_string("inputs", ""));
   if (inputs.empty()) {
     std::fprintf(stderr, "--inputs must list at least one shard journal\n");
@@ -634,6 +639,9 @@ int cmd_merge(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
+  static const std::set<std::string> known = {
+      "n", "k", "undecided", "bias", "beta", "alpha", "seed", "out"};
+  require_known_options(args, known);
   const auto x0 = build_config(args);
   const std::string out = args.get_string("out", "kusd_trace.csv");
   core::UsdSimulator sim(x0, rng::Rng(args.get_u64("seed", 1)),
@@ -654,6 +662,8 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_exact(const Args& args) {
+  static const std::set<std::string> known = {"n", "k", "support"};
+  require_known_options(args, known);
   const pp::Count n = args.get_u64("n", 12);
   const int k = static_cast<int>(args.get_u64("k", 2));
   std::vector<pp::Count> support;

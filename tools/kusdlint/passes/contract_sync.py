@@ -53,8 +53,8 @@ CATALOG_FLAG_COLUMNS = {
 }
 
 # Each subcommand's accepted-flag set (the reject-unknown-keys literal)
-# and the `| `--flag` | ...` option rows of docs/sweep.md. Several
-# subcommands (sweep, merge) carry their own set; all are checked.
+# and the `| `--flag` | ...` option rows of docs/sweep.md. Every
+# subcommand carries its own set; all are checked.
 KNOWN_FLAGS_SET = re.compile(
     r"std\s*::\s*set\s*<\s*std\s*::\s*string\s*>\s*known\s*=\s*\{")
 COMMAND_FN = re.compile(r"\bcmd_(\w+)\s*\(")
