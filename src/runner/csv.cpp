@@ -1,5 +1,7 @@
 #include "runner/csv.hpp"
 
+#include <algorithm>
+
 #include "pp/trajectory.hpp"
 #include "util/check.hpp"
 
@@ -11,7 +13,10 @@ namespace {
 // quotes with embedded quotes doubled. Cells that need none are appended
 // as they are.
 void append_cell(std::string& line, const std::string& cell) {
-  if (cell.find_first_of(",\"\n\r") == std::string::npos) {
+  const auto special = [](char c) {
+    return c == ',' || c == '"' || c == '\n' || c == '\r';
+  };
+  if (std::none_of(cell.begin(), cell.end(), special)) {
     line += cell;
     return;
   }
@@ -54,6 +59,8 @@ void write_trajectory_csv(const pp::Trajectory& trajectory,
                    std::to_string(pt.xmax), std::to_string(pt.second),
                    std::to_string(pt.sum_squares)});
   }
+  csv.flush();
+  if (!csv.ok()) throw util::CheckError("writing " + path + " failed");
 }
 
 }  // namespace kusd::runner

@@ -31,8 +31,9 @@ class CsvWriter {
 };
 
 /// Write a recorded trajectory as t, undecided, xmax, second, sum_squares
-/// rows. Lives here rather than on pp::Trajectory so the pp layer does not
-/// depend upward on runner's CSV machinery.
+/// rows; throws util::CheckError when the file cannot be opened or
+/// written. Lives here rather than on pp::Trajectory so the pp layer does
+/// not depend upward on runner's CSV machinery.
 void write_trajectory_csv(const pp::Trajectory& trajectory,
                           const std::string& path);
 

@@ -1,12 +1,15 @@
 #include "runner/sweep.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "core/budget.hpp"
@@ -193,9 +196,11 @@ SweepCell aggregate_cell(const SweepSpec& spec, const SweepPoint& point,
   return cell;
 }
 
-/// Per-point execution state, initialized by whichever worker claims the
-/// point's first stripe (std::call_once) and read-only to every later
-/// stripe; the outcome slots are written stripe-disjointly.
+/// Per-point execution state, initialized by whichever worker first
+/// reaches one of the point's stripes (std::call_once) and read-only to
+/// every later stripe; the outcome slots are written stripe-disjointly.
+/// When the last stripe finishes, the state shrinks to the point's
+/// aggregated cell, which waits there until the emitter takes it.
 struct PointState {
   std::once_flag once;
   std::optional<pp::Configuration> x0;
@@ -206,6 +211,71 @@ struct PointState {
   bool short_circuit = false;
   std::vector<TrialOutcome> outcomes;
   util::Stopwatch watch;
+  SweepCell cell;
+};
+
+/// The states of one run's points, in blocks: a block is allocated when a
+/// worker first reaches one of its points and released once all of its
+/// cells are emitted. Memory follows the points in flight, a block at a
+/// time, and no point costs an allocation of its own.
+class PointStates {
+ public:
+  explicit PointStates(std::size_t count)
+      : count_((count + kBlockPoints - 1) / kBlockPoints),
+        blocks_(std::make_unique<std::atomic<Block*>[]>(count_)) {}
+  ~PointStates() {
+    for (std::size_t b = released_; b < count_; ++b) delete blocks_[b].load();
+  }
+  PointStates(const PointStates&) = delete;
+  PointStates& operator=(const PointStates&) = delete;
+
+  /// The state of point `item`, for a worker about to run one of its
+  /// stripes: its block is allocated if no one has yet. A point that
+  /// opens a block also readies the next one, so the workers that move
+  /// on to it together find it there instead of racing to allocate it.
+  PointState& start(std::size_t item) {
+    const std::size_t block = item / kBlockPoints;
+    if (item % kBlockPoints == 0 && block + 1 < count_) ensure(block + 1);
+    return (*ensure(block))[item % kBlockPoints];
+  }
+
+  /// The state of a point that start() has reached.
+  PointState& operator[](std::size_t item) {
+    return (*blocks_[item / kBlockPoints].load(std::memory_order_acquire))
+        [item % kBlockPoints];
+  }
+
+  /// Release the blocks that lie wholly below `end`. Only the emitter
+  /// calls this, once every point below `end` is emitted.
+  void release_below(std::size_t end) {
+    for (; released_ < end / kBlockPoints; ++released_) {
+      delete blocks_[released_].exchange(nullptr);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBlockPoints = 64;
+  using Block = std::array<PointState, kBlockPoints>;
+
+  /// Block `b`, allocated by whichever thread first finds it missing; a
+  /// thread that loses the race drops its copy and takes the winner's.
+  Block* ensure(std::size_t b) {
+    Block* block = blocks_[b].load(std::memory_order_acquire);
+    if (block != nullptr) return block;
+    auto fresh = std::make_unique<Block>();
+    if (blocks_[b].compare_exchange_strong(block, fresh.get(),
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+      return fresh.release();
+    }
+    return block;
+  }
+
+  std::size_t count_;
+  /// Owning: each non-null entry is deleted by release_below or the
+  /// destructor.
+  std::unique_ptr<std::atomic<Block*>[]> blocks_;
+  std::size_t released_ = 0;
 };
 
 std::vector<SweepPoint> expand_grid(const SweepSpec& spec) {
@@ -215,11 +285,21 @@ std::vector<SweepPoint> expand_grid(const SweepSpec& spec) {
   const std::size_t bias_points =
       spec.bias_kind == BiasKind::kNone ? 1 : spec.bias_values.size();
   const auto& registry = sim::Registry::instance();
+  const auto graph_axis_of = [&](const std::string& engine) {
+    const sim::EngineInfo* info = registry.find(engine);
+    return info != nullptr && info->uses_graph_axis;
+  };
+  const std::size_t block = spec.ns.size() * spec.ks.size() *
+                            spec.starts.size() * bias_points;
+  std::size_t total = 0;
+  for (const auto& engine : spec.engines) {
+    total += (graph_axis_of(engine) ? spec.graphs.size() : 1) * block;
+  }
   std::vector<SweepPoint> points;
+  points.reserve(total);
   std::size_t index = 0;
   for (const auto& engine : spec.engines) {
-    const sim::EngineInfo* info = registry.find(engine);
-    const bool graph_axis = info != nullptr && info->uses_graph_axis;
+    const bool graph_axis = graph_axis_of(engine);
     const std::size_t graph_points = graph_axis ? spec.graphs.size() : 1;
     for (std::size_t g = 0; g < graph_points; ++g) {
       for (const auto n : spec.ns) {
@@ -241,6 +321,112 @@ std::vector<SweepPoint> expand_grid(const SweepSpec& spec) {
     }
   }
   return points;
+}
+
+/// The one execution path of every Sweep run: one task graph over
+/// (point, stripe) units, with each ready batch of cells emitted in order
+/// on the calling thread. `point_at(i)` is the i-th of the `count` points
+/// to run. Point states live in PointStates blocks, so memory follows the
+/// points in flight, not the size of the grid.
+template <class PointAt>
+void run_points(const SweepSpec& spec, util::ThreadPool& pool,
+                std::size_t count, const PointAt& point_at,
+                const Sweep::CellBatchFn& on_cells) {
+  if (count == 0) return;
+  const auto trials = static_cast<std::size_t>(spec.trials);
+  const std::size_t width = spec.stripe_width;
+  const auto stripes_per_point = static_cast<std::uint32_t>(
+      trials == 0 ? 1 : (trials + width - 1) / width);
+
+  // Stripe counts are a pure function of the spec — never of realized
+  // topology or results — so the unit list is deterministic.
+  std::vector<std::uint32_t> stripes(count, stripes_per_point);
+
+  std::vector<std::size_t> order;
+  if (spec.shuffle_points) {
+    // The execution order is itself a seeded derivation (the all-ones
+    // stream id cannot collide with a grid index), so shuffled sweeps are
+    // as reproducible as ordered ones — and output order is unaffected:
+    // emission below is by list position, not completion order.
+    order.resize(count);
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    rng::Rng shuffle_rng(
+        rng::stream_seed(spec.master_seed, ~std::uint64_t{0}));
+    shuffle_rng.shuffle(std::span<std::size_t>(order));
+  }
+
+  const TaskGraph graph(std::move(stripes), std::move(order));
+
+  PointStates states(count);
+
+  const auto init_point = [&](const SweepPoint& point, PointState& st) {
+    st.watch.reset();
+    st.point_seed = rng::stream_seed(spec.master_seed, point.index);
+    st.topology = realize_topology(point, st.point_seed);
+    st.x0 = build_config(spec, point);
+    st.outcomes.resize(trials);
+    if (st.topology.connected.has_value() && !*st.topology.connected &&
+        spec.max_time == 0 && !starts_at_consensus(*st.x0)) {
+      // Disconnected topology under the *default* budget: global
+      // consensus needs every component (including each isolated vertex)
+      // to align by coincidence, so most trials would grind through the
+      // enormous default cap — the de-facto hang this guard exists for.
+      // Record the trials as timeouts at that cap instead of simulating.
+      // An explicit --budget bounds the cost the user signed up for, so
+      // those sweeps run honestly and *measure* the coincidental-
+      // consensus rate rather than hardcoding it to zero.
+      TrialOutcome out;
+      out.parallel_time = static_cast<double>(trial_budget(spec, point)) /
+                          static_cast<double>(point.n);
+      std::fill(st.outcomes.begin(), st.outcomes.end(), out);
+      st.short_circuit = true;
+    }
+  };
+
+  const auto run_stripe = [&](const TaskUnit& unit) {
+    const SweepPoint& point = point_at(unit.item);
+    PointState& st = states.start(unit.item);
+    std::call_once(st.once, [&] { init_point(point, st); });
+    if (st.short_circuit || trials == 0) return;
+    const std::size_t begin = unit.stripe * width;
+    const std::size_t end = std::min(begin + width, trials);
+    for (std::size_t t = begin; t < end; ++t) {
+      st.outcomes[t] = run_one(spec, point, *st.x0, st.topology,
+                               rng::stream_seed(st.point_seed, t));
+    }
+  };
+
+  // Workers aggregate each completed point into its cell; the calling
+  // thread hands each ready run of cells over as one batch through the
+  // task graph's emit hook, so the callback runs serially, off the
+  // workers and outside any lock: output order and content are those of
+  // a sequential run, byte for byte, at any thread count and stripe
+  // width.
+  const auto on_point_done = [&](std::size_t item) {
+    PointState& st = states[item];
+    st.cell = aggregate_cell(spec, point_at(item), st.outcomes,
+                             st.watch.seconds());
+    st.cell.graph_edges = st.topology.edges;
+    st.cell.connected = st.topology.connected;
+    if (st.short_circuit) st.cell.status = "timeout";
+    // Drop the point's working set now: its cell may wait a while for
+    // the cells before it.
+    st.outcomes = std::vector<TrialOutcome>();
+    st.x0.reset();
+    st.topology = PointTopology();
+  };
+  std::vector<SweepCell> batch;
+  const auto emit = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      batch.push_back(std::move(states[i].cell));
+    }
+    states.release_below(end);
+    on_cells(batch);
+    // Release the emitted cells' trial samples.
+    batch.clear();
+  };
+
+  graph.run(pool, run_stripe, on_point_done, emit);
 }
 
 }  // namespace
@@ -333,17 +519,34 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
     }
   }
   grid_ = expand_grid(spec_);
-  // Construct every grid point's initial configuration once now, so any
-  // infeasible (n, k, start, bias) combination (e.g. beta exceeding the
-  // decided agents of the smallest n) fails here instead of mid-grid.
-  for (const auto& point : grid_) {
-    const auto config = build_config(spec_, point);
-    // Configuration itself allows decided == 0, but no engine converges
-    // from it (an undecided fraction can round up to the whole population
-    // at small n).
-    KUSD_CHECK_MSG(config.decided() >= 1,
-                   "sweep: undecided fraction leaves no decided agents at "
-                   "n = " + std::to_string(point.n));
+  // Construct every initial configuration once now, so any infeasible
+  // (n, k, start, bias) combination (e.g. beta exceeding the decided
+  // agents of the smallest n) fails here instead of mid-grid. A
+  // configuration depends on nothing else, so each combination is built
+  // once, in grid order, however many engines and graphs repeat it.
+  const std::size_t bias_points =
+      spec_.bias_kind == BiasKind::kNone ? 1 : spec_.bias_values.size();
+  SweepPoint point;
+  for (const auto n : spec_.ns) {
+    point.n = n;
+    for (const auto k : spec_.ks) {
+      point.k = k;
+      for (const auto& start : spec_.starts) {
+        point.start = start;
+        for (std::size_t b = 0; b < bias_points; ++b) {
+          point.bias = spec_.bias_kind == BiasKind::kNone
+                           ? 0.0
+                           : spec_.bias_values[b];
+          const auto config = build_config(spec_, point);
+          // Configuration itself allows decided == 0, but no engine
+          // converges from it (an undecided fraction can round up to the
+          // whole population at small n).
+          KUSD_CHECK_MSG(config.decided() >= 1,
+                         "sweep: undecided fraction leaves no decided "
+                         "agents at n = " + std::to_string(n));
+        }
+      }
+    }
   }
 }
 
@@ -357,129 +560,38 @@ SweepCell Sweep::run_point(util::ThreadPool& pool,
   // The single-point form goes through the same task-graph path as whole
   // grids — one code path is what keeps cell bytes identical everywhere.
   std::optional<SweepCell> cell;
-  run_points_on(pool, {point}, [&cell](std::span<const SweepCell> cells) {
-    cell = cells.front();
-  });
+  run_points(
+      spec_, pool, 1, [&point](std::size_t) -> const SweepPoint& {
+        return point;
+      },
+      [&cell](std::span<const SweepCell> cells) { cell = cells.front(); });
   return *std::move(cell);
 }
 
 void Sweep::run(const std::function<void(const SweepCell&)>& on_cell) const {
   // One pool for the whole grid: workers are not respawned per point.
   util::ThreadPool pool(spec_.threads);
-  run_points_on(pool, grid_, [&on_cell](std::span<const SweepCell> cells) {
-    for (const SweepCell& cell : cells) on_cell(cell);
-  });
+  run_points(
+      spec_, pool, grid_.size(),
+      [this](std::size_t i) -> const SweepPoint& { return grid_[i]; },
+      [&on_cell](std::span<const SweepCell> cells) {
+        for (const SweepCell& cell : cells) on_cell(cell);
+      });
 }
 
 void Sweep::run_selected(const std::vector<std::size_t>& indices,
                          const CellBatchFn& on_cells) const {
-  std::vector<SweepPoint> points;
-  points.reserve(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
     KUSD_CHECK_MSG(indices[i] < grid_.size(),
                    "sweep: selected grid index out of range");
     KUSD_CHECK_MSG(i == 0 || indices[i] > indices[i - 1],
                    "sweep: selected grid indices must be strictly increasing");
-    points.push_back(grid_[indices[i]]);
   }
   util::ThreadPool pool(spec_.threads);
-  run_points_on(pool, points, on_cells);
-}
-
-void Sweep::run_points_on(util::ThreadPool& pool,
-                          const std::vector<SweepPoint>& points,
-                          const CellBatchFn& on_cells) const {
-  if (points.empty()) return;
-  const auto trials = static_cast<std::size_t>(spec_.trials);
-  const std::size_t width = spec_.stripe_width;
-  const auto stripes_per_point = static_cast<std::uint32_t>(
-      trials == 0 ? 1 : (trials + width - 1) / width);
-
-  // Stripe counts are a pure function of the spec — never of realized
-  // topology or results — so the unit list is deterministic.
-  std::vector<std::uint32_t> stripes(points.size(), stripes_per_point);
-
-  std::vector<std::size_t> order;
-  if (spec_.shuffle_points) {
-    // The execution order is itself a seeded derivation (the all-ones
-    // stream id cannot collide with a grid index), so shuffled sweeps are
-    // as reproducible as ordered ones — and output order is unaffected:
-    // emission below is by list position, not completion order.
-    order.resize(points.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    rng::Rng shuffle_rng(
-        rng::stream_seed(spec_.master_seed, ~std::uint64_t{0}));
-    shuffle_rng.shuffle(std::span<std::size_t>(order));
-  }
-
-  const TaskGraph graph(std::move(stripes), std::move(order));
-  const auto states = std::make_unique<PointState[]>(points.size());
-
-  const auto init_point = [&](const SweepPoint& point, PointState& st) {
-    st.watch.reset();
-    st.point_seed = rng::stream_seed(spec_.master_seed, point.index);
-    st.topology = realize_topology(point, st.point_seed);
-    st.x0 = build_config(spec_, point);
-    st.outcomes.resize(trials);
-    if (st.topology.connected.has_value() && !*st.topology.connected &&
-        spec_.max_time == 0 && !starts_at_consensus(*st.x0)) {
-      // Disconnected topology under the *default* budget: global
-      // consensus needs every component (including each isolated vertex)
-      // to align by coincidence, so most trials would grind through the
-      // enormous default cap — the de-facto hang this guard exists for.
-      // Record the trials as timeouts at that cap instead of simulating.
-      // An explicit --budget bounds the cost the user signed up for, so
-      // those sweeps run honestly and *measure* the coincidental-
-      // consensus rate rather than hardcoding it to zero.
-      TrialOutcome out;
-      out.parallel_time = static_cast<double>(trial_budget(spec_, point)) /
-                          static_cast<double>(point.n);
-      std::fill(st.outcomes.begin(), st.outcomes.end(), out);
-      st.short_circuit = true;
-    }
-  };
-
-  const auto run_stripe = [&](const TaskUnit& unit) {
-    const SweepPoint& point = points[unit.item];
-    PointState& st = states[unit.item];
-    std::call_once(st.once, [&] { init_point(point, st); });
-    if (st.short_circuit || trials == 0) return;
-    const std::size_t begin = unit.stripe * width;
-    const std::size_t end = std::min(begin + width, trials);
-    for (std::size_t t = begin; t < end; ++t) {
-      st.outcomes[t] = run_one(spec_, point, *st.x0, st.topology,
-                               rng::stream_seed(st.point_seed, t));
-    }
-  };
-
-  // Workers aggregate each completed cell into its slot; the calling
-  // thread hands each ready run of slots over as one batch through the
-  // task graph's emit hook, so the callback runs serially, off the
-  // workers and outside any lock: output order and content are those of
-  // a sequential run, byte for byte, at any thread count and stripe
-  // width.
-  std::vector<SweepCell> done(points.size());
-  const auto on_point_done = [&](std::size_t item) {
-    PointState& st = states[item];
-    auto cell =
-        aggregate_cell(spec_, points[item], st.outcomes, st.watch.seconds());
-    cell.graph_edges = st.topology.edges;
-    cell.connected = st.topology.connected;
-    if (st.short_circuit) cell.status = "timeout";
-    // Drop the point's working set before buffering the cell: on wide
-    // grids the emission buffer would otherwise pin every outcome vector
-    // until its cell reaches the front of the done prefix.
-    st.outcomes = std::vector<TrialOutcome>();
-    st.x0.reset();
-    done[item] = std::move(cell);
-  };
-  const auto emit = [&](std::size_t begin, std::size_t end) {
-    on_cells(std::span<const SweepCell>(done).subspan(begin, end - begin));
-    // Release the emitted cells' trial samples.
-    for (std::size_t i = begin; i < end; ++i) done[i] = SweepCell();
-  };
-
-  graph.run(pool, run_stripe, on_point_done, emit);
+  run_points(
+      spec_, pool, indices.size(),
+      [&](std::size_t i) -> const SweepPoint& { return grid_[indices[i]]; },
+      on_cells);
 }
 
 namespace {
@@ -552,26 +664,43 @@ std::vector<std::string> Sweep::csv_header() {
 }
 
 std::vector<std::string> Sweep::csv_row(const SweepCell& cell) {
+  static const std::size_t width = csv_header().size();
+  std::vector<std::string> row;
+  row.reserve(width);
+  csv_row(cell, row);
+  return row;
+}
+
+void Sweep::csv_row(const SweepCell& cell, std::vector<std::string>& row) {
+  std::size_t column = 0;
+  const auto put = [&](std::string_view text) {
+    if (column == row.size()) row.emplace_back();
+    row[column++].assign(text);
+  };
+  char digits[24];
+  const auto integer = [&digits](auto value) {
+    return std::string_view(
+        digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+  };
   const auto& pt = cell.parallel_time;
-  return {cell.point.engine,
-          cell.point.graph.has_value() ? sim::to_string(*cell.point.graph)
-                                       : "-",
-          cell.graph_edges.has_value() ? std::to_string(*cell.graph_edges)
-                                       : "-",
-          cell.connected.has_value() ? (*cell.connected ? "1" : "0") : "-",
-          std::to_string(cell.point.n),
-          std::to_string(cell.point.k),
-          to_string(cell.point.start),
-          to_string(cell.bias_kind),
-          fmt(cell.point.bias, 6),
-          std::to_string(cell.trials),
-          cell.status,
-          fmt(cell.converged_rate, 4),
-          fmt(cell.plurality_win_rate, 4),
-          fmt(pt.empty() ? 0.0 : pt.mean(), 4),
-          fmt(pt.empty() ? 0.0 : pt.stddev(), 4),
-          fmt(pt.empty() ? 0.0 : pt.median(), 4),
-          fmt(pt.empty() ? 0.0 : pt.quantile(0.95), 4)};
+  put(cell.point.engine);
+  put(cell.point.graph.has_value() ? sim::to_string(*cell.point.graph) : "-");
+  put(cell.graph_edges.has_value() ? integer(*cell.graph_edges) : "-");
+  put(cell.connected.has_value() ? (*cell.connected ? "1" : "0") : "-");
+  put(integer(cell.point.n));
+  put(integer(cell.point.k));
+  put(to_string(cell.point.start));
+  put(to_string(cell.bias_kind));
+  put(fmt(cell.point.bias, 6));
+  put(integer(cell.trials));
+  put(cell.status);
+  put(fmt(cell.converged_rate, 4));
+  put(fmt(cell.plurality_win_rate, 4));
+  put(fmt(pt.empty() ? 0.0 : pt.mean(), 4));
+  put(fmt(pt.empty() ? 0.0 : pt.stddev(), 4));
+  put(fmt(pt.empty() ? 0.0 : pt.median(), 4));
+  put(fmt(pt.empty() ? 0.0 : pt.quantile(0.95), 4));
+  row.resize(column);
 }
 
 std::string Sweep::json_line(const SweepCell& cell) {

@@ -224,6 +224,9 @@ class Sweep {
   /// Output schema shared by the CSV and JSONL emitters.
   [[nodiscard]] static std::vector<std::string> csv_header();
   [[nodiscard]] static std::vector<std::string> csv_row(const SweepCell& cell);
+  /// csv_row into `row`, reusing its strings' capacity: the form a
+  /// per-cell emitter calls.
+  static void csv_row(const SweepCell& cell, std::vector<std::string>& row);
   [[nodiscard]] static std::string json_line(const SweepCell& cell);
   /// JSONL from an already-formatted csv_row (the journal replay path:
   /// resumed cells re-emit from recorded fields, not recomputation).
@@ -231,13 +234,6 @@ class Sweep {
       const std::vector<std::string>& row);
 
  private:
-  /// Shared execution core: the task graph over (point, stripe) units,
-  /// with in-order emission of ready batches on the calling thread. Every
-  /// public run path funnels through here.
-  void run_points_on(util::ThreadPool& pool,
-                     const std::vector<SweepPoint>& points,
-                     const CellBatchFn& on_cells) const;
-
   SweepSpec spec_;
   std::vector<SweepPoint> grid_;
 };

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <span>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "sim/registry.hpp"
@@ -29,18 +33,27 @@ namespace {
 
 class Fnv64 {
  public:
+  static constexpr std::uint64_t kPrime = 1099511628211ULL;
+
   void bytes(const void* data, std::size_t size) {
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ p[i]) * 1099511628211ULL;
+      hash_ = (hash_ ^ p[i]) * kPrime;
     }
   }
+  /// The 8 little-endian bytes of `value`. A zero byte only multiplies
+  /// the hash by the prime, so the last nonzero byte and the run of zero
+  /// bytes above it (7 of 8 in a field length) take one multiply by a
+  /// power of it: the same value with a shorter chain of dependent
+  /// multiplies.
   void u64(std::uint64_t value) {
-    unsigned char raw[8];
-    for (int i = 0; i < 8; ++i) {
-      raw[i] = static_cast<unsigned char>(value >> (8 * i));
+    const int significant =
+        std::max(1, static_cast<int>(std::bit_width(value) + 7) / 8);
+    for (int i = 0; i + 1 < significant; ++i) {
+      hash_ = (hash_ ^ ((value >> (8 * i)) & 0xFF)) * kPrime;
     }
-    bytes(raw, sizeof raw);
+    hash_ = (hash_ ^ (value >> (8 * (significant - 1)))) *
+            kPrimePowers[static_cast<std::size_t>(9 - significant)];
   }
   /// Length-prefixed, so field boundaries can't alias ("ab","c" never
   /// hashes like "a","bc").
@@ -58,6 +71,16 @@ class Fnv64 {
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
+  /// kPrime^m mod 2^64 for m = 0..8.
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (std::size_t m = 1; m < powers.size(); ++m) {
+      powers[m] = powers[m - 1] * kPrime;
+    }
+    return powers;
+  }();
+
   std::uint64_t hash_ = 1469598103934665603ULL;
 };
 
@@ -75,18 +98,27 @@ std::string to_hex16(std::uint64_t value) {
 }
 
 std::optional<std::uint64_t> parse_hex16(std::string_view text) {
+  // The value of each lowercase hex digit; 16 marks every other byte.
+  static constexpr std::array<std::uint8_t, 256> kDigit = [] {
+    std::array<std::uint8_t, 256> digit{};
+    digit.fill(16);
+    for (int c = '0'; c <= '9'; ++c) {
+      digit[c] = static_cast<std::uint8_t>(c - '0');
+    }
+    for (int c = 'a'; c <= 'f'; ++c) {
+      digit[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+    }
+    return digit;
+  }();
   if (text.size() != 16) return std::nullopt;
   std::uint64_t value = 0;
+  std::uint8_t bad = 0;
   for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
+    const std::uint8_t digit = kDigit[static_cast<unsigned char>(c)];
+    bad |= digit & 16;
+    value = (value << 4) | (digit & 15);
   }
+  if (bad != 0) return std::nullopt;
   return value;
 }
 
@@ -102,17 +134,19 @@ std::uint64_t row_checksum(const std::vector<std::string>& row) {
 // whose values are unsigned integers, strings, or arrays of strings.
 // Anything else — and any syntax error — is a loud failure carrying the
 // line's context, because a journal defect must never be silently
-// skipped. Lines are parsed in place, as views into the file buffer.
+// skipped. Lines are parsed in place: a value is a view of its token in
+// the file buffer, and a string's escapes are decoded only where its
+// bytes are read (string_bytes).
 
 /// Where a journal line came from. The "journal: path:line" prefix of a
 /// diagnostic is only built when the line is rejected.
 struct LineContext {
-  const std::string& path;
+  std::string_view path;
   std::size_t line = 0;
 
   [[noreturn]] void reject(std::string_view what) const {
-    fail("journal: " + path + ':' + std::to_string(line) + ": " +
-         std::string(what));
+    fail("journal: " + std::string(path) + ':' + std::to_string(line) +
+         ": " + std::string(what));
   }
 };
 
@@ -120,8 +154,11 @@ struct JsonValue {
   enum class Kind { kNumber, kString, kArray };
   Kind kind = Kind::kNumber;
   std::uint64_t number = 0;
-  std::string string;
-  std::vector<std::string> array;
+  /// The value's token in the line: a string with its quotes, an array
+  /// from '[' to ']'. Escapes are not decoded.
+  std::string_view text;
+  /// An array's string tokens, quotes included.
+  std::vector<std::string_view> array;
 };
 
 /// A key one line shape reads, and the value parsed for it. Reused from
@@ -134,15 +171,20 @@ struct JsonMember {
   JsonValue value;
 };
 
+/// The bytes a string token (as parsed, quotes included) stands for: its
+/// body when it has no escape, else its decoding in `scratch`.
+std::string_view string_bytes(std::string_view token, std::string& scratch);
+
 class LineParser {
  public:
-  /// Parse `text` as one flat object: values of the keys in `members`
-  /// land there (their `present` flags must start false); other keys are
-  /// checked and dropped.
+  /// Parse `text`; values of the keys in `members` land there (their
+  /// `present` flags must start false), other keys are checked and
+  /// dropped.
   LineParser(std::string_view text, const LineContext& context,
-             std::span<JsonMember> members)
+             std::span<JsonMember> members = {})
       : text_(text), context_(context), members_(members) {}
 
+  /// Parse the text as one flat object.
   void parse_object() {
     expect('{');
     skip_ws();
@@ -151,22 +193,22 @@ class LineParser {
     } else {
       while (true) {
         skip_ws();
-        parse_string(key_);
+        const std::string_view key = string_bytes(parse_string(), key_);
         skip_ws();
         expect(':');
         skip_ws();
-        JsonMember* member = find(key_);
+        JsonMember* member = find(key);
         const bool duplicate =
             member != nullptr
                 ? member->present
-                : std::find(other_keys_.begin(), other_keys_.end(), key_) !=
+                : std::find(other_keys_.begin(), other_keys_.end(), key) !=
                       other_keys_.end();
         parse_value(member != nullptr ? member->value : other_value_);
         if (duplicate) context_.reject("duplicate key in JSON object");
         if (member != nullptr) {
           member->present = true;
         } else {
-          other_keys_.push_back(key_);
+          other_keys_.emplace_back(key);
         }
         skip_ws();
         const char c = next();
@@ -177,6 +219,84 @@ class LineParser {
     skip_ws();
     if (pos_ != text_.size()) {
       context_.reject("trailing bytes after JSON object");
+    }
+  }
+
+  /// Parse the string token at the cursor and return it; its decoded
+  /// bytes are appended to `decoded` when that is given.
+  std::string_view parse_string(std::string* decoded = nullptr) {
+    const std::size_t begin = pos_;
+    expect('"');
+    while (true) {
+      // Take the run of plain bytes in one go; stop at the closing quote,
+      // an escape, or a control byte.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      if (decoded != nullptr) decoded->append(text_, run, pos_ - run);
+      const char c = next();
+      if (c == '"') return text_.substr(begin, pos_ - begin);
+      if (c != '\\') {
+        context_.reject("raw control character in JSON string");
+      }
+      char byte = 0;
+      switch (next()) {
+        case '"': byte = '"'; break;
+        case '\\': byte = '\\'; break;
+        case '/': byte = '/'; break;
+        case 'b': byte = '\b'; break;
+        case 'f': byte = '\f'; break;
+        case 'n': byte = '\n'; break;
+        case 'r': byte = '\r'; break;
+        case 't': byte = '\t'; break;
+        case 'u': {
+          unsigned value = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = next();
+            value <<= 4;
+            if (h >= '0' && h <= '9') {
+              value |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              value |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              value |= static_cast<unsigned>(h - 'A' + 10);
+            } else {
+              context_.reject("bad \\u escape");
+            }
+          }
+          // The writer only emits \u00XX for control bytes; anything
+          // beyond one byte is not ours.
+          if (value > 0xFF) context_.reject("unsupported \\u escape");
+          byte = static_cast<char>(value);
+          break;
+        }
+        default:
+          context_.reject("bad escape in JSON string");
+      }
+      if (decoded != nullptr) decoded->push_back(byte);
+    }
+  }
+
+  /// Parse the array of strings at the cursor, calling `element()` with
+  /// the cursor on each element's token; `element` must consume it.
+  template <class Element>
+  void parse_array(const Element& element) {
+    expect('[');
+    skip_ws();
+    if (peek() == ']') {
+      advance();
+      return;
+    }
+    while (true) {
+      skip_ws();
+      element();
+      skip_ws();
+      const char sep = next();
+      if (sep == ']') return;
+      if (sep != ',') context_.reject("expected ',' or ']'");
     }
   }
 
@@ -209,102 +329,34 @@ class LineParser {
     }
   }
 
-  void parse_string(std::string& out) {
-    expect('"');
-    out.clear();
-    while (true) {
-      // Copy the run of plain bytes in one go; stop at the closing quote,
-      // an escape, or a control byte.
-      const std::size_t run = pos_;
-      while (pos_ < text_.size() && text_[pos_] != '"' &&
-             text_[pos_] != '\\' &&
-             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
-        ++pos_;
-      }
-      out.append(text_, run, pos_ - run);
-      const char c = next();
-      if (c == '"') return;
-      if (c != '\\') {
-        context_.reject("raw control character in JSON string");
-      }
-      const char escape = next();
-      switch (escape) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = next();
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              context_.reject("bad \\u escape");
-            }
-          }
-          // The writer only emits \u00XX for control bytes; anything
-          // beyond one byte is not ours.
-          if (value > 0xFF) context_.reject("unsupported \\u escape");
-          out.push_back(static_cast<char>(value));
-          break;
-        }
-        default:
-          context_.reject("bad escape in JSON string");
-      }
-    }
-  }
-
   void parse_value(JsonValue& value) {
+    const std::size_t begin = pos_;
     const char c = peek();
     if (c == '"') {
       value.kind = JsonValue::Kind::kString;
-      parse_string(value.string);
-      return;
-    }
-    if (c == '[') {
-      advance();
+      parse_string();
+    } else if (c == '[') {
       value.kind = JsonValue::Kind::kArray;
       value.array.clear();
-      skip_ws();
-      if (peek() == ']') {
-        advance();
-        return;
+      parse_array([&] { value.array.push_back(parse_string()); });
+    } else {
+      if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
+        context_.reject("expected a string, array or unsigned integer");
       }
-      while (true) {
-        skip_ws();
-        parse_string(value.array.emplace_back());
-        skip_ws();
-        const char sep = next();
-        if (sep == ']') return;
-        if (sep != ',') context_.reject("expected ',' or ']'");
+      value.kind = JsonValue::Kind::kNumber;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+        ++pos_;
+      }
+      const std::string_view digits = text_.substr(begin, pos_ - begin);
+      const auto result = std::from_chars(
+          digits.data(), digits.data() + digits.size(), value.number);
+      if (result.ec != std::errc{} ||
+          result.ptr != digits.data() + digits.size()) {
+        context_.reject("integer out of range");
       }
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
-      context_.reject("expected a string, array or unsigned integer");
-    }
-    value.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    const std::string_view digits = text_.substr(start, pos_ - start);
-    const auto result = std::from_chars(
-        digits.data(), digits.data() + digits.size(), value.number);
-    if (result.ec != std::errc{} ||
-        result.ptr != digits.data() + digits.size()) {
-      context_.reject("integer out of range");
-    }
+    value.text = text_.substr(begin, pos_ - begin);
   }
 
   std::string_view text_;
@@ -316,6 +368,16 @@ class LineParser {
   std::vector<std::string> other_keys_;
   JsonValue other_value_;
 };
+
+std::string_view string_bytes(std::string_view token, std::string& scratch) {
+  const std::string_view body = token.substr(1, token.size() - 2);
+  if (body.find('\\') == std::string_view::npos) return body;
+  scratch.clear();
+  // The token was validated when its line was parsed.
+  const LineContext validated{};
+  LineParser(token, validated).parse_string(&scratch);
+  return scratch;
+}
 
 // ---------------------------------------------------------------------------
 // Journal lines.
@@ -389,8 +451,9 @@ JournalHeader parse_header(std::string_view line,
     context.reject("unsupported journal version");
   }
   JournalHeader header;
-  const auto digest =
-      parse_hex16(field("digest", JsonValue::Kind::kString).string);
+  std::string scratch;
+  const auto digest = parse_hex16(
+      string_bytes(field("digest", JsonValue::Kind::kString).text, scratch));
   if (!digest) context.reject("malformed digest");
   header.digest = *digest;
   header.points_begin = static_cast<std::size_t>(number("points_begin"));
@@ -432,6 +495,147 @@ void write_all(std::FILE* file, const std::string& text,
       std::fflush(file) != 0) {
     fail("journal: write to " + path + " failed");
   }
+}
+
+/// The checksum of a row parsed as an array value: the same value
+/// row_checksum gives the decoded fields.
+std::uint64_t row_checksum(const JsonValue& row, std::string& scratch) {
+  Fnv64 fnv;
+  fnv.u64(row.array.size());
+  for (const std::string_view token : row.array) {
+    fnv.str(string_bytes(token, scratch));
+  }
+  return fnv.value();
+}
+
+/// The whole file: one read into a buffer presized from the file's
+/// length, then whatever it grew by meanwhile (or all of it, when the
+/// length is unknown).
+std::string read_file(const std::string& path) {
+  const FilePtr file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) fail("journal: cannot open " + path);
+  std::error_code error;
+  const std::uintmax_t length = std::filesystem::file_size(path, error);
+  std::string content(error ? 0 : static_cast<std::size_t>(length), '\0');
+  content.resize(std::fread(content.data(), 1, content.size(), file.get()));
+  char buffer[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof buffer, file.get())) > 0) {
+    content.append(buffer, got);
+  }
+  if (std::ferror(file.get()) != 0) fail("journal: cannot read " + path);
+  return content;
+}
+
+/// A journal read and validated in place: the file's bytes, plus where
+/// each recorded cell's row array sits in them — no map node and no row
+/// vector per line. A row is decoded only when it is read. Cells are
+/// held in grid order.
+class JournalText {
+ public:
+  /// Read and validate `path`; throws util::CheckError as read_journal
+  /// documents.
+  explicit JournalText(const std::string& path);
+
+  [[nodiscard]] const JournalHeader& header() const { return header_; }
+  [[nodiscard]] std::size_t size() const { return cells_.size(); }
+  /// Grid index of the i-th recorded cell, increasing in i.
+  [[nodiscard]] std::size_t index(std::size_t i) const {
+    return cells_[i].index;
+  }
+  /// Decode the i-th recorded cell's row into `row`; its strings keep
+  /// their capacity from call to call.
+  void row(std::size_t i, std::vector<std::string>& row) const;
+
+ private:
+  struct Cell {
+    std::size_t index = 0;
+    /// The row array's token: offset and length in text_.
+    std::size_t begin = 0;
+    std::size_t size = 0;
+  };
+
+  std::string text_;
+  JournalHeader header_;
+  std::vector<Cell> cells_;
+};
+
+JournalText::JournalText(const std::string& path) : text_(read_file(path)) {
+  if (text_.empty()) fail("journal: " + path + " is empty (no header)");
+  if (text_.back() != '\n') {
+    fail("journal: " + path + " ends mid-line (truncated write)");
+  }
+  static const std::size_t schema_width = Sweep::csv_header().size();
+  std::array<JsonMember, 3> cell_members = {
+      JsonMember("cell"), JsonMember("crc"), JsonMember("row")};
+  auto& [cell, crc, row] = cell_members;
+  std::string scratch;
+  // Writers append cells in grid order, so a cell above every earlier one
+  // cannot repeat one. Only once a line breaks that order are the indices
+  // kept in a set, to find duplicates from there on.
+  std::optional<std::set<std::size_t>> seen;
+  const std::string_view text(text_);
+  std::size_t line_number = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    ++line_number;
+    const LineContext context{path, line_number};
+    if (line.empty()) context.reject("empty line");
+    if (line_number == 1) {
+      header_ = parse_header(line, context);
+      continue;
+    }
+    for (auto& member : cell_members) member.present = false;
+    LineParser(line, context, cell_members).parse_object();
+    const auto index = static_cast<std::size_t>(
+        require(cell, JsonValue::Kind::kNumber, context).number);
+    if (index < header_.points_begin || index >= header_.points_end) {
+      context.reject("cell index outside the journal's shard range");
+    }
+    const auto checksum = parse_hex16(string_bytes(
+        require(crc, JsonValue::Kind::kString, context).text, scratch));
+    if (!checksum) context.reject("malformed crc");
+    const JsonValue& fields = require(row, JsonValue::Kind::kArray, context);
+    if (fields.array.size() != schema_width) {
+      context.reject("row width does not match the output schema");
+    }
+    if (row_checksum(fields, scratch) != *checksum) {
+      context.reject("row checksum mismatch (corrupt journal line)");
+    }
+    if (!seen && !cells_.empty() && index <= cells_.back().index) {
+      seen.emplace();
+      for (const Cell& earlier : cells_) seen->insert(earlier.index);
+    }
+    if (seen && !seen->insert(index).second) {
+      context.reject("duplicate cell index");
+    }
+    cells_.push_back(
+        Cell{index, static_cast<std::size_t>(fields.text.data() - text.data()),
+             fields.text.size()});
+  }
+  if (seen) {
+    std::sort(cells_.begin(), cells_.end(),
+              [](const Cell& a, const Cell& b) { return a.index < b.index; });
+  }
+}
+
+void JournalText::row(std::size_t i, std::vector<std::string>& row) const {
+  const std::string_view token(text_.data() + cells_[i].begin,
+                               cells_[i].size);
+  // The token was validated when its line was parsed.
+  const LineContext validated{};
+  LineParser parser(token, validated);
+  std::size_t fields = 0;
+  parser.parse_array([&] {
+    if (fields == row.size()) row.emplace_back();
+    std::string& field = row[fields++];
+    field.clear();
+    parser.parse_string(&field);
+  });
+  row.resize(fields);
 }
 
 }  // namespace
@@ -490,12 +694,26 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
   fnv.u64(0);
   const auto& points = sweep.grid();
   fnv.u64(points.size());
+  // Neighbouring points share their graph and start, so each spelling is
+  // built once per run of equal values rather than once per point.
+  std::optional<sim::GraphSpec> graph;
+  std::string graph_name = "-";
+  StartProfile start;
+  std::string start_name = to_string(start);
   for (const auto& point : points) {
+    if (point.graph != graph) {
+      graph = point.graph;
+      graph_name = graph.has_value() ? sim::to_string(*graph) : "-";
+    }
+    if (point.start != start) {
+      start = point.start;
+      start_name = to_string(start);
+    }
     fnv.str(point.engine);
-    fnv.str(point.graph.has_value() ? sim::to_string(*point.graph) : "-");
+    fnv.str(graph_name);
     fnv.u64(point.n);
     fnv.u64(static_cast<std::uint64_t>(point.k));
-    fnv.str(to_string(point.start));
+    fnv.str(start_name);
     fnv.real(point.bias);
   }
   // The registry contract of every swept engine: if an engine's caps or
@@ -522,61 +740,16 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
 }
 
 Journal read_journal(const std::string& path) {
-  const FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) fail("journal: cannot open " + path);
-  std::string content;
-  char buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file.get())) > 0) {
-    content.append(buffer, got);
-  }
-  if (std::ferror(file.get()) != 0) fail("journal: cannot read " + path);
-  if (content.empty()) fail("journal: " + path + " is empty (no header)");
-  if (content.back() != '\n') {
-    fail("journal: " + path + " ends mid-line (truncated write)");
-  }
-
+  const JournalText text(path);
   Journal journal;
-  const std::size_t schema_width = Sweep::csv_header().size();
-  std::array<JsonMember, 3> cell_members = {
-      JsonMember("cell"), JsonMember("crc"), JsonMember("row")};
-  auto& [cell, crc, row] = cell_members;
-  const std::string_view text(content);
-  std::size_t line_number = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_number;
-    const LineContext context{path, line_number};
-    if (line.empty()) context.reject("empty line");
-    if (line_number == 1) {
-      journal.header = parse_header(line, context);
-      continue;
-    }
-    for (auto& member : cell_members) member.present = false;
-    row.value.array.reserve(schema_width);
-    LineParser(line, context, cell_members).parse_object();
-    const auto index = static_cast<std::size_t>(
-        require(cell, JsonValue::Kind::kNumber, context).number);
-    if (index < journal.header.points_begin ||
-        index >= journal.header.points_end) {
-      context.reject("cell index outside the journal's shard range");
-    }
-    const auto checksum =
-        parse_hex16(require(crc, JsonValue::Kind::kString, context).string);
-    if (!checksum) context.reject("malformed crc");
-    auto& fields = require(row, JsonValue::Kind::kArray, context).array;
-    if (fields.size() != schema_width) {
-      context.reject("row width does not match the output schema");
-    }
-    if (row_checksum(fields) != *checksum) {
-      context.reject("row checksum mismatch (corrupt journal line)");
-    }
-    if (!journal.cells.emplace(index, std::move(row.value.array)).second) {
-      context.reject("duplicate cell index");
-    }
+  journal.header = text.header();
+  const std::size_t width = Sweep::csv_header().size();
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    std::vector<std::string> row;
+    row.reserve(width);
+    text.row(i, row);
+    journal.cells.emplace_hint(journal.cells.end(), text.index(i),
+                               std::move(row));
   }
   return journal;
 }
@@ -603,21 +776,22 @@ void run_sweep_service(
   header.shard = options.shard;
   header.trials = sweep.spec().trials;
 
-  std::map<std::size_t, std::vector<std::string>> replayed;
+  std::optional<JournalText> replayed;
   if (resuming) {
-    Journal journal = read_journal(options.resume_path);
-    if (journal.header.digest != header.digest) {
-      fail("resume: journal digest " + to_hex16(journal.header.digest) +
+    const JournalHeader& recorded =
+        replayed.emplace(options.resume_path).header();
+    if (recorded.digest != header.digest) {
+      fail("resume: journal digest " + to_hex16(recorded.digest) +
            " does not match this sweep (" + to_hex16(header.digest) +
            ") — the grid, seed, schema or engine contract changed");
     }
-    if (journal.header.shard != header.shard ||
-        journal.header.points_total != header.points_total ||
-        journal.header.trials != header.trials) {
+    if (recorded.shard != header.shard ||
+        recorded.points_total != header.points_total ||
+        recorded.trials != header.trials) {
       fail("resume: journal was written by a different shard of the sweep");
     }
-    replayed = std::move(journal.cells);
   }
+  const std::size_t replay_count = replayed ? replayed->size() : 0;
 
   const std::string journal_path =
       resuming ? options.resume_path : options.journal_path;
@@ -628,27 +802,36 @@ void run_sweep_service(
     if (!resuming) write_all(journal.get(), header_line(header), journal_path);
   }
 
+  // Replayed cells are in grid order, so the cells left to compute are
+  // one forward walk over them.
   std::vector<std::size_t> todo;
-  todo.reserve(range.end - range.begin - replayed.size());
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    if (replayed.count(i) == 0) todo.push_back(i);
+  todo.reserve(range.end - range.begin - replay_count);
+  for (std::size_t i = range.begin, next = 0; i < range.end; ++i) {
+    if (next < replay_count && replayed->index(next) == i) {
+      ++next;
+    } else {
+      todo.push_back(i);
+    }
   }
 
   // Computed cells arrive in increasing grid order (run_selected), so
-  // interleaving is one forward walk over the replayed map: flush every
+  // interleaving is one forward walk over the replayed cells: emit every
   // recorded row below the next computed index, emit the computed row,
   // repeat, then drain the tail. `closes_batch` marks the last replayed
   // row of the tail as the end of its batch.
-  auto next_replay = replayed.cbegin();
+  std::vector<std::string> row;  // the row being emitted, reused
+  std::size_t next_replay = 0;
   const auto replay_below = [&](std::size_t bound, bool closes_batch) {
-    while (next_replay != replayed.cend() && next_replay->first < bound) {
+    while (next_replay < replay_count &&
+           replayed->index(next_replay) < bound) {
       SweepRowEvent event;
-      event.index = next_replay->first;
-      event.row = &next_replay->second;
+      event.index = replayed->index(next_replay);
+      replayed->row(next_replay, row);
+      event.row = &row;
       ++next_replay;
       event.last_in_batch =
-          closes_batch &&
-          (next_replay == replayed.cend() || next_replay->first >= bound);
+          closes_batch && (next_replay == replay_count ||
+                           replayed->index(next_replay) >= bound);
       on_row(event);
     }
   };
@@ -658,7 +841,7 @@ void run_sweep_service(
   sweep.run_selected(todo, [&](std::span<const SweepCell> cells) {
     for (const SweepCell& cell : cells) {
       replay_below(cell.point.index, false);
-      const auto row = Sweep::csv_row(cell);
+      Sweep::csv_row(cell, row);
       if (journal != nullptr) {
         // Flushed before the row reaches the consumer: anything observed
         // downstream is covered by the journal, so a kill after this line
@@ -685,15 +868,13 @@ void merge_journals(
     const std::function<void(std::size_t index,
                              const std::vector<std::string>& row)>& on_row) {
   KUSD_CHECK_MSG(!journal_paths.empty(), "merge: no journals given");
-  std::vector<Journal> journals;
+  std::vector<JournalText> journals;
   journals.reserve(journal_paths.size());
-  for (const auto& path : journal_paths) {
-    journals.push_back(read_journal(path));
-  }
+  for (const auto& path : journal_paths) journals.emplace_back(path);
 
-  const JournalHeader& first = journals.front().header;
+  const JournalHeader& first = journals.front().header();
   for (std::size_t i = 0; i < journals.size(); ++i) {
-    const JournalHeader& header = journals[i].header;
+    const JournalHeader& header = journals[i].header();
     if (header.digest != first.digest) {
       fail("merge: " + journal_paths[i] + " has digest " +
            to_hex16(header.digest) + " but " + journal_paths.front() +
@@ -708,11 +889,10 @@ void merge_journals(
            "shard count");
     }
     // A journal being merged must be finished: every cell of its range
-    // present (read_journal already rejected out-of-range/duplicates).
-    if (journals[i].cells.size() !=
-        header.points_end - header.points_begin) {
+    // present (the reader already rejected out-of-range/duplicates).
+    if (journals[i].size() != header.points_end - header.points_begin) {
       fail("merge: " + journal_paths[i] + " is incomplete (" +
-           std::to_string(journals[i].cells.size()) + " of " +
+           std::to_string(journals[i].size()) + " of " +
            std::to_string(header.points_end - header.points_begin) +
            " cells) — resume it to completion first");
     }
@@ -724,25 +904,25 @@ void merge_journals(
   }
 
   // Sort by block start; the blocks must tile [0, points_total) exactly.
-  std::vector<const Journal*> ordered;
+  std::vector<const JournalText*> ordered;
   ordered.reserve(journals.size());
   for (const auto& journal : journals) ordered.push_back(&journal);
   std::sort(ordered.begin(), ordered.end(),
-            [](const Journal* a, const Journal* b) {
-              return a->header.points_begin < b->header.points_begin;
+            [](const JournalText* a, const JournalText* b) {
+              return a->header().points_begin < b->header().points_begin;
             });
   std::size_t expected_begin = 0;
-  for (const Journal* journal : ordered) {
-    if (journal->header.points_begin < expected_begin) {
+  for (const JournalText* journal : ordered) {
+    if (journal->header().points_begin < expected_begin) {
       fail("merge: shard ranges overlap (shard " +
-           std::to_string(journal->header.shard.index) +
+           std::to_string(journal->header().shard.index) +
            " begins inside the previous shard's block)");
     }
-    if (journal->header.points_begin > expected_begin) {
+    if (journal->header().points_begin > expected_begin) {
       fail("merge: shard coverage has a gap before point " +
-           std::to_string(journal->header.points_begin));
+           std::to_string(journal->header().points_begin));
     }
-    expected_begin = journal->header.points_end;
+    expected_begin = journal->header().points_end;
   }
   if (expected_begin != first.points_total) {
     fail("merge: shard coverage stops at point " +
@@ -751,9 +931,11 @@ void merge_journals(
   }
 
   // Only now — everything validated — emit, in grid order.
-  for (const Journal* journal : ordered) {
-    for (const auto& [index, row] : journal->cells) {
-      on_row(index, row);
+  std::vector<std::string> row;
+  for (const JournalText* journal : ordered) {
+    for (std::size_t i = 0; i < journal->size(); ++i) {
+      journal->row(i, row);
+      on_row(journal->index(i), row);
     }
   }
 }

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <string_view>
 
 #include "util/check.hpp"
 
@@ -52,47 +55,76 @@ std::string fmt_compact(double value) {
 }
 
 Table::Table(std::vector<std::string> headers)
-    : headers_(std::move(headers)) {}
+    : headers_(std::move(headers)) {
+  widths_.reserve(headers_.size());
+  for (const auto& header : headers_) widths_.push_back(header.size());
+}
 
-Table& Table::add_row(std::vector<std::string> cells) {
+Table& Table::add_row(const std::vector<std::string>& cells) {
   KUSD_CHECK_MSG(cells.size() == headers_.size(),
                  "row width does not match header");
-  rows_.push_back(std::move(cells));
+  std::size_t bytes = text_.size();
+  for (const auto& cell : cells) bytes += cell.size();
+  KUSD_CHECK_MSG(bytes <= UINT32_MAX, "table text exceeds 4 GiB");
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    widths_[c] = std::max(widths_[c], cells[c].size());
+    text_ += cells[c];
+    ends_.push_back(static_cast<std::uint32_t>(text_.size()));
+  }
+  ++rows_;
   return *this;
 }
 
+void Table::reserve(std::size_t rows) {
+  // Cells of the benches and of `kusd sweep` are rarely longer than 16
+  // bytes; reserved memory that is never written costs no page.
+  ends_.reserve(rows * headers_.size());
+  text_.reserve(rows * headers_.size() * 16);
+}
+
 std::string Table::to_string() const {
-  std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
-    for (const auto& row : rows_) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
-  }
-  // Every line has the same length, so the whole table is one
-  // allocation: "|" plus " cell<pad> |" per column, plus the newline.
+  // Every line has the same length, so the whole table is one buffer of
+  // blanks that the cells and rules are copied into: "|" plus
+  // " cell<pad> |" per column, plus the newline.
   std::size_t line_size = 2;
-  for (const auto width : widths) line_size += width + 3;
-  std::string out;
-  out.reserve(line_size * (rows_.size() + 2));
-  const auto emit_row = [&](const std::vector<std::string>& cells) {
-    out += '|';
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out += ' ';
-      out += cells[c];
-      out.append(widths[c] - cells[c].size() + 1, ' ');
-      out += '|';
+  for (const auto width : widths_) line_size += width + 3;
+  std::string out(line_size * (rows_ + 2), ' ');
+  char* line = out.data();
+  const auto put_row = [&](const auto& cell_at) {
+    char* at = line;
+    *at++ = '|';
+    for (std::size_t c = 0; c < widths_.size(); ++c) {
+      const std::string_view cell = cell_at(c);
+      std::memcpy(at + 1, cell.data(), cell.size());
+      at += widths_[c] + 2;
+      *at++ = '|';
     }
-    out += '\n';
+    *at = '\n';
+    line += line_size;
   };
-  emit_row(headers_);
-  out += '|';
-  for (const auto width : widths) {
-    out.append(width + 2, '-');
-    out += '|';
+  put_row([&](std::size_t c) { return std::string_view(headers_[c]); });
+  {
+    char* at = line;
+    *at++ = '|';
+    for (const auto width : widths_) {
+      std::memset(at, '-', width + 2);
+      at += width + 2;
+      *at++ = '|';
+    }
+    *at = '\n';
+    line += line_size;
   }
-  out += '\n';
-  for (const auto& row : rows_) emit_row(row);
+  const std::string_view text(text_);
+  std::size_t cell = 0;
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    put_row([&](std::size_t) {
+      const std::size_t end = ends_[cell++];
+      const std::string_view bytes = text.substr(begin, end - begin);
+      begin = end;
+      return bytes;
+    });
+  }
   return out;
 }
 

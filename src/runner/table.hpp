@@ -18,9 +18,12 @@ class Table {
  public:
   explicit Table(std::vector<std::string> headers);
 
-  Table& add_row(std::vector<std::string> cells);
+  Table& add_row(const std::vector<std::string>& cells);
+  /// Room for `rows` rows, so a caller that knows its row count grows the
+  /// body without copying it; it only ever touches the memory it fills.
+  void reserve(std::size_t rows);
 
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
+  [[nodiscard]] std::size_t num_rows() const { return rows_; }
   [[nodiscard]] std::string to_string() const;
   void print(std::ostream& os) const;
   /// Print to stdout.
@@ -28,7 +31,13 @@ class Table {
 
  private:
   std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
+  /// Widest cell of each column, the header's included.
+  std::vector<std::size_t> widths_;
+  /// The body as one buffer: every cell's bytes, row-major, and the
+  /// offset in `text_` where each cell ends.
+  std::string text_;
+  std::vector<std::uint32_t> ends_;
+  std::size_t rows_ = 0;
 };
 
 }  // namespace kusd::runner

@@ -247,6 +247,51 @@ TEST(SweepService, ResumeAfterKillAtEveryCellBoundaryIsByteIdentical) {
   }
 }
 
+TEST(SweepService, JournalLinesInAnyOrderReadResumeAndMergeInGridOrder) {
+  // Writers append cells in grid order, but the journal grammar does not
+  // ask for it: a journal with its cell lines reversed reads, merges and
+  // resumes (with gaps) exactly as the ordered one does.
+  const Sweep sweep(service_spec());
+  const std::string reference = render_reference(sweep);
+  const std::string journal = temp_path("ordered.jsonl");
+  SweepServiceOptions write;
+  write.journal_path = journal;
+  render_service(sweep, write);
+  std::vector<std::string> lines;
+  {
+    const std::string content = slurp(journal);
+    for (std::size_t pos = 0; pos < content.size();) {
+      const std::size_t next = content.find('\n', pos) + 1;
+      lines.push_back(content.substr(pos, next - pos));
+      pos = next;
+    }
+  }
+  ASSERT_EQ(lines.size(), 1 + sweep.grid().size());
+  std::reverse(lines.begin() + 1, lines.end());
+
+  const std::string reversed = temp_path("reversed.jsonl");
+  std::string content;
+  for (const auto& line : lines) content += line;
+  spit(reversed, content);
+  EXPECT_EQ(read_journal(reversed).cells, read_journal(journal).cells);
+  std::string merged;
+  merge_journals({reversed},
+                 [&merged](std::size_t, const std::vector<std::string>& row) {
+                   merged += render_row(row);
+                 });
+  EXPECT_EQ(merged, reference);
+
+  // Every other cell of the reversed journal, for a resume with gaps.
+  const std::string gaps = temp_path("reversed_gaps.jsonl");
+  content = lines.front();
+  for (std::size_t i = 1; i < lines.size(); i += 2) content += lines[i];
+  spit(gaps, content);
+  SweepServiceOptions resume;
+  resume.resume_path = gaps;
+  EXPECT_EQ(render_service(sweep, resume), reference);
+  EXPECT_EQ(read_journal(gaps).cells, read_journal(journal).cells);
+}
+
 TEST(SweepService, EmittedRowsAreAlwaysCoveredByTheJournal) {
   // The durability contract: a cell's journal line is flushed before the
   // row reaches the consumer. Whenever on_row or after_cell runs, on any

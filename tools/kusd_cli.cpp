@@ -26,6 +26,7 @@
 //   kusd trace --n 100000 --k 8 --out trace.csv
 //   kusd exact --n 12 --k 3 --support 6,4,2
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -34,6 +35,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,6 +288,14 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
+// Append the decimal spelling of an integer, as printf's %d/%zu/%llu
+// give it.
+template <class Integer>
+void append_number(std::string& out, Integer value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
 std::vector<std::string> split_list(const std::string& spec) {
   std::vector<std::string> items;
   std::size_t pos = 0;
@@ -508,21 +518,28 @@ int cmd_sweep(const Args& args) {
   const runner::Sweep sweep(std::move(spec));
   const std::string csv_path = args.get_string("out", "");
   const std::string json_path = args.get_string("json", "");
+  // The outputs are opened at the first row, as `kusd merge` opens its
+  // own: a run rejected before it emits anything (a --resume journal of
+  // another sweep, say) leaves files from an earlier run as they were.
   std::optional<runner::CsvWriter> csv;
-  if (!csv_path.empty()) csv.emplace(csv_path, runner::Sweep::csv_header());
   std::FILE* json = nullptr;
-  if (!json_path.empty()) {
-    json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
+  const auto open_outputs = [&] {
+    if (!csv_path.empty() && !csv) {
+      csv.emplace(csv_path, runner::Sweep::csv_header());
     }
-  }
+    if (!json_path.empty() && json == nullptr) {
+      json = std::fopen(json_path.c_str(), "w");
+      if (json == nullptr) {
+        throw std::runtime_error("cannot open " + json_path);
+      }
+    }
+  };
 
   runner::Table table(runner::Sweep::csv_header());
   const auto shard_block =
       runner::shard_range(sweep.grid().size(), service.shard);
   const std::size_t total = shard_block.end - shard_block.begin;
+  table.reserve(total);
   std::size_t cells = 0;
   // Rows are written as they arrive but flushed once per batch of rows
   // that were ready together: the journal (flushed per cell by the
@@ -532,6 +549,7 @@ int cmd_sweep(const Args& args) {
   // written to stderr yet, which setvbuf requires).
   static char progress_buffer[1 << 16];
   std::setvbuf(stderr, progress_buffer, _IOFBF, sizeof progress_buffer);
+  std::string progress;  // one progress line, reused across rows
   const auto flush_outputs = [&] {
     if (csv) csv->flush();
     if (json != nullptr) std::fflush(json);
@@ -539,6 +557,7 @@ int cmd_sweep(const Args& args) {
   };
   runner::run_sweep_service(
       sweep, service, [&](const runner::SweepRowEvent& event) {
+        open_outputs();
         table.add_row(*event.row);
         if (csv) csv->write_row(*event.row);
         if (json != nullptr) {
@@ -547,24 +566,38 @@ int cmd_sweep(const Args& args) {
         }
         ++cells;
         // Live progress on stderr; the aligned table needs all rows for
-        // its column widths and is printed to stdout at the end.
+        // its column widths and is printed to stdout at the end. The line
+        // is spelled by hand, in the bytes a printf format would give it,
+        // because printf's parsing is a large share of a cheap row's cost.
+        progress.clear();
+        progress += '[';
+        append_number(progress, cells);
+        progress += '/';
+        append_number(progress, total);
+        progress += "] ";
         if (event.cell == nullptr) {
-          std::fprintf(stderr, "[%zu/%zu] cell %zu replayed from journal\n",
-                       cells, total, event.index);
+          progress += "cell ";
+          append_number(progress, event.index);
+          progress += " replayed from journal\n";
         } else {
           const runner::SweepCell& cell = *event.cell;
-          std::fprintf(stderr,
-                       "[%zu/%zu] %s%s%s n=%llu k=%d done in %.2fs\n", cells,
-                       total, cell.point.engine.c_str(),
-                       cell.point.graph.has_value() ? " " : "",
-                       cell.point.graph.has_value()
-                           ? sim::to_string(*cell.point.graph).c_str()
-                           : "",
-                       static_cast<unsigned long long>(cell.point.n),
-                       cell.point.k, cell.wall_seconds);
+          progress += cell.point.engine;
+          if (cell.point.graph.has_value()) {
+            progress += ' ';
+            progress += sim::to_string(*cell.point.graph);
+          }
+          progress += " n=";
+          append_number(progress, cell.point.n);
+          progress += " k=";
+          append_number(progress, cell.point.k);
+          progress += " done in ";
+          progress += runner::fmt(cell.wall_seconds, 2);
+          progress += "s\n";
         }
+        std::fwrite(progress.data(), 1, progress.size(), stderr);
         if (event.last_in_batch) flush_outputs();
       });
+  open_outputs();  // a shard with no cells still writes the CSV header
   flush_outputs();
   table.print();
   int rc = 0;
@@ -623,6 +656,9 @@ int cmd_merge(const Args& args) {
         ++rows;
       });
   int rc = 0;
+  // Flush before asking the stream: the last buffered rows are written
+  // only now, and that write can fail too.
+  if (csv) csv->flush();
   if (csv && !csv->ok()) {
     std::fprintf(stderr, "error: writing %s failed\n", csv_path.c_str());
     rc = 1;
