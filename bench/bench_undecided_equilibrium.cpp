@@ -13,12 +13,10 @@
 
 #include "analysis/transition_probs.hpp"
 #include "bench_common.hpp"
-#include "core/budget.hpp"
-#include "runner/run.hpp"
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "runner/csv.hpp"
 #include "runner/trials.hpp"
+#include "sim/registry.hpp"
 #include "stats/summary.hpp"
 
 using namespace kusd;
@@ -35,8 +33,7 @@ struct Band {
 
 Band measure(pp::Count n, int k, std::uint64_t seed) {
   const auto x0 = pp::Configuration::uniform(n, k, 0);
-  core::UsdSimulator sim(x0, rng::Rng(seed),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+  const auto engine = sim::Registry::instance().create("skip", x0, seed);
   Band band;
   band.upper_ok = true;
   band.lower_ok = true;
@@ -44,9 +41,8 @@ Band measure(pp::Count n, int k, std::uint64_t seed) {
   bool reached_t1 = false;
   const double slack = 8.0 * std::sqrt(static_cast<double>(n) *
                                        std::log(static_cast<double>(n)));
-  sim.run_observed(
-      core::default_interaction_cap(n, k),
-      std::max<pp::Count>(1, n / 64),
+  engine->run_observed(
+      engine->default_budget(), std::max<pp::Count>(1, n / 64),
       [&](std::uint64_t t, std::span<const pp::Count> opinions,
           pp::Count u) {
         const pp::Count xmax =

@@ -10,11 +10,9 @@
 
 #include "analysis/transition_probs.hpp"
 #include "core/bias.hpp"
-#include "core/budget.hpp"
-#include "runner/run.hpp"
 #include "core/phase_tracker.hpp"
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
+#include "sim/registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace kusd;
@@ -25,8 +23,7 @@ int main(int argc, char** argv) {
                                       : 42;
 
   const auto initial = pp::Configuration::uniform(n, k, 0);
-  core::UsdSimulator sim(initial, rng::Rng(seed),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+  const auto engine = sim::Registry::instance().create("skip", initial, seed);
   core::PhaseTracker tracker(n, 1.0);
 
   std::printf("USD trace: n=%llu k=%d  (u* = %.0f)\n",
@@ -37,8 +34,8 @@ int main(int argc, char** argv) {
 
   const std::uint64_t interval = std::max<std::uint64_t>(1, n / 2);
   std::uint64_t next_print = 0;
-  sim.run_observed(
-      core::default_interaction_cap(n, k), std::max<std::uint64_t>(1, n / 8),
+  engine->run_observed(
+      engine->default_budget(), std::max<std::uint64_t>(1, n / 8),
       [&](std::uint64_t t, std::span<const pp::Count> opinions,
           pp::Count undecided) {
         tracker.observe(t, opinions, undecided);
@@ -80,8 +77,8 @@ int main(int argc, char** argv) {
   show("T3 (multiplicative bias >= 2)", ph.t3);
   show("T4 (2/3 supermajority)", ph.t4);
   show("T5 (consensus)", ph.t5);
-  if (sim.is_consensus()) {
-    std::printf("winner: opinion %d\n", sim.consensus_opinion());
+  if (engine->is_consensus()) {
+    std::printf("winner: opinion %d\n", engine->consensus_opinion());
   }
   return 0;
 }

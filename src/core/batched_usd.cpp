@@ -1,7 +1,5 @@
 #include "core/batched_usd.hpp"
 
-#include <algorithm>
-
 #include "core/stepping.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
@@ -10,7 +8,7 @@
 namespace kusd::core {
 
 BatchedUsdSimulator::BatchedUsdSimulator(const pp::Configuration& initial,
-                                         rng::Rng rng, BatchedOptions options)
+                                         rng::Rng rng, ChunkOptions options)
     : opinions_(initial.opinions().begin(), initial.opinions().end()),
       undecided_(initial.undecided()),
       n_(initial.n()),
@@ -38,30 +36,6 @@ void BatchedUsdSimulator::step(std::uint64_t max_length) {
 
 bool BatchedUsdSimulator::run_to_consensus(std::uint64_t max_interactions) {
   return detail::run_sim_to_consensus(*this, max_interactions);
-}
-
-bool BatchedUsdSimulator::run_observed(std::uint64_t max_interactions,
-                                       std::uint64_t interval,
-                                       const UsdSimulator::Observer& observer) {
-  KUSD_CHECK_MSG(interval > 0, "observer interval must be positive");
-  // Unlike the shared driver in stepping.hpp (which reports at the first
-  // step past each boundary — the right contract for engines advancing one
-  // interaction at a time), chunks here are clamped so the trajectory
-  // lands exactly on every multiple of `interval`: phase-tracker
-  // milestones are then measured at the boundary itself instead of up to a
-  // chunk later.
-  observer(interactions_, opinions_, undecided_);
-  std::uint64_t next = interactions_ + interval;
-  while (!is_consensus() && interactions_ < max_interactions) {
-    const std::uint64_t stop = std::min(next, max_interactions);
-    step(stop - interactions_);
-    if (interactions_ == next) {
-      observer(interactions_, opinions_, undecided_);
-      next += interval;
-    }
-  }
-  observer(interactions_, opinions_, undecided_);
-  return is_consensus();
 }
 
 }  // namespace kusd::core

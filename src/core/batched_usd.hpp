@@ -30,36 +30,24 @@
 
 #include "core/chunk_controller.hpp"
 #include "core/round_engine.hpp"
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 
 namespace kusd::core {
 
-/// Chunk-schedule options of the batched engine. The alias keeps PR-2
-/// call sites (brace-initializing the leading chunk_fraction) meaning "fixed-fraction chunks".
-using BatchedOptions = ChunkOptions;
-
 class BatchedUsdSimulator {
  public:
   BatchedUsdSimulator(const pp::Configuration& initial, rng::Rng rng,
-                      BatchedOptions options = {});
+                      ChunkOptions options = {});
 
   /// Advance one chunk (possibly halved on overshoot; at least one
   /// interaction). The proposed chunk is clamped to `max_length`
-  /// interactions, which run_observed uses to land exactly on observation
-  /// boundaries.
+  /// interactions, which sim's `batched` engine uses to land exactly on
+  /// advance targets and observation boundaries.
   void step(std::uint64_t max_length = ~std::uint64_t{0});
 
   /// Run until consensus or until `max_interactions` have elapsed.
   bool run_to_consensus(std::uint64_t max_interactions);
-
-  /// Same contract as UsdSimulator::run_observed, and exact about
-  /// boundaries: chunks are clamped so the observer fires exactly at every
-  /// multiple of `interval` (and never past `max_interactions`), rather
-  /// than at the first chunk boundary beyond it.
-  bool run_observed(std::uint64_t max_interactions, std::uint64_t interval,
-                    const UsdSimulator::Observer& observer);
 
   // ---- Inspection (mirrors UsdSimulator) ----
   [[nodiscard]] std::uint64_t interactions() const { return interactions_; }

@@ -1,8 +1,9 @@
 // Shared stepping for the simulators, in one place so the engines cannot
 // drift apart: the tau-leap step of BatchedUsdSimulator and
-// sim::BatchedGraphEngine, and the run loops of UsdSimulator and
-// BatchedUsdSimulator, which expose the same stepping surface (step /
-// is_consensus / interactions / opinions / undecided).
+// sim::BatchedGraphEngine, and the run-to-consensus loop of UsdSimulator
+// and BatchedUsdSimulator, which expose the same stepping surface (step /
+// is_consensus / interactions). Observation has one loop, above the
+// simulators: sim::Engine::run_observed.
 #pragma once
 
 #include <algorithm>
@@ -54,27 +55,6 @@ bool run_sim_to_consensus(Sim& sim, std::uint64_t max_interactions) {
   while (!sim.is_consensus() && sim.interactions() < max_interactions) {
     sim.step();
   }
-  return sim.is_consensus();
-}
-
-/// Invokes `observer(t, opinions, undecided)` before the first step, at the
-/// first step past each multiple of `interval`, and after the last step.
-template <typename Sim, typename Observer>
-bool run_sim_observed(Sim& sim, std::uint64_t max_interactions,
-                      std::uint64_t interval, const Observer& observer) {
-  KUSD_CHECK_MSG(interval > 0, "observer interval must be positive");
-  observer(sim.interactions(), sim.opinions(), sim.undecided());
-  std::uint64_t next = sim.interactions() + interval;
-  while (!sim.is_consensus() && sim.interactions() < max_interactions) {
-    sim.step();
-    if (sim.interactions() >= next) {
-      observer(sim.interactions(), sim.opinions(), sim.undecided());
-      do {
-        next += interval;
-      } while (next <= sim.interactions());
-    }
-  }
-  observer(sim.interactions(), sim.opinions(), sim.undecided());
   return sim.is_consensus();
 }
 

@@ -135,11 +135,4 @@ bool UsdSimulator::run_to_consensus(std::uint64_t max_interactions) {
   return detail::run_sim_to_consensus(*this, max_interactions);
 }
 
-bool UsdSimulator::run_observed(std::uint64_t max_interactions,
-                                std::uint64_t interval,
-                                const Observer& observer) {
-  return detail::run_sim_observed(*this, max_interactions, interval,
-                                  observer);
-}
-
 }  // namespace kusd::core

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 
@@ -68,16 +67,6 @@ class UsdSimulator {
   /// Run until consensus or until `max_interactions` have elapsed.
   /// Returns true iff consensus was reached.
   bool run_to_consensus(std::uint64_t max_interactions);
-
-  /// Like run_to_consensus, but invokes `observer(t, opinions, undecided)`
-  /// before the first interaction and then every time the interaction count
-  /// crosses a multiple of `interval` (in kSkipUnproductive mode the call
-  /// happens at the first productive step past the boundary).
-  using Observer = std::function<void(
-      std::uint64_t t, std::span<const pp::Count> opinions,
-      pp::Count undecided)>;
-  bool run_observed(std::uint64_t max_interactions, std::uint64_t interval,
-                    const Observer& observer);
 
   // ---- Inspection ----
   [[nodiscard]] std::uint64_t interactions() const { return interactions_; }

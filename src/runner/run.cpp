@@ -4,8 +4,8 @@
 #include <string>
 
 #include "core/bias.hpp"
-#include "core/budget.hpp"
 #include "pp/configuration.hpp"
+#include "runner/sweep.hpp"
 #include "sim/registry.hpp"
 
 namespace kusd::runner {
@@ -15,28 +15,26 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
   RunResult result;
   result.initial_plurality = initial.argmax();
 
-  sim::EngineOptions engine_options;
-  engine_options.batch = options.batch;
-  engine_options.graph = options.graph;
+  // The run is a one-trial sweep point seeded with `seed` itself.
+  SweepPoint point;
+  point.engine = options.engine;
+  point.graph = options.graph;
+  point.n = initial.n();
+  point.k = initial.k();
+  const PointTopology topology = realize_topology(point, seed);
+  if (foregone_timeout(topology, options.max_interactions, initial)) {
+    result.interactions = trial_budget(options.max_interactions, point);
+    result.parallel_time = static_cast<double>(result.interactions) /
+                           static_cast<double>(initial.n());
+    return result;
+  }
   const auto engine = sim::Registry::instance().create(
-      options.engine, initial, seed, engine_options);
+      options.engine, initial, seed,
+      engine_options(options.batch, point, topology));
 
   const std::uint64_t cap = options.max_interactions != 0
                                 ? options.max_interactions
                                 : engine->default_budget();
-  // A disconnected topology cannot reach global consensus except by
-  // per-component coincidence, so a default-budget run would grind
-  // through the whole generous cap — the same de-facto hang the sweep
-  // short-circuits. Report the run as the timeout it would have been
-  // (parity with runner::Sweep: an explicit cap runs honestly, and a
-  // configuration already at consensus is exempt).
-  if (options.max_interactions == 0 &&
-      !engine->topology_connected().value_or(true) && !engine->is_consensus()) {
-    result.interactions = cap;
-    result.parallel_time =
-        static_cast<double>(cap) / static_cast<double>(initial.n());
-    return result;
-  }
   if (options.track_phases) {
     core::PhaseTracker tracker(initial.n(), options.alpha);
     const std::uint64_t interval = options.observe_interval != 0

@@ -8,6 +8,12 @@
 // ("sync", "gossip") and the graph-restricted scheduler ("graph", with
 // RunOptions::graph selecting the topology).
 //
+// The trial is built the way runner::Sweep builds one (runner/sweep.hpp):
+// the topology comes from realize_topology, from the stream the engine
+// would build its own from, and a disconnected topology under the default
+// budget is the sweep's foregone timeout. Phases are observed through
+// sim::Engine::run_observed, the one observation loop.
+//
 // This driver lives in runner — above sim in the layering DAG — because
 // it resolves engines by name through the registry; core stays below sim
 // and never sees the engine roster.
@@ -16,7 +22,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/batched_usd.hpp"
+#include "core/chunk_controller.hpp"
 #include "core/phase_tracker.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
@@ -34,7 +40,7 @@ struct RunOptions {
   std::string engine = "skip";
   /// Chunk schedule for the batched engine: fixed chunk fraction or the
   /// error-controlled adaptive policy (see chunk_controller.hpp).
-  core::BatchedOptions batch;
+  core::ChunkOptions batch;
   /// Topology for the graph engine.
   sim::GraphSpec graph;
   /// Track T1..T5; snapshots are taken every `observe_interval` native

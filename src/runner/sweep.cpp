@@ -57,14 +57,6 @@ std::optional<StartProfile> parse_start_profile(const std::string& name) {
   return std::nullopt;
 }
 
-namespace {
-
-struct TrialOutcome {
-  double parallel_time = 0.0;
-  bool converged = false;
-  bool plurality_won = false;
-};
-
 pp::Configuration build_config(const SweepSpec& spec, const SweepPoint& p) {
   // Round (not truncate) so a fraction built from an absolute count
   // round-trips exactly: (u / n) * n == u.
@@ -87,44 +79,13 @@ pp::Configuration build_config(const SweepSpec& spec, const SweepPoint& p) {
   KUSD_CHECK_MSG(false, "unreachable bias kind");
 }
 
-/// The point's realized topology, in whichever representation its engine
-/// runs on, plus the summary the output schema records.
-struct PointTopology {
-  std::optional<pp::InteractionGraph> graph;
-  std::optional<pp::DegreeClassModel> degrees;
-  std::optional<std::uint64_t> edges;
-  std::optional<bool> connected;
-};
-
-sim::EngineOptions engine_options(const SweepSpec& spec,
-                                  const SweepPoint& point,
-                                  const PointTopology& topology) {
-  sim::EngineOptions options;
-  options.batch.chunk_fraction = spec.batch_chunk_fraction;
-  options.batch.policy = spec.batch_policy;
-  if (point.graph.has_value()) {
-    options.graph = *point.graph;
-    if (topology.graph.has_value()) options.shared_graph = &*topology.graph;
-    if (topology.degrees.has_value()) {
-      options.shared_degrees = &*topology.degrees;
-    }
-  }
-  return options;
-}
-
-/// Realize the point's shared topology (graph-axis engines only): one
-/// deterministic construction per grid point, reused read-only by every
-/// trial regardless of thread placement. Aggregated engines
-/// (EngineInfo::aggregated_topology) get a degree-class model — never a
-/// materialized edge set, which is exactly what their n >= 1e8 sweeps
-/// cannot afford — with the summary columns computed analytically.
-PointTopology realize_topology(const SweepPoint& point,
-                               std::uint64_t point_seed) {
+PointTopology realize_topology(const SweepPoint& point, std::uint64_t seed) {
   PointTopology out;
   if (!point.graph.has_value()) return out;
   const sim::EngineInfo* info = sim::Registry::instance().find(point.engine);
-  rng::Rng topology_rng(rng::stream_seed(point_seed, sim::kTopologyStream));
-  if (info != nullptr && info->aggregated_topology) {
+  if (info == nullptr || !info->uses_graph_axis) return out;
+  rng::Rng topology_rng(rng::stream_seed(seed, sim::kTopologyStream));
+  if (info->aggregated_topology) {
     out.degrees = sim::degree_class_model(*point.graph, point.n, topology_rng);
     out.edges = static_cast<std::uint64_t>(
         std::llround(out.degrees->expected_edges()));
@@ -137,15 +98,23 @@ PointTopology realize_topology(const SweepPoint& point,
   return out;
 }
 
-/// The per-trial native-time cap of this point — what run_one passes to
-/// run_to_consensus, and what a short-circuited disconnected point
-/// reports as its timeout horizon. The default comes from the engine's
-/// published budget (EngineInfo::default_budget), so a short-circuited
-/// cell reports the same horizon a simulated trial would have run to;
-/// engines that publish nothing default to the asynchronous
-/// default_interaction_cap.
-std::uint64_t trial_budget(const SweepSpec& spec, const SweepPoint& point) {
-  if (spec.max_time != 0) return spec.max_time;
+sim::EngineOptions engine_options(const core::ChunkOptions& batch,
+                                  const SweepPoint& point,
+                                  const PointTopology& topology) {
+  sim::EngineOptions options;
+  options.batch = batch;
+  if (point.graph.has_value()) {
+    options.graph = *point.graph;
+    if (topology.graph.has_value()) options.shared_graph = &*topology.graph;
+    if (topology.degrees.has_value()) {
+      options.shared_degrees = &*topology.degrees;
+    }
+  }
+  return options;
+}
+
+std::uint64_t trial_budget(std::uint64_t max_time, const SweepPoint& point) {
+  if (max_time != 0) return max_time;
   const sim::EngineInfo* info = sim::Registry::instance().find(point.engine);
   if (info != nullptr && info->default_budget) {
     return info->default_budget(point.n, point.k);
@@ -153,18 +122,25 @@ std::uint64_t trial_budget(const SweepSpec& spec, const SweepPoint& point) {
   return core::default_interaction_cap(point.n, point.k);
 }
 
-bool starts_at_consensus(const pp::Configuration& x0) {
-  for (int i = 0; i < x0.k(); ++i) {
-    if (x0.opinion(i) == x0.n()) return true;
-  }
-  return false;
+bool foregone_timeout(const PointTopology& topology, std::uint64_t max_time,
+                      const pp::Configuration& x0) {
+  return topology.connected.has_value() && !*topology.connected &&
+         max_time == 0 && !x0.is_consensus();
 }
+
+namespace {
+
+struct TrialOutcome {
+  double parallel_time = 0.0;
+  bool converged = false;
+  bool plurality_won = false;
+};
 
 TrialOutcome run_one(const SweepSpec& spec, const SweepPoint& point,
                      const pp::Configuration& x0,
-                     const PointTopology& topology, std::uint64_t seed) {
-  const auto engine = sim::Registry::instance().create(
-      point.engine, x0, seed, engine_options(spec, point, topology));
+                     const sim::EngineOptions& options, std::uint64_t seed) {
+  const auto engine =
+      sim::Registry::instance().create(point.engine, x0, seed, options);
   TrialOutcome out;
   out.converged = engine->run_to_consensus(
       spec.max_time != 0 ? spec.max_time : engine->default_budget());
@@ -205,6 +181,8 @@ struct PointState {
   std::once_flag once;
   std::optional<pp::Configuration> x0;
   PointTopology topology;
+  /// Every trial's engine options, sharing `topology`.
+  sim::EngineOptions options;
   std::uint64_t point_seed = 0;
   /// Disconnected under the default budget: outcomes pre-filled with
   /// timeouts at init, stripes no-op.
@@ -363,21 +341,20 @@ void run_points(const SweepSpec& spec, util::ThreadPool& pool,
     st.watch.reset();
     st.point_seed = rng::stream_seed(spec.master_seed, point.index);
     st.topology = realize_topology(point, st.point_seed);
+    st.options = engine_options(
+        core::ChunkOptions{spec.batch_chunk_fraction, spec.batch_policy},
+        point, st.topology);
     st.x0 = build_config(spec, point);
     st.outcomes.resize(trials);
-    if (st.topology.connected.has_value() && !*st.topology.connected &&
-        spec.max_time == 0 && !starts_at_consensus(*st.x0)) {
-      // Disconnected topology under the *default* budget: global
-      // consensus needs every component (including each isolated vertex)
-      // to align by coincidence, so most trials would grind through the
-      // enormous default cap — the de-facto hang this guard exists for.
-      // Record the trials as timeouts at that cap instead of simulating.
-      // An explicit --budget bounds the cost the user signed up for, so
-      // those sweeps run honestly and *measure* the coincidental-
-      // consensus rate rather than hardcoding it to zero.
+    if (foregone_timeout(st.topology, spec.max_time, *st.x0)) {
+      // Most trials would grind through the enormous default cap — the
+      // de-facto hang this guard exists for — so they are recorded as
+      // timeouts at that cap. An explicit --budget runs honestly and
+      // *measures* the coincidental-consensus rate instead.
       TrialOutcome out;
-      out.parallel_time = static_cast<double>(trial_budget(spec, point)) /
-                          static_cast<double>(point.n);
+      out.parallel_time =
+          static_cast<double>(trial_budget(spec.max_time, point)) /
+          static_cast<double>(point.n);
       std::fill(st.outcomes.begin(), st.outcomes.end(), out);
       st.short_circuit = true;
     }
@@ -391,7 +368,7 @@ void run_points(const SweepSpec& spec, util::ThreadPool& pool,
     const std::size_t begin = unit.stripe * width;
     const std::size_t end = std::min(begin + width, trials);
     for (std::size_t t = begin; t < end; ++t) {
-      st.outcomes[t] = run_one(spec, point, *st.x0, st.topology,
+      st.outcomes[t] = run_one(spec, point, *st.x0, st.options,
                                rng::stream_seed(st.point_seed, t));
     }
   };
@@ -475,22 +452,10 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
           spec_.graphs == std::vector<sim::GraphSpec>{sim::GraphSpec{}},
       "sweep: the graph axis requires a topology-taking engine "
       "(--engine graph or graph-batched)");
-  for (const auto& graph : spec_.graphs) {
-    if (graph.kind == sim::GraphSpec::Kind::kRegular && any_graph_engine) {
-      for (const auto n : spec_.ns) {
-        KUSD_CHECK_MSG(graph.degree >= 1 &&
-                           static_cast<pp::Count>(graph.degree) < n,
-                       "sweep: regular:<d> needs 1 <= d < n");
-        KUSD_CHECK_MSG(
-            (n * static_cast<pp::Count>(graph.degree)) % 2 == 0,
-            "sweep: regular:<d> needs n * d even at every n of the grid");
-      }
+  if (any_graph_engine) {
+    for (const auto& graph : spec_.graphs) {
+      for (const auto n : spec_.ns) sim::check_graph_spec(graph, n);
     }
-    KUSD_CHECK_MSG(graph.kind != sim::GraphSpec::Kind::kErdosRenyi ||
-                       graph.edge_probability == 0.0 ||
-                       (graph.edge_probability > 0.0 &&
-                        graph.edge_probability <= 1.0),
-                   "sweep: er:<p> needs p in (0, 1] or er:auto");
   }
   for (const auto& start : spec_.starts) {
     if (start.kind == StartProfile::Kind::kGeometric) {

@@ -73,8 +73,11 @@
 #include <string_view>
 #include <vector>
 
-#include "core/batched_usd.hpp"
+#include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
+#include "pp/degree_classes.hpp"
+#include "pp/graph.hpp"
+#include "sim/engine.hpp"
 #include "sim/graph_spec.hpp"
 #include "stats/summary.hpp"
 #include "util/thread_pool.hpp"
@@ -132,7 +135,7 @@ struct SweepSpec {
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Chunk fraction for the batched engine (ChunkPolicy::kFixed).
-  double batch_chunk_fraction = core::BatchedOptions{}.chunk_fraction;
+  double batch_chunk_fraction = core::ChunkOptions{}.chunk_fraction;
   /// Chunk policy for the batched engine.
   core::ChunkPolicy batch_policy = core::ChunkPolicy::kFixed;
   /// Trials per (point, stripe) work unit — the work-stealing grain (see
@@ -180,6 +183,54 @@ struct SweepCell {
   /// byte-deterministic for a given (spec, master_seed).
   double wall_seconds = 0.0;
 };
+
+// ---- One trial's description ----
+// What every driver builds a trial from: the sweep per grid point,
+// run_usd (`kusd run`) and `kusd trace` for their one point.
+
+/// The initial configuration of `point` under `spec`'s bias kind and
+/// undecided fraction (rounded to a count).
+[[nodiscard]] pp::Configuration build_config(const SweepSpec& spec,
+                                             const SweepPoint& point);
+
+/// A point's realized topology in its engine's representation, plus the
+/// summary the output schema records; empty without a graph axis.
+struct PointTopology {
+  std::optional<pp::InteractionGraph> graph;
+  std::optional<pp::DegreeClassModel> degrees;
+  std::optional<std::uint64_t> edges;
+  std::optional<bool> connected;
+};
+
+/// Realize the topology of `point` (graph-axis engines only) from the
+/// stream rng::stream_seed(seed, sim::kTopologyStream), the one an engine
+/// given `seed` builds its own from, so sharing it changes no byte.
+/// Aggregated engines (EngineInfo::aggregated_topology) get a degree-class
+/// model, never an edge set, with an analytic summary (expected edges; no
+/// isolated vertices as connectivity); the others get the graph, its
+/// edge count and BFS connectivity.
+[[nodiscard]] PointTopology realize_topology(const SweepPoint& point,
+                                             std::uint64_t seed);
+
+/// Engine options of a trial at `point`: the chunk schedule, and the
+/// point's graph with `topology` shared read-only.
+[[nodiscard]] sim::EngineOptions engine_options(
+    const core::ChunkOptions& batch, const SweepPoint& point,
+    const PointTopology& topology);
+
+/// The per-trial native-time cap: `max_time`, or if 0 the engine's
+/// published default (EngineInfo::default_budget).
+[[nodiscard]] std::uint64_t trial_budget(std::uint64_t max_time,
+                                         const SweepPoint& point);
+
+/// The disconnected-topology rule: under the default budget (`max_time`
+/// == 0) a trial on a disconnected topology, from a start not already at
+/// consensus, is a foregone timeout at trial_budget (consensus would need
+/// every component to align by coincidence) and is recorded as one, not
+/// simulated. An explicit budget runs honestly.
+[[nodiscard]] bool foregone_timeout(const PointTopology& topology,
+                                    std::uint64_t max_time,
+                                    const pp::Configuration& x0);
 
 /// Append `text` to `out` as the body of a JSON string: `"` and `\`
 /// backslash-escaped, control bytes as \u00XX, everything else as is.

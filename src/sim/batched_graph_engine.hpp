@@ -80,11 +80,6 @@ class BatchedGraphEngine final : public Engine {
   [[nodiscard]] int consensus_opinion() const override { return *winner_; }
   [[nodiscard]] std::uint64_t default_budget() const override;
   [[nodiscard]] std::uint64_t default_observe_interval() const override;
-  /// The aggregated notion of connectivity: a realized zero-degree class
-  /// is the only disconnection an annealed model can express.
-  [[nodiscard]] std::optional<bool> topology_connected() const override {
-    return !model_.has_isolated_vertices();
-  }
 
   // ---- Introspection (tests, benches) ----
   /// Multinomial chunks drawn so far (including halved retries).

@@ -19,18 +19,20 @@
 // (interactions / n for the asynchronous engines, total rounds for the
 // synchronous ones).
 //
-// Observation. run_observed() fires the observer before the first step,
-// at interval boundaries, and once more after the last step. Boundary
-// exactness is engine-dependent but never worse than the engine's step
-// granularity: the batched engine clamps chunks to land exactly on every
-// boundary, per-interaction engines land exactly by construction, and the
-// skip engine fires at the first productive step past a boundary (its
-// jumps are not splittable without resampling).
+// Observation. run_observed() is the one observation loop of the code
+// base (the simulators below sim have none): it fires the observer before
+// the first step, at interval boundaries, and once more after the last
+// step. Boundary exactness is engine-dependent but never worse than the
+// engine's step granularity: the batched engines clamp chunks to land
+// exactly on every boundary, per-interaction engines land exactly by
+// construction, and the skip engine fires at the first productive step
+// past a boundary (its jumps are not splittable without resampling).
+// Whether a topology is connected is a property of the realized topology,
+// not of an engine: drivers read it from runner::realize_topology.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 
 #include "core/chunk_controller.hpp"
@@ -106,16 +108,6 @@ class Engine {
   /// Native-time observation interval giving phase-tracking resolution
   /// well below phase lengths (n/8 interactions; 1 round).
   [[nodiscard]] virtual std::uint64_t default_observe_interval() const = 0;
-
-  /// Whether the engine's realized topology can carry every agent to one
-  /// opinion: BFS connectivity for materialized edge sets, "no isolated
-  /// vertices" for aggregated degree models. nullopt for engines without
-  /// a topology (complete-graph dynamics are always connected). Drivers
-  /// use a `false` here to short-circuit default-budget runs that could
-  /// only end in a timeout (see runner::run_usd and runner::Sweep).
-  [[nodiscard]] virtual std::optional<bool> topology_connected() const {
-    return std::nullopt;
-  }
 
   [[nodiscard]] int k() const { return static_cast<int>(counts().size()); }
 

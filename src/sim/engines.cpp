@@ -257,9 +257,6 @@ class GraphUsdEngine final : public Engine {
   std::uint64_t default_observe_interval() const override {
     return std::max<std::uint64_t>(1, n_ / 8);
   }
-  std::optional<bool> topology_connected() const override {
-    return graph_->is_connected();
-  }
 
  private:
   core::UsdProtocol protocol_;

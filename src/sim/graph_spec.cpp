@@ -71,10 +71,38 @@ double auto_edge_probability(pp::Count n) {
                     1.0);  // > threshold ln n / n
 }
 
+namespace {
+
+/// The p an er:<p> spec runs with at population size n.
+double edge_probability(const GraphSpec& spec, pp::Count n) {
+  return spec.edge_probability == 0.0 ? auto_edge_probability(n)
+                                       : spec.edge_probability;
+}
+
+}  // namespace
+
+void check_graph_spec(const GraphSpec& spec, pp::Count n) {
+  KUSD_CHECK_MSG(n >= 2, "a topology needs at least two vertices");
+  if (spec.kind == GraphSpec::Kind::kRegular) {
+    KUSD_CHECK_MSG(
+        spec.degree >= 1 && static_cast<pp::Count>(spec.degree) < n,
+        "regular:<d> needs 1 <= d < n");
+    KUSD_CHECK_MSG((n * static_cast<pp::Count>(spec.degree)) % 2 == 0,
+                   "regular:<d> needs n * d even at n = " +
+                       std::to_string(n));
+  }
+  if (spec.kind == GraphSpec::Kind::kErdosRenyi) {
+    const double p = edge_probability(spec, n);
+    KUSD_CHECK_MSG(p > 0.0 && p <= 1.0,
+                   "er:<p> needs an edge probability in (0, 1]");
+  }
+}
+
 pp::InteractionGraph build_graph(const GraphSpec& spec, pp::Count n,
                                  rng::Rng& rng) {
-  KUSD_CHECK_MSG(n >= 2 && n <= std::numeric_limits<std::uint32_t>::max(),
-                 "graph topologies need 2 <= n < 2^32 (32-bit vertex ids)");
+  check_graph_spec(spec, n);
+  KUSD_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                 "graph topologies need n < 2^32 (32-bit vertex ids)");
   const auto vertices = static_cast<std::uint32_t>(n);
   switch (spec.kind) {
     case GraphSpec::Kind::kComplete:
@@ -82,48 +110,28 @@ pp::InteractionGraph build_graph(const GraphSpec& spec, pp::Count n,
     case GraphSpec::Kind::kCycle:
       return pp::InteractionGraph::cycle(vertices);
     case GraphSpec::Kind::kRegular:
-      KUSD_CHECK_MSG(
-          spec.degree >= 1 && static_cast<pp::Count>(spec.degree) < n,
-          "regular:<d> needs 1 <= d < n");
-      KUSD_CHECK_MSG((n * static_cast<pp::Count>(spec.degree)) % 2 == 0,
-                     "regular:<d> needs n * d even");
       return pp::InteractionGraph::random_regular(vertices, spec.degree, rng);
-    case GraphSpec::Kind::kErdosRenyi: {
-      const double p = spec.edge_probability == 0.0
-                           ? auto_edge_probability(n)
-                           : spec.edge_probability;
-      KUSD_CHECK_MSG(p > 0.0 && p <= 1.0,
-                     "er:<p> needs an edge probability in (0, 1]");
-      return pp::InteractionGraph::erdos_renyi(vertices, p, rng);
-    }
+    case GraphSpec::Kind::kErdosRenyi:
+      return pp::InteractionGraph::erdos_renyi(
+          vertices, edge_probability(spec, n), rng);
   }
   KUSD_CHECK_MSG(false, "unreachable graph kind");
 }
 
 pp::DegreeClassModel degree_class_model(const GraphSpec& spec, pp::Count n,
                                         rng::Rng& rng) {
-  KUSD_CHECK_MSG(n >= 2, "a topology needs at least two vertices");
+  check_graph_spec(spec, n);
   switch (spec.kind) {
     case GraphSpec::Kind::kComplete:
       return pp::DegreeClassModel::regular(n, static_cast<double>(n - 1));
     case GraphSpec::Kind::kCycle:
       return pp::DegreeClassModel::regular(n, 2.0);
     case GraphSpec::Kind::kRegular:
-      KUSD_CHECK_MSG(
-          spec.degree >= 1 && static_cast<pp::Count>(spec.degree) < n,
-          "regular:<d> needs 1 <= d < n");
-      KUSD_CHECK_MSG((n * static_cast<pp::Count>(spec.degree)) % 2 == 0,
-                     "regular:<d> needs n * d even");
       return pp::DegreeClassModel::regular(
           n, static_cast<double>(spec.degree));
-    case GraphSpec::Kind::kErdosRenyi: {
-      const double p = spec.edge_probability == 0.0
-                           ? auto_edge_probability(n)
-                           : spec.edge_probability;
-      KUSD_CHECK_MSG(p > 0.0 && p <= 1.0,
-                     "er:<p> needs an edge probability in (0, 1]");
-      return pp::DegreeClassModel::binomial(n, p, kMaxDegreeClasses, rng);
-    }
+    case GraphSpec::Kind::kErdosRenyi:
+      return pp::DegreeClassModel::binomial(n, edge_probability(spec, n),
+                                            kMaxDegreeClasses, rng);
   }
   KUSD_CHECK_MSG(false, "unreachable graph kind");
 }

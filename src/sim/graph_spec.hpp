@@ -56,6 +56,13 @@ struct GraphSpec {
 /// clamped to (0, 1].
 [[nodiscard]] double auto_edge_probability(pp::Count n);
 
+/// Throws util::CheckError unless the spec is feasible at population size
+/// n: n >= 2; regular:<d> needs 1 <= d < n and n * d even; er:<p> needs p
+/// in (0, 1] (er:auto resolves to auto_edge_probability(n)). The one copy
+/// of these rules: build_graph, degree_class_model and runner::Sweep's
+/// upfront validation all call it.
+void check_graph_spec(const GraphSpec& spec, pp::Count n);
+
 /// Materialize the spec at population size n. `rng` drives the random
 /// families (regular, ER) and is untouched for the deterministic ones, so
 /// topology construction is reproducible from a seeded stream. Throws
@@ -73,8 +80,8 @@ inline constexpr int kMaxDegreeClasses = 48;
 /// Degree-regular families (complete, cycle, regular:<d>) collapse to one
 /// class; er:<p> (and er:auto) realizes binomial degree-class sizes from
 /// `rng` (deterministic from a seeded stream, like build_graph).
-/// Parameter validation matches build_graph, so both engines accept
-/// exactly the same specs.
+/// Parameter validation is check_graph_spec, as for build_graph, so both
+/// engines accept exactly the same specs.
 [[nodiscard]] pp::DegreeClassModel degree_class_model(const GraphSpec& spec,
                                                       pp::Count n,
                                                       rng::Rng& rng);

@@ -7,17 +7,18 @@
 #include <vector>
 
 #include "core/batched_usd.hpp"
-#include "runner/run.hpp"
 #include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
+#include "runner/run.hpp"
+#include "sim/registry.hpp"
 #include "stats/summary.hpp"
 #include "util/check.hpp"
 
 namespace kusd {
 namespace {
 
-using core::BatchedOptions;
+using core::ChunkOptions;
 using core::BatchedUsdSimulator;
 using core::StepMode;
 using core::UsdOptions;
@@ -97,10 +98,10 @@ TEST(BatchedUsd, RejectsAllUndecidedAndBadChunk) {
   EXPECT_THROW(BatchedUsdSimulator(Configuration({0, 0}, 10), rng::Rng(10)),
                util::CheckError);
   EXPECT_THROW(BatchedUsdSimulator(Configuration::uniform(100, 2, 0),
-                                   rng::Rng(11), BatchedOptions{.chunk_fraction = 0.0}),
+                                   rng::Rng(11), ChunkOptions{.chunk_fraction = 0.0}),
                util::CheckError);
   EXPECT_THROW(BatchedUsdSimulator(Configuration::uniform(100, 2, 0),
-                                   rng::Rng(11), BatchedOptions{.chunk_fraction = 1.5}),
+                                   rng::Rng(11), ChunkOptions{.chunk_fraction = 1.5}),
                util::CheckError);
 }
 
@@ -123,41 +124,28 @@ TEST(BatchedUsd, TinyPopulationsTerminate) {
   // the exact m = 1 case, which always converges.
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     BatchedUsdSimulator sim(Configuration({1, 1}, 0), rng::Rng(seed),
-                            BatchedOptions{.chunk_fraction = 1.0});
+                            ChunkOptions{.chunk_fraction = 1.0});
     ASSERT_TRUE(sim.run_to_consensus(~std::uint64_t{0}));
     EXPECT_EQ(sim.undecided(), 0u);
-  }
-}
-
-TEST(BatchedUsd, RunObservedVisitsBoundariesInOrder) {
-  BatchedUsdSimulator sim(Configuration::uniform(2000, 2, 0), rng::Rng(14));
-  std::vector<std::uint64_t> times;
-  sim.run_observed(500'000, 1000,
-                   [&times](std::uint64_t t, std::span<const pp::Count>,
-                            pp::Count) { times.push_back(t); });
-  ASSERT_GE(times.size(), 2u);
-  EXPECT_EQ(times.front(), 0u);
-  for (std::size_t i = 1; i + 1 < times.size(); ++i) {
-    ASSERT_GT(times[i], times[i - 1]);
   }
 }
 
 TEST(BatchedUsd, RunObservedFiresExactlyAtIntervalMultiples) {
   // Regression: the observer used to fire at the first chunk boundary
   // *past* each interval multiple (a chunk of 2% of n could overshoot the
-  // boundary by the whole chunk). Chunks are now clamped so every multiple
-  // is hit exactly, under both chunk policies.
+  // boundary by the whole chunk). The `batched` engine clamps chunks so
+  // every multiple is hit exactly, under both chunk policies.
   for (const auto policy :
        {core::ChunkPolicy::kFixed, core::ChunkPolicy::kAdaptive}) {
-    BatchedOptions options;
-    options.policy = policy;
-    BatchedUsdSimulator sim(Configuration::uniform(20000, 3, 0),
-                            rng::Rng(15), options);
+    sim::EngineOptions options;
+    options.batch.policy = policy;
+    const auto engine = sim::Registry::instance().create(
+        "batched", Configuration::uniform(20000, 3, 0), 15, options);
     const std::uint64_t interval = 1500;
     std::vector<std::uint64_t> times;
-    sim.run_observed(10'000'000, interval,
-                     [&times](std::uint64_t t, std::span<const pp::Count>,
-                              pp::Count) { times.push_back(t); });
+    engine->run_observed(10'000'000, interval,
+                         [&times](std::uint64_t t, std::span<const pp::Count>,
+                                  pp::Count) { times.push_back(t); });
     ASSERT_GE(times.size(), 4u);
     EXPECT_EQ(times.front(), 0u);
     // Every observation but the last is an exact multiple, consecutive
@@ -166,16 +154,17 @@ TEST(BatchedUsd, RunObservedFiresExactlyAtIntervalMultiples) {
       EXPECT_EQ(times[i], i * interval) << "policy "
                                         << core::to_string(policy);
     }
-    EXPECT_EQ(times.back(), sim.interactions());
+    EXPECT_EQ(times.back(), engine->elapsed());
   }
 }
 
 TEST(BatchedUsd, RunObservedNeverOvershootsTheCap) {
-  BatchedUsdSimulator sim(Configuration::uniform(100000, 8, 0), rng::Rng(16));
+  const auto engine = sim::Registry::instance().create(
+      "batched", Configuration::uniform(100000, 8, 0), 16);
   const std::uint64_t cap = 12345;
-  sim.run_observed(cap, 1000,
-                   [](std::uint64_t, std::span<const pp::Count>, pp::Count) {});
-  EXPECT_LE(sim.interactions(), cap);
+  engine->run_observed(
+      cap, 1000, [](std::uint64_t, std::span<const pp::Count>, pp::Count) {});
+  EXPECT_LE(engine->elapsed(), cap);
 }
 
 TEST(BatchedUsd, RunUsdDispatchesBatchedMode) {
@@ -214,7 +203,7 @@ std::vector<double> batched_times(const Configuration& x0, int trials,
     BatchedUsdSimulator sim(
         x0, rng::Rng(rng::stream_seed(seed_base,
                                         static_cast<std::uint64_t>(t))),
-        BatchedOptions{.chunk_fraction = chunk_fraction});
+        ChunkOptions{.chunk_fraction = chunk_fraction});
     EXPECT_TRUE(sim.run_to_consensus(100'000'000));
     out.push_back(static_cast<double>(sim.interactions()));
   }
@@ -239,7 +228,7 @@ TEST(BatchedUsd, DefaultChunkMatchesExactChainInDistribution) {
   const int trials = 350;
   const auto exact = exact_times(x0, trials, 2200);
   const auto batched =
-      batched_times(x0, trials, 2201, BatchedOptions{}.chunk_fraction);
+      batched_times(x0, trials, 2201, ChunkOptions{}.chunk_fraction);
   EXPECT_LT(stats::ks_statistic(exact, batched),
             stats::ks_threshold(exact.size(), batched.size(), 0.001));
 }

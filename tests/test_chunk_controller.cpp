@@ -18,7 +18,6 @@ namespace kusd {
 namespace {
 
 using core::AdaptiveChunkOptions;
-using core::BatchedOptions;
 using core::BatchedUsdSimulator;
 using core::ChunkController;
 using core::ChunkOptions;

@@ -10,6 +10,7 @@
 #include "gossip/gossip_usd.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
+#include "sim/registry.hpp"
 #include "util/check.hpp"
 
 namespace kusd {
@@ -160,14 +161,14 @@ TEST(EdgeCases, RunUsdCustomAlphaAffectsPhase2Detection) {
 
 TEST(EdgeCases, ObserveIntervalOfOneSeesEveryProductiveStep) {
   const auto x0 = Configuration::uniform(50, 2, 0);
-  UsdSimulator sim(x0, rng::Rng(9));
+  const auto engine = sim::Registry::instance().create("every", x0, 9);
   std::uint64_t calls = 0;
-  sim.run_observed(1'000'000, 1,
-                   [&calls](std::uint64_t, std::span<const pp::Count>,
-                            pp::Count) { ++calls; });
-  ASSERT_TRUE(sim.is_consensus());
+  engine->run_observed(1'000'000, 1,
+                       [&calls](std::uint64_t, std::span<const pp::Count>,
+                                pp::Count) { ++calls; });
+  ASSERT_TRUE(engine->is_consensus());
   // Initial + final + one per step.
-  EXPECT_GE(calls, sim.interactions());
+  EXPECT_GE(calls, engine->elapsed());
 }
 
 TEST(EdgeCases, ConfigurationSingleOpinionAllAgents) {

@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "core/bias.hpp"
-#include "core/budget.hpp"
 #include "runner/run.hpp"
 #include "pp/configuration.hpp"
 #include "runner/trials.hpp"
 #include "stats/regression.hpp"
+#include "sim/registry.hpp"
 #include "stats/summary.hpp"
 
 namespace kusd {
@@ -113,13 +113,13 @@ TEST(Phases, PhaseOneEndsWithinLemma1Bound) {
 TEST(Phases, UndecidedStaysBelowHalf) {
   const pp::Count n = 20000;
   const auto x0 = Configuration::uniform(n, 6, 0);
-  core::UsdSimulator sim(x0, rng::Rng(3));
+  const auto engine = sim::Registry::instance().create("every", x0, 3);
   bool ok = true;
-  sim.run_observed(core::default_interaction_cap(n, 6), n / 10,
-                   [&ok, n](std::uint64_t, std::span<const pp::Count>,
-                            pp::Count u) {
-                     if (u >= n / 2) ok = false;
-                   });
+  engine->run_observed(engine->default_budget(), n / 10,
+                       [&ok, n](std::uint64_t, std::span<const pp::Count>,
+                                pp::Count u) {
+                         if (u >= n / 2) ok = false;
+                       });
   EXPECT_TRUE(ok);
 }
 

@@ -60,10 +60,9 @@ TEST(RunUsd, UnbiasedWinnerIsInitiallySignificant) {
 }
 
 TEST(RunUsd, DisconnectedGraphShortCircuitsAtDefaultBudget) {
-  // Parity with the sweep's guard: `kusd run --engine graph --graph
-  // er:<tiny p>` must consult the engine's topology_connected() at
-  // construction and report the would-be timeout instead of grinding
-  // through the full default cap.
+  // The sweep's rule: `kusd run --engine graph --graph er:<tiny p>`
+  // realizes the topology, finds it disconnected and reports the
+  // would-be timeout instead of grinding through the full default cap.
   const auto x0 = Configuration::uniform(2000, 2, 0);
   RunOptions options;
   options.engine = "graph";

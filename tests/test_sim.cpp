@@ -87,33 +87,6 @@ TEST(Registry, PublishedBudgetMatchesEveryConstructedEngine) {
   }
 }
 
-TEST(Engine, TopologyConnectedReflectsTheRealizedTopology) {
-  const auto& registry = sim::Registry::instance();
-  const auto x0 = pp::Configuration::uniform(300, 2, 0);
-  // Engines without a topology make no connectivity claim.
-  EXPECT_EQ(registry.create("skip", x0, 1)->topology_connected(),
-            std::nullopt);
-  EXPECT_EQ(registry.create("batched", x0, 1)->topology_connected(),
-            std::nullopt);
-  sim::EngineOptions cycle;
-  cycle.graph = sim::GraphSpec{sim::GraphSpec::Kind::kCycle};
-  // G(300, 0.003) sits far below the ln n / n connectivity threshold:
-  // sparse enough for isolated vertices (both the materialized and the
-  // aggregated representation see the disconnection) but not empty.
-  sim::EngineOptions sparse;
-  sparse.graph = sim::GraphSpec{sim::GraphSpec::Kind::kErdosRenyi, 4, 0.003};
-  EXPECT_EQ(registry.create("graph", x0, 1, cycle)->topology_connected(),
-            std::optional<bool>(true));
-  EXPECT_EQ(registry.create("graph", x0, 1, sparse)->topology_connected(),
-            std::optional<bool>(false));
-  EXPECT_EQ(
-      registry.create("graph-batched", x0, 1, cycle)->topology_connected(),
-      std::optional<bool>(true));
-  EXPECT_EQ(
-      registry.create("graph-batched", x0, 1, sparse)->topology_connected(),
-      std::optional<bool>(false));
-}
-
 TEST(Registry, CreateUnknownEngineThrows) {
   const auto x0 = Configuration::uniform(100, 2, 0);
   EXPECT_THROW((void)sim::Registry::instance().create("warp-drive", x0, 1),
@@ -164,7 +137,7 @@ TEST(EngineAdapters, SkipMatchesUsdSimulatorByteForByte) {
 
 TEST(EngineAdapters, BatchedMatchesBatchedSimulatorByteForByte) {
   const auto x0 = Configuration::uniform(20000, 4, 0);
-  core::BatchedUsdSimulator direct(x0, rng::Rng(13), core::BatchedOptions{});
+  core::BatchedUsdSimulator direct(x0, rng::Rng(13), core::ChunkOptions{});
   ASSERT_TRUE(direct.run_to_consensus(~std::uint64_t{0}));
   const auto engine = sim::Registry::instance().create("batched", x0, 13);
   ASSERT_TRUE(engine->run_to_consensus(~std::uint64_t{0}));
@@ -212,6 +185,69 @@ TEST(EngineAdapters, RunObservedVisitsIntervalBoundaries) {
     EXPECT_GT(times[i], times[i - 1]);
   }
 }
+
+// ---- Observation: Engine::run_observed, the one loop, on every engine ----
+
+class EngineObservation : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EngineObservation, FiresBeforeAtEachBoundaryAndAfter) {
+  const std::string& name = GetParam();
+  const auto x0 = Configuration::uniform(2000, 3, 0);
+  const auto engine = sim::Registry::instance().create(name, x0, 29);
+  const std::uint64_t interval = engine->default_observe_interval();
+  std::vector<std::uint64_t> times;
+  std::vector<pp::Count> last_counts;
+  pp::Count last_undecided = 0;
+  ASSERT_TRUE(engine->run_observed(
+      engine->default_budget(), interval,
+      [&](std::uint64_t t, std::span<const pp::Count> counts, pp::Count u) {
+        times.push_back(t);
+        last_counts.assign(counts.begin(), counts.end());
+        last_undecided = u;
+      }));
+  ASSERT_GE(times.size(), 3u);
+  // Once before the first step.
+  EXPECT_EQ(times[0], 0u);
+  EXPECT_GT(times[1], 0u);
+  // At or after each multiple of the interval. Every engine but skip
+  // lands exactly on each one: the tau-leap engines clamp their chunks,
+  // the others step one native time unit at a time. skip fires at the
+  // first productive step past a boundary (its jumps do not split).
+  const bool exact = name != "skip";
+  for (std::size_t i = 1; i + 1 < times.size(); ++i) {
+    EXPECT_GE(times[i], (times[i - 1] / interval + 1) * interval) << i;
+    if (exact) {
+      EXPECT_EQ(times[i], i * interval) << i;
+    }
+  }
+  EXPECT_LE(times.size() - 2, engine->elapsed() / interval);
+  // Once after the last step, with the final state.
+  EXPECT_EQ(times.back(), engine->elapsed());
+  const auto counts = engine->counts();
+  EXPECT_EQ(last_counts, std::vector<pp::Count>(counts.begin(), counts.end()));
+  EXPECT_EQ(last_undecided, engine->undecided());
+}
+
+TEST_P(EngineObservation, RejectsZeroInterval) {
+  const auto engine = sim::Registry::instance().create(
+      GetParam(), Configuration::uniform(100, 2, 0), 10);
+  EXPECT_THROW(engine->run_observed(
+                   1000, 0,
+                   [](std::uint64_t, std::span<const pp::Count>, pp::Count) {
+                   }),
+               util::CheckError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, EngineObservation,
+    ::testing::ValuesIn(sim::Registry::instance().names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(EngineAdapters, SyncRequiresDecidedStart) {
   const auto x0 = Configuration::uniform(100, 2, 10);

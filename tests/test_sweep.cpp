@@ -396,6 +396,65 @@ TEST(Sweep, TopologySummaryColumnsAreEmittedOncePerPoint) {
   EXPECT_EQ(cells[2].status, "ok");
 }
 
+runner::SweepPoint topology_point(const char* engine, sim::GraphSpec graph,
+                                  pp::Count n) {
+  runner::SweepPoint point;
+  point.engine = engine;
+  point.graph = graph;
+  point.n = n;
+  point.k = 2;
+  return point;
+}
+
+TEST(RealizeTopology, ConnectedReflectsTheRealizedTopology) {
+  // The connectivity the disconnected-topology rule reads, for the
+  // materialized and the aggregated representation alike.
+  const sim::GraphSpec cycle{sim::GraphSpec::Kind::kCycle};
+  // G(300, 0.003) sits far below the ln n / n connectivity threshold:
+  // sparse enough for isolated vertices but not empty.
+  const sim::GraphSpec sparse{sim::GraphSpec::Kind::kErdosRenyi, 4, 0.003};
+  // Engines without a topology realize none, whatever the point's graph.
+  for (const char* engine : {"skip", "batched"}) {
+    const auto topology =
+        runner::realize_topology(topology_point(engine, cycle, 300), 1);
+    EXPECT_EQ(topology.connected, std::nullopt) << engine;
+    EXPECT_FALSE(topology.graph.has_value() || topology.degrees.has_value());
+  }
+  for (const char* engine : {"graph", "graph-batched"}) {
+    EXPECT_EQ(
+        runner::realize_topology(topology_point(engine, cycle, 300), 1)
+            .connected,
+        std::optional<bool>(true))
+        << engine;
+    EXPECT_EQ(
+        runner::realize_topology(topology_point(engine, sparse, 300), 1)
+            .connected,
+        std::optional<bool>(false))
+        << engine;
+  }
+}
+
+TEST(RealizeTopology, SharingItReplaysTheEnginesOwnTopology) {
+  // run_usd shares the topology it realizes from its seed: an engine that
+  // builds its own from the same seed must run the same trial.
+  const auto x0 = pp::Configuration::uniform(400, 2, 0);
+  const sim::GraphSpec regular{sim::GraphSpec::Kind::kRegular, 4};
+  const auto& registry = sim::Registry::instance();
+  for (const char* engine : {"graph", "graph-batched"}) {
+    const auto point = topology_point(engine, regular, 400);
+    const auto topology = runner::realize_topology(point, 17);
+    sim::EngineOptions own;
+    own.graph = regular;
+    const auto built = registry.create(engine, x0, 17, own);
+    const auto shared = registry.create(
+        engine, x0, 17, runner::engine_options({}, point, topology));
+    ASSERT_TRUE(built->run_to_consensus(built->default_budget())) << engine;
+    ASSERT_TRUE(shared->run_to_consensus(shared->default_budget()));
+    EXPECT_EQ(shared->elapsed(), built->elapsed()) << engine;
+    EXPECT_EQ(shared->consensus_opinion(), built->consensus_opinion());
+  }
+}
+
 TEST(Sweep, DisconnectedTopologyShortCircuitsUnderDefaultBudget) {
   // G(200, 0.005) is disconnected with overwhelming probability, and
   // under the default budget (max_time == 0) most trials would grind

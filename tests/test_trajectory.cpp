@@ -6,10 +6,10 @@
 #include <sstream>
 #include <vector>
 
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "pp/trajectory.hpp"
 #include "runner/csv.hpp"
+#include "sim/registry.hpp"
 #include "util/check.hpp"
 
 namespace kusd {
@@ -75,13 +75,13 @@ TEST(Trajectory, CsvRoundTrip) {
 
 TEST(Trajectory, IntegratesWithSimulatorObserver) {
   const auto x0 = pp::Configuration::uniform(2000, 3, 0);
-  core::UsdSimulator sim(x0, rng::Rng(5));
+  const auto engine = sim::Registry::instance().create("every", x0, 5);
   pp::Trajectory traj(256);
-  sim.run_observed(10'000'000, 200,
-                   [&traj](std::uint64_t t,
-                           std::span<const pp::Count> opinions,
-                           pp::Count u) { traj.record(t, opinions, u); });
-  ASSERT_TRUE(sim.is_consensus());
+  engine->run_observed(10'000'000, 200,
+                       [&traj](std::uint64_t t,
+                               std::span<const pp::Count> opinions,
+                               pp::Count u) { traj.record(t, opinions, u); });
+  ASSERT_TRUE(engine->is_consensus());
   ASSERT_GE(traj.size(), 2u);
   // The last snapshot is consensus: xmax = n, undecided = 0.
   EXPECT_EQ(traj.points().back().xmax, 2000u);

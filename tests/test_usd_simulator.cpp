@@ -112,28 +112,6 @@ TEST(UsdSimulator, OverwhelmingBiasWins) {
   }
 }
 
-TEST(UsdSimulator, RunObservedVisitsBoundariesInOrder) {
-  UsdSimulator sim(Configuration::uniform(200, 2, 0), rng::Rng(9));
-  std::vector<std::uint64_t> times;
-  sim.run_observed(50'000, 100,
-                   [&times](std::uint64_t t, std::span<const pp::Count>,
-                            pp::Count) { times.push_back(t); });
-  ASSERT_GE(times.size(), 2u);
-  EXPECT_EQ(times.front(), 0u);
-  for (std::size_t i = 1; i + 1 < times.size(); ++i) {
-    ASSERT_GT(times[i], times[i - 1]);
-  }
-}
-
-TEST(UsdSimulator, RunObservedRejectsZeroInterval) {
-  UsdSimulator sim(Configuration::uniform(100, 2, 0), rng::Rng(10));
-  EXPECT_THROW(sim.run_observed(
-                   1000, 0,
-                   [](std::uint64_t, std::span<const pp::Count>, pp::Count) {
-                   }),
-               util::CheckError);
-}
-
 // ---- The central engine-equivalence property (design-choice ablation) ----
 
 std::vector<double> consensus_times(const Configuration& x0, StepMode mode,

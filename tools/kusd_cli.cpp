@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "analysis/usd_exact.hpp"
-#include "core/budget.hpp"
 #include "runner/run.hpp"
 #include "pp/configuration.hpp"
 #include "pp/trajectory.hpp"
@@ -210,82 +209,14 @@ void require_known_options(const Args& args,
   }
 }
 
-pp::Configuration build_config(const Args& args) {
-  const pp::Count n = args.get_u64("n", 100000);
-  const int k = static_cast<int>(args.get_u64("k", 8));
-  const pp::Count u = args.get_u64("undecided", 0);
-  const std::string bias = args.get_string("bias", "none");
-  if (bias == "none") return pp::Configuration::uniform(n, k, u);
-  if (bias == "additive") {
-    const pp::Count beta = args.get_u64("beta", n / 100);
-    return pp::Configuration::with_additive_bias(n, k, u, beta);
-  }
-  if (bias == "multiplicative") {
-    const double alpha = args.get_double("alpha", 2.0);
-    return pp::Configuration::with_multiplicative_bias(n, k, u, alpha);
-  }
-  usage();
-}
-
-int cmd_run(const Args& args) {
-  static const std::set<std::string> known = {
-      "n", "k", "undecided", "bias", "beta", "alpha", "seed", "engine",
-      "graph"};
-  require_known_options(args, known);
-  const auto x0 = build_config(args);
-  runner::RunOptions opts;
-  opts.engine = args.get_string("engine", opts.engine);
-  const auto* info = sim::Registry::instance().find(opts.engine);
-  if (info == nullptr) {
-    std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());
+// The --k bound of every subcommand: narrowing a larger value to int
+// would silently run a different k.
+int checked_k(std::uint64_t k) {
+  if (k > (std::uint64_t{1} << 30)) {
+    std::fprintf(stderr, "--k value too large\n");
     usage();
   }
-  const std::string graph_name = args.get_string("graph", "");
-  if (!graph_name.empty()) {
-    // Same contract as sweep: a --graph that no chosen engine reads is a
-    // mistaken experiment, not a default to ignore silently.
-    if (!info->uses_graph_axis) {
-      std::fprintf(stderr, "--graph requires a topology-taking engine (%s)\n",
-                   graph_engine_names().c_str());
-      usage();
-    }
-    const auto graph = sim::parse_graph_spec(graph_name);
-    if (!graph) {
-      std::fprintf(stderr,
-                   "bad graph spec '%s' (want complete, cycle, "
-                   "regular:<d>, er:<p> or er:auto)\n",
-                   graph_name.c_str());
-      usage();
-    }
-    opts.graph = *graph;
-  }
-  const auto result = runner::run_usd(x0, args.get_u64("seed", 1), opts);
-  if (!result.converged) {
-    std::printf("no consensus within the time cap\n");
-    return 1;
-  }
-  std::printf("consensus on opinion %d after %llu native time units "
-              "(parallel time %.1f)\n",
-              result.winner,
-              static_cast<unsigned long long>(result.interactions),
-              result.parallel_time);
-  std::printf("initial plurality %s; winner %s initially significant\n",
-              result.plurality_won ? "won" : "lost",
-              result.winner_initially_significant ? "was" : "was not");
-  const auto& ph = result.phases;
-  const auto show = [](const char* name,
-                       const std::optional<std::uint64_t>& t) {
-    if (t) {
-      std::printf("  %-3s %llu\n", name,
-                  static_cast<unsigned long long>(*t));
-    }
-  };
-  show("T1", ph.t1);
-  show("T2", ph.t2);
-  show("T3", ph.t3);
-  show("T4", ph.t4);
-  show("T5", ph.t5);
-  return 0;
+  return static_cast<int>(k);
 }
 
 // Append the decimal spelling of an integer, as printf's %d/%zu/%llu
@@ -334,25 +265,18 @@ std::vector<double> parse_double_list(const std::string& spec) {
   return out;
 }
 
-int cmd_sweep(const Args& args) {
-  static const std::set<std::string> known = {
-      "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
-      "undecided", "ufrac", "budget", "trials", "seed", "threads",
-      "chunk", "chunk-policy", "start", "stripe-width",
-      "shuffle-points", "shard", "journal", "resume", "out", "json"};
-  require_known_options(args, known);
-
+// The axes that describe a trial — --n --k --undecided --bias --beta
+// --alpha --engine --graph, and sweep's --ufrac — in the sweep's
+// spellings (comma lists, counts as 1e5) and bounds. `run` and `trace`
+// read theirs here too, as one-point grids (single_point_sweep); a
+// subcommand's own `known` set decides which of these flags it accepts.
+runner::SweepSpec parse_trial_axes(const Args& args) {
   runner::SweepSpec spec;
   spec.ns = parse_count_list(args.get_string("n", "100000"));
-  std::vector<int> ks;
-  for (const auto n : parse_count_list(args.get_string("k", "8"))) {
-    if (n > (std::uint64_t{1} << 30)) {
-      std::fprintf(stderr, "--k value too large\n");
-      usage();
-    }
-    ks.push_back(static_cast<int>(n));
+  spec.ks.clear();
+  for (const auto k : parse_count_list(args.get_string("k", "8"))) {
+    spec.ks.push_back(checked_k(k));
   }
-  spec.ks = ks;
   if (spec.ns.empty() || spec.ks.empty()) usage();
 
   const std::string bias_kind = args.get_string("bias", "none");
@@ -403,6 +327,85 @@ int cmd_sweep(const Args& args) {
     if (spec.graphs.empty()) usage();
   }
 
+  spec.undecided_fraction = args.get_double("ufrac", 0.0);
+  // --undecided (absolute count, shared with `run`) is honored for
+  // single-n sweeps; a count is ambiguous across an n grid.
+  if (args.options.count("undecided") != 0) {
+    if (args.options.count("ufrac") != 0 || spec.ns.size() != 1) {
+      std::fprintf(stderr,
+                   "--undecided needs a single --n and excludes --ufrac; "
+                   "use --ufrac for n grids\n");
+      usage();
+    }
+    spec.undecided_fraction =
+        static_cast<double>(args.get_u64("undecided", 0)) /
+        static_cast<double>(spec.ns.front());
+  }
+  return spec;
+}
+
+// A one-point sweep of the trial `run` or `trace` describes: its
+// constructor checks the point as it checks any grid (engine limits,
+// topology, bias, a feasible start) before anything runs.
+runner::Sweep single_point_sweep(const Args& args) {
+  runner::Sweep sweep(parse_trial_axes(args));
+  if (sweep.grid().size() != 1) {
+    std::fprintf(stderr, "%s takes one value per option\n",
+                 args.command.c_str());
+    usage();
+  }
+  return sweep;
+}
+
+int cmd_run(const Args& args) {
+  static const std::set<std::string> known = {
+      "n", "k", "undecided", "bias", "beta", "alpha", "seed", "engine",
+      "graph"};
+  require_known_options(args, known);
+  const runner::Sweep sweep = single_point_sweep(args);
+  const runner::SweepPoint& point = sweep.grid().front();
+  runner::RunOptions opts;
+  opts.engine = point.engine;
+  opts.graph = point.graph.value_or(sim::GraphSpec{});
+  const auto result = runner::run_usd(runner::build_config(sweep.spec(), point),
+                                      args.get_u64("seed", 1), opts);
+  if (!result.converged) {
+    std::printf("no consensus within the time cap\n");
+    return 1;
+  }
+  std::printf("consensus on opinion %d after %llu native time units "
+              "(parallel time %.1f)\n",
+              result.winner,
+              static_cast<unsigned long long>(result.interactions),
+              result.parallel_time);
+  std::printf("initial plurality %s; winner %s initially significant\n",
+              result.plurality_won ? "won" : "lost",
+              result.winner_initially_significant ? "was" : "was not");
+  const auto& ph = result.phases;
+  const auto show = [](const char* name,
+                       const std::optional<std::uint64_t>& t) {
+    if (t) {
+      std::printf("  %-3s %llu\n", name,
+                  static_cast<unsigned long long>(*t));
+    }
+  };
+  show("T1", ph.t1);
+  show("T2", ph.t2);
+  show("T3", ph.t3);
+  show("T4", ph.t4);
+  show("T5", ph.t5);
+  return 0;
+}
+
+int cmd_sweep(const Args& args) {
+  static const std::set<std::string> known = {
+      "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
+      "undecided", "ufrac", "budget", "trials", "seed", "threads",
+      "chunk", "chunk-policy", "start", "stripe-width",
+      "shuffle-points", "shard", "journal", "resume", "out", "json"};
+  require_known_options(args, known);
+
+  runner::SweepSpec spec = parse_trial_axes(args);
   spec.starts.clear();
   for (const auto& name : split_list(args.get_string("start", "uniform"))) {
     const auto start = runner::parse_start_profile(name);
@@ -427,20 +430,6 @@ int cmd_sweep(const Args& args) {
       usage();
     }
     spec.max_time = static_cast<std::uint64_t>(budget);
-  }
-  spec.undecided_fraction = args.get_double("ufrac", 0.0);
-  // --undecided (absolute count, shared with `run`) is honored for
-  // single-n sweeps; a count is ambiguous across an n grid.
-  if (args.options.count("undecided") != 0) {
-    if (args.options.count("ufrac") != 0 || spec.ns.size() != 1) {
-      std::fprintf(stderr,
-                   "--undecided needs a single --n and excludes --ufrac; "
-                   "use --ufrac for n grids\n");
-      usage();
-    }
-    spec.undecided_fraction =
-        static_cast<double>(args.get_u64("undecided", 0)) /
-        static_cast<double>(spec.ns.front());
   }
   const std::uint64_t trials = args.get_u64("trials", 25);
   if (trials > 1'000'000'000) {
@@ -611,10 +600,12 @@ int cmd_sweep(const Args& args) {
     std::fprintf(stderr, "error: writing %s failed\n", json_path.c_str());
     rc = 1;
   }
+  // The summary advertises the outputs as complete: only on success.
+  if (rc != 0) return rc;
   std::printf("%zu grid cells x %d trials\n", cells, sweep.spec().trials);
   if (!csv_path.empty()) std::printf("csv: %s\n", csv_path.c_str());
   if (!json_path.empty()) std::printf("jsonl: %s\n", json_path.c_str());
-  return rc;
+  return 0;
 }
 
 int cmd_merge(const Args& args) {
@@ -667,33 +658,38 @@ int cmd_merge(const Args& args) {
     std::fprintf(stderr, "error: writing %s failed\n", json_path.c_str());
     rc = 1;
   }
+  if (rc != 0) return rc;
   std::printf("merged %zu cells from %zu shard journals\n", rows,
               inputs.size());
   if (!csv_path.empty()) std::printf("csv: %s\n", csv_path.c_str());
   if (!json_path.empty()) std::printf("jsonl: %s\n", json_path.c_str());
-  return rc;
+  return 0;
 }
 
 int cmd_trace(const Args& args) {
   static const std::set<std::string> known = {
       "n", "k", "undecided", "bias", "beta", "alpha", "seed", "out"};
   require_known_options(args, known);
-  const auto x0 = build_config(args);
+  // trace takes no --engine: it records the exact chain, the sweep's
+  // default `skip` engine.
+  const runner::Sweep sweep = single_point_sweep(args);
+  const runner::SweepPoint& point = sweep.grid().front();
+  const auto x0 = runner::build_config(sweep.spec(), point);
   const std::string out = args.get_string("out", "kusd_trace.csv");
-  core::UsdSimulator sim(x0, rng::Rng(args.get_u64("seed", 1)),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+  const auto engine = sim::Registry::instance().create(
+      point.engine, x0, args.get_u64("seed", 1));
   pp::Trajectory trajectory;
-  sim.run_observed(core::default_interaction_cap(x0.n(), x0.k()),
-                   std::max<pp::Count>(1, x0.n() / 64),
-                   [&trajectory](std::uint64_t t,
-                                 std::span<const pp::Count> opinions,
-                                 pp::Count u) {
-                     trajectory.record(t, opinions, u);
-                   });
+  engine->run_observed(engine->default_budget(),
+                       std::max<pp::Count>(1, x0.n() / 64),
+                       [&trajectory](std::uint64_t t,
+                                     std::span<const pp::Count> opinions,
+                                     pp::Count u) {
+                         trajectory.record(t, opinions, u);
+                       });
   runner::write_trajectory_csv(trajectory, out);
   std::printf("wrote %zu snapshots to %s (consensus: %s)\n",
               trajectory.size(), out.c_str(),
-              sim.is_consensus() ? "yes" : "no");
+              engine->is_consensus() ? "yes" : "no");
   return 0;
 }
 
@@ -701,7 +697,7 @@ int cmd_exact(const Args& args) {
   static const std::set<std::string> known = {"n", "k", "support"};
   require_known_options(args, known);
   const pp::Count n = args.get_u64("n", 12);
-  const int k = static_cast<int>(args.get_u64("k", 2));
+  const int k = checked_k(args.get_u64("k", 2));
   std::vector<pp::Count> support;
   const std::string spec = args.get_string("support", "");
   if (spec.empty()) {

@@ -13,8 +13,15 @@ Adding a genuinely new downward dependency means editing DECLARED_DAG —
 a one-line, reviewable, conscious act. An upward include has no such
 spelling: it is always a finding.
 
+The drivers — src/runner/ and tools/kusd_cli.cpp — build, run and
+observe every trial through sim::Registry's engines, so they may not
+include a concrete simulator's header (SIMULATOR_HEADERS) either, even
+where the DAG allows the edge: one trial path, no per-engine code above
+the adapters.
+
 Codes:
   forbidden-dep     include edge not in the declared DAG
+  simulator-include a driver includes a simulator header
   unknown-module    file or include target in a src/ directory the DAG
                     does not declare
   unresolved-include quoted include that is neither a declared module
@@ -39,6 +46,21 @@ DECLARED_DAG = {
     "sim": {"core", "gossip", "pp", "rng", "urn", "util"},
     "runner": {"core", "pp", "rng", "sim", "stats", "urn", "util"},
 }
+
+# The concrete simulators, which only sim's adapters, tests, benches and
+# examples construct directly.
+SIMULATOR_HEADERS = {
+    "core/usd.hpp",
+    "core/batched_usd.hpp",
+    "core/sync_usd.hpp",
+    "gossip/gossip_usd.hpp",
+    "sim/batched_graph_engine.hpp",
+}
+
+
+def is_driver(rel: str) -> bool:
+    return rel.startswith("src/runner/") or rel == "tools/kusd_cli.cpp"
+
 
 # Top-of-stack consumers: may include any src module (they are the "cli"
 # layer of the DAG; nothing may include *them*, which holds trivially
@@ -124,6 +146,12 @@ class LayeringPass(base.Pass):
                     ctx.read(rel)):
                 if not quoted:
                     continue  # angle includes are system/third-party
+                if target in SIMULATOR_HEADERS and is_driver(rel):
+                    findings.append(base.Finding(
+                        file=rel, line=lineno, code="simulator-include",
+                        message=f"includes {target}: drivers get their "
+                                f"engines from sim::Registry, not a "
+                                f"simulator header"))
                 head = target.split("/", 1)[0] if "/" in target else None
                 if head in DECLARED_DAG:
                     if mod in CONSUMER_DIRS or head == mod:

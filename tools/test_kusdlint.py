@@ -178,6 +178,24 @@ class LayeringTest(FixtureTest):
         result = run_lint(self.root, "--pass", "layering")
         self.assertEqual(result.returncode, 0, result.stderr)
 
+    def test_drivers_may_not_include_a_simulator(self):
+        self.write("src/core/usd.hpp", "#pragma once\n")
+        self.write("src/sim/batched_graph_engine.hpp", "#pragma once\n")
+        # Benches (and tests, examples, sim's adapters) may construct one.
+        self.write("bench/bench_x.cpp", '#include "core/usd.hpp"\n')
+        self.write("src/sim/engines.cpp", '#include "core/usd.hpp"\n')
+        self.assertEqual(
+            run_lint(self.root, "--pass", "layering").returncode, 0)
+        self.write("src/runner/x.cpp", '#include "core/usd.hpp"\n')
+        self.write("tools/kusd_cli.cpp",
+                   '#include "sim/batched_graph_engine.hpp"\n')
+        result = run_lint(self.root, "--pass", "layering")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("src/runner/x.cpp:1: [simulator-include]",
+                      result.stderr)
+        self.assertIn("tools/kusd_cli.cpp:1: [simulator-include]",
+                      result.stderr)
+
     def test_allowlist_suppresses_and_stale_entry_fails(self):
         self.write("src/pp/x.cpp", '#include "runner/sweep.hpp"\n')
         self.write("tools/layering_allowlist.txt",
