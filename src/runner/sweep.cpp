@@ -312,12 +312,11 @@ void run_points(const SweepSpec& spec, util::ThreadPool& pool,
                 const Sweep::CellBatchFn& on_cells) {
   if (count == 0) return;
   const auto trials = static_cast<std::size_t>(spec.trials);
-  const std::size_t width = spec.stripe_width;
-  const auto stripes_per_point = static_cast<std::uint32_t>(
-      trials == 0 ? 1 : (trials + width - 1) / width);
-
-  // Stripe counts are a pure function of the spec — never of realized
-  // topology or results — so the unit list is deterministic.
+  // Stripe counts are a function of the spec, the points run and the pool
+  // size — never of realized topology or results — so the unit list is
+  // deterministic, and it only schedules: no stripe enters a seed.
+  const std::uint32_t stripes_per_point = stripes_per_item(
+      trials, count, pool.num_threads(), spec.stripe_width);
   std::vector<std::uint32_t> stripes(count, stripes_per_point);
 
   std::vector<std::size_t> order;
@@ -365,8 +364,8 @@ void run_points(const SweepSpec& spec, util::ThreadPool& pool,
     PointState& st = states.start(unit.item);
     std::call_once(st.once, [&] { init_point(point, st); });
     if (st.short_circuit || trials == 0) return;
-    const std::size_t begin = unit.stripe * width;
-    const std::size_t end = std::min(begin + width, trials);
+    const auto [begin, end] =
+        stripe_trials(trials, stripes_per_point, unit.stripe);
     for (std::size_t t = begin; t < end; ++t) {
       st.outcomes[t] = run_one(spec, point, *st.x0, st.options,
                                rng::stream_seed(st.point_seed, t));
@@ -417,7 +416,7 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
   KUSD_CHECK_MSG(
       spec_.undecided_fraction >= 0.0 && spec_.undecided_fraction < 1.0,
       "sweep: undecided fraction must be in [0, 1)");
-  KUSD_CHECK_MSG(spec_.stripe_width >= 1,
+  KUSD_CHECK_MSG(spec_.stripe_width.value_or(1) >= 1,
                  "sweep: stripe_width must be at least 1");
   // Engine constraints come from registry metadata, so the sweep needs no
   // per-engine knowledge. Fail the whole sweep upfront rather than

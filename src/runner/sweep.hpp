@@ -35,11 +35,16 @@
 // one grid point's trials, and pool workers pull units from a shared
 // cursor, so a worker that drew a cheap point immediately steals stripes
 // of an expensive one — mixed grids of small and large points keep the
-// pool full without a mode switch. Seeds derive from (master_seed, point
-// index, trial index) — never from the stripe — so the decomposition is
-// pure scheduling: CSV/JSONL output is byte-identical at any thread
-// count and stripe width. Every engine runs one trial at a time through
-// its registry factory.
+// pool full without a mode switch. The grain is derived from the run
+// (runner::stripes_per_item): the points this run executes (after shard
+// and resume selection), the trials per point and the pool's workers. A
+// sweep of a few heavy points splits each point across every worker, so
+// the first row arrives as soon as the whole pool can finish it; a sweep
+// of many points keeps one unit per 8 trials of a point. Seeds derive
+// from (master_seed, point index, trial index) — never from the stripe —
+// so the decomposition is pure scheduling: CSV/JSONL output is
+// byte-identical at any thread count and stripe width. Every engine runs
+// one trial at a time through its registry factory.
 //
 // shuffle_points randomizes the *execution* order of points
 // (deterministically from master_seed) for early coverage of the grid;
@@ -138,11 +143,12 @@ struct SweepSpec {
   double batch_chunk_fraction = core::ChunkOptions{}.chunk_fraction;
   /// Chunk policy for the batched engine.
   core::ChunkPolicy batch_policy = core::ChunkPolicy::kFixed;
-  /// Trials per (point, stripe) work unit — the work-stealing grain (see
-  /// the file comment). Pure scheduling: output is byte-identical at any
-  /// width. Small widths balance mixed grids better; width >= trials
-  /// degenerates to one unit per point. Must be >= 1.
-  std::size_t stripe_width = 8;
+  /// Trials per (point, stripe) work unit, overriding the derived grain
+  /// (see the file comment): each point is cut into ⌈trials/width⌉
+  /// stripes. Unset, the grain is derived from the run's points, trials
+  /// and workers. Pure scheduling: output is byte-identical at any width.
+  /// Must be >= 1 when set.
+  std::optional<std::size_t> stripe_width;
   /// Execute points in a deterministically shuffled order (early grid
   /// coverage). Output order and content are unaffected.
   bool shuffle_points = false;

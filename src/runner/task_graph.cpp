@@ -12,6 +12,27 @@
 
 namespace kusd::runner {
 
+std::uint32_t stripes_per_item(std::size_t trials, std::size_t items,
+                               std::size_t workers,
+                               std::optional<std::size_t> width) {
+  KUSD_CHECK_MSG(trials <= UINT32_MAX, "task graph: trial count too large");
+  KUSD_CHECK_MSG(!width || *width >= 1, "task graph: stripe width must be at "
+                                        "least 1");
+  // The derived grain's target units per worker, and its coarsest
+  // stripe in trials (see the header).
+  constexpr std::size_t kUnitsPerWorker = 32;
+  constexpr std::size_t kMaxStripeTrials = 8;
+  if (trials == 0) return 1;
+  const auto ceil_div = [](std::size_t a, std::size_t b) {
+    return a / b + (a % b != 0 ? 1 : 0);
+  };
+  if (width) return static_cast<std::uint32_t>(ceil_div(trials, *width));
+  const std::size_t spread =
+      ceil_div(kUnitsPerWorker * workers, std::max<std::size_t>(items, 1));
+  return static_cast<std::uint32_t>(std::max(
+      ceil_div(trials, kMaxStripeTrials), std::min(trials, spread)));
+}
+
 TaskGraph::TaskGraph(std::vector<std::uint32_t> stripes_per_item,
                      std::vector<std::size_t> order)
     : stripes_(std::move(stripes_per_item)) {

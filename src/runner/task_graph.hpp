@@ -1,7 +1,7 @@
 // Work-stealing task graph over (item, stripe) work units.
 //
 // A TaskGraph decomposes a batch of heterogeneous items — grid points for
-// runner::Sweep, a single trial batch for runner::run_trials — into fixed
+// runner::Sweep, a single trial batch for runner::run_trials — into
 // stripes, flattens the stripes into one unit list, and lets pool workers
 // *pull* units from a shared atomic cursor instead of receiving a static
 // assignment. Pulling over shared state is what keeps a mixed workload
@@ -10,6 +10,12 @@
 // idles while any item still has unclaimed stripes. (Static striping —
 // the pre-PR-10 sweep — underfilled the pool exactly on such mixed
 // grids.)
+//
+// Grain: both callers cut their items with one rule, stripes_per_item
+// below, worked out from the batch itself (trials per item, items,
+// workers), so a batch of a few heavy items spreads each item over every
+// worker. A stripe owns an even contiguous share of its item's trials
+// (stripe_trials).
 //
 // Determinism contract: the scheduler decides only *where and when* a
 // unit runs, never what it computes. Callers derive all randomness from
@@ -43,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -55,6 +62,31 @@ struct TaskUnit {
   std::size_t item = 0;
   std::uint32_t stripe = 0;
 };
+
+/// Stripes per item for a batch of `items` items of `trials` trials each
+/// on `workers` workers: the one grain rule of runner::Sweep and
+/// runner::run_trials. A set `width` gives ⌈trials/width⌉ (width >= 1).
+/// Unset, the grain is derived as
+///   max(⌈trials/8⌉, min(trials, ⌈32·workers/items⌉)):
+/// about 32 units per worker over the batch, and never coarser than one
+/// unit per 8 trials of an item (docs/architecture.md, "Sweep runner: the
+/// work grain", has the measurements behind both constants). Always 1
+/// when trials == 0. `trials` must fit in 32 bits.
+[[nodiscard]] std::uint32_t stripes_per_item(
+    std::size_t trials, std::size_t items, std::size_t workers,
+    std::optional<std::size_t> width = std::nullopt);
+
+/// The trials [begin, end) that stripe `stripe` of `stripes` owns: the
+/// even contiguous partition [s·trials/stripes, (s+1)·trials/stripes).
+struct TrialRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+[[nodiscard]] inline TrialRange stripe_trials(std::size_t trials,
+                                              std::uint32_t stripes,
+                                              std::uint32_t stripe) {
+  return {stripe * trials / stripes, (stripe + 1) * trials / stripes};
+}
 
 class TaskGraph {
  public:

@@ -6,13 +6,13 @@
 // by index.
 //
 // The batch runs as a one-item TaskGraph whose stripes are *contiguous*
-// trial ranges pulled by workers from a shared cursor — the same stripe
-// decomposition runner::Sweep uses for its (point, stripe) units.
+// trial ranges pulled by workers from a shared cursor, cut by the same
+// grain rule (runner::stripes_per_item) as runner::Sweep's (point,
+// stripe) units: a lone item spreads over every worker.
 // Striping is pure scheduling: seeds depend only on the trial index,
 // never the stripe.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -28,7 +28,7 @@ namespace kusd::runner {
 
 /// Run `trials` independent invocations of fn(seed) on an existing (idle)
 /// pool and return the results of type T in trial order. Rejects negative
-/// `trials`. Trials are striped over a bounded number of work units, each
+/// `trials`. Trials are striped over stripes_per_item work units, each
 /// holding `fn` by reference, so the callable is never type-erased or
 /// copied — a lambda with a fat capture list costs the same as a function
 /// pointer, and the per-trial call inlines. If a trial throws, the first
@@ -40,18 +40,13 @@ std::vector<T> run_trials(util::ThreadPool& pool, int trials,
   KUSD_CHECK_MSG(trials >= 0, "run_trials: negative trial count");
   std::vector<T> results(static_cast<std::size_t>(trials));
   if (trials == 0) return results;
-  // A few stripes per worker keeps load balanced when trial costs vary
-  // without paying one queue entry per trial.
   const auto n = static_cast<std::size_t>(trials);
-  const std::size_t stripes = std::min(n, 4 * pool.num_threads());
-  const TaskGraph graph({static_cast<std::uint32_t>(stripes)});
+  const std::uint32_t stripes = stripes_per_item(n, 1, pool.num_threads());
+  const TaskGraph graph({stripes});
   graph.run(
       pool,
       [&results, &fn, master_seed, n, stripes](const TaskUnit& unit) {
-        // Even contiguous partition of [0, n): stripe s owns
-        // [s*n/stripes, (s+1)*n/stripes).
-        const std::size_t begin = unit.stripe * n / stripes;
-        const std::size_t end = (unit.stripe + 1) * n / stripes;
+        const auto [begin, end] = stripe_trials(n, stripes, unit.stripe);
         for (std::size_t i = begin; i < end; ++i) {
           results[i] = fn(rng::stream_seed(master_seed, i));
         }

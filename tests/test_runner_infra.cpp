@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "runner/csv.hpp"
 #include "runner/scale.hpp"
 #include "runner/table.hpp"
+#include "runner/task_graph.hpp"
 #include "runner/trials.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -133,6 +135,31 @@ TEST(Trials, BitIdenticalAcrossThreadCounts) {
   const auto single = runner::run_trials<double>(128, 2024, fn, 1);
   const auto parallel = runner::run_trials<double>(128, 2024, fn, 8);
   EXPECT_EQ(single, parallel);  // bit-identical, not just approximately
+}
+
+TEST(TaskGraph, StripesPerItemDerivesTheGrainFromTheBatch) {
+  using runner::stripes_per_item;
+  // The kusdbench grids at 4 workers: (points run, trials per point).
+  EXPECT_EQ(stripes_per_item(4, 8000, 4), 1u);   // service, one shard
+  EXPECT_EQ(stripes_per_item(16, 8, 4), 16u);    // graph_classes
+  EXPECT_EQ(stripes_per_item(32, 4, 4), 32u);    // exact_chain
+  EXPECT_EQ(stripes_per_item(128, 3, 4), 43u);   // tauleap
+  // No trials is still one unit, so the item completes.
+  EXPECT_EQ(stripes_per_item(0, 1, 4), 1u);
+  EXPECT_EQ(stripes_per_item(0, 1, 4, 3), 1u);
+  // A set width gives ceil(trials / width), whatever the batch.
+  EXPECT_EQ(stripes_per_item(128, 3, 4, 1), 128u);
+  EXPECT_EQ(stripes_per_item(128, 3, 4, 8), 16u);
+  EXPECT_EQ(stripes_per_item(10, 1, 64, 3), 4u);
+  EXPECT_EQ(stripes_per_item(5, 1, 1, 64), 1u);
+  EXPECT_EQ(stripes_per_item(5, 1, 1, SIZE_MAX), 1u);
+  EXPECT_THROW((void)stripes_per_item(5, 1, 1, 0), util::CheckError);
+  // A many-point grid keeps the 8-trial floor: ceil(trials / 8).
+  EXPECT_EQ(stripes_per_item(100, 10000, 4), 13u);
+  EXPECT_EQ(stripes_per_item(64, 1000, 8), 8u);
+  // A lone item spreads over every worker, but never below one trial.
+  EXPECT_EQ(stripes_per_item(1000, 1, 4), 128u);
+  EXPECT_EQ(stripes_per_item(3, 1, 64), 3u);
 }
 
 TEST(Rng, StreamSeedCollisionSmokeOverMillionIds) {

@@ -163,22 +163,26 @@ TEST(Sweep, JsonLineEscapesNameFields) {
 TEST(Sweep, OutputIsByteIdenticalAcrossThreadsStripesAndShuffle) {
   // The acceptance bar for the work-stealing task graph: the streamed
   // CSV (and so the JSONL) is a pure function of (spec, master_seed) —
-  // identical bytes at any thread count, any stripe width, with and
-  // without shuffled execution order.
+  // identical bytes at any thread count, any stripe width (unset: the
+  // derived grain), with and without shuffled execution order.
   auto spec = tiny_spec();
   spec.threads = 1;
   spec.stripe_width = 1;
   const std::string reference = render(Sweep(spec));
+  const std::vector<std::optional<std::size_t>> widths = {
+      std::nullopt, 1, 2, 3, 8, 64};
   for (const std::size_t threads : {1u, 3u, 8u}) {
-    for (const std::size_t width : {1u, 2u, 3u, 8u, 64u}) {
+    for (const auto& width : widths) {
+      const std::string label =
+          width ? "stripe width " + std::to_string(*width) : "derived grain";
       spec.threads = threads;
       spec.stripe_width = width;
       spec.shuffle_points = false;
       EXPECT_EQ(render(Sweep(spec)), reference)
-          << threads << " threads, stripe width " << width;
+          << threads << " threads, " << label;
       spec.shuffle_points = true;
       EXPECT_EQ(render(Sweep(spec)), reference)
-          << threads << " threads, stripe width " << width << ", shuffled";
+          << threads << " threads, " << label << ", shuffled";
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <numeric>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/usd.hpp"
@@ -135,6 +137,18 @@ struct EquivalenceCase {
   pp::Count undecided = 0;
 };
 
+/// The case's name, from its fields: the test names and the printed
+/// parameter must not read the struct's padding bytes (uninitialized, so
+/// gtest's default byte dump changed from build to build).
+std::string case_name(const EquivalenceCase& c) {
+  return "n" + std::to_string(c.n) + "_k" + std::to_string(c.k) + "_u" +
+         std::to_string(c.undecided);
+}
+
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << case_name(c);
+}
+
 class SkipEquivalenceSweep
     : public ::testing::TestWithParam<EquivalenceCase> {};
 
@@ -156,7 +170,10 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, SkipEquivalenceSweep,
     ::testing::Values(EquivalenceCase{60, 2, 0}, EquivalenceCase{60, 2, 20},
                       EquivalenceCase{80, 4, 0},
-                      EquivalenceCase{100, 8, 30}));
+                      EquivalenceCase{100, 8, 30}),
+    [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
+      return case_name(info.param);
+    });
 
 TEST(UsdSimulator, SkipAndPlainWinnerFrequenciesAgree) {
   // With a moderate bias the win frequency of opinion 0 must match across

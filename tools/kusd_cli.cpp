@@ -89,7 +89,8 @@ std::string graph_engine_names() {
       "             raise it for slow topologies like --graph cycle)\n"
       "           --threads W --chunk-policy fixed|adaptive\n"
       "           --chunk F (fixed policy only: chunk as a fraction of n)\n"
-      "           --stripe-width T (trials per work-stealing unit)\n"
+      "           --stripe-width T (trials per work-stealing unit; default\n"
+      "             derived from points, trials and threads)\n"
       "           --shuffle-points 0|1 (shuffled execution order;\n"
       "             output order and bytes are unaffected)\n"
       "           --shard I/N (run grid block I of N; shard outputs\n"
@@ -467,9 +468,8 @@ int cmd_sweep(const Args& args) {
       usage();
     }
   }
-  {
-    const std::uint64_t width =
-        args.get_u64("stripe-width", runner::SweepSpec{}.stripe_width);
+  if (args.options.count("stripe-width") != 0) {
+    const std::uint64_t width = args.get_u64("stripe-width", 0);
     if (width < 1 || width > 1'000'000'000) {
       std::fprintf(stderr, "--stripe-width must be in [1, 1e9]\n");
       usage();
