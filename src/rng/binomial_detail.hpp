@@ -1,19 +1,9 @@
-// The BINV/BTRS sampler arithmetic, shared by the scalar sampler
-// (rng::binomial) and the lane-batched cohort kernels
-// (rng/binomial_lanes).
-//
-// Everything here is the single source of truth for the sampler's
-// floating-point expressions. The lane kernels replay them term for
-// term, which is what makes scalar/SIMD bit-identity hold by
-// construction rather than by audit luck — and lets one set of tests pin
-// all execution paths at once. The setup structs exist so per-(n, p)
-// constants can be computed once and broadcast (or memoized) across a
-// batch without changing a single rounding.
-//
-// `Uniforms` in the templated samplers is anything with a uniform01()
-// returning doubles in [0, 1); today that is only rng::Rng. They stay
-// templates because an inline non-template changes which call sites GCC
-// inlines them into, and with it the timed hot path.
+// The BINV/BTRS sampler arithmetic behind rng::binomial, the one
+// binomial sampler: every engine, rng::binomial_batch and
+// Rng::binomial draw through binomial_draw below. It lives in a header
+// so that tests/test_btrs_accept.cpp can pin the accept test's pieces
+// (the certified estimate against the reference) one by one. The setup
+// structs hold the per-(n, p) constants of one draw.
 #pragma once
 
 #include <array>
@@ -71,8 +61,7 @@ inline double exp_small(double z) {
   return acc * z + 1.0;
 }
 
-/// Per-(n, p) constants of the BINV inversion (p <= 0.5, np < 10): a pure
-/// function of (n, p), so batches memoize it across repeated pairs.
+/// Per-(n, p) constants of the BINV inversion (p <= 0.5, np < 10).
 struct BinvSetup {
   double s = 0.0;
   double a = 0.0;
@@ -90,11 +79,9 @@ inline BinvSetup binv_setup(std::uint64_t n, double p) {
 }
 
 /// Inversion by sequential search for small means (np < 10, p <= 0.5).
-template <typename Uniforms>
-std::uint64_t binv(Uniforms& uniforms, const BinvSetup& setup,
-                   std::uint64_t n) {
+inline std::uint64_t binv(Rng& rng, const BinvSetup& setup, std::uint64_t n) {
   for (;;) {
-    double u = uniforms.uniform01();
+    double u = rng.uniform01();
     double r = setup.r0;
     std::uint64_t x = 0;
     while (u > r) {
@@ -122,9 +109,7 @@ inline constexpr double kSqrt2 = 1.4142135623730951;
 /// as a libm log, but with one fixed, exactly-specified operation
 /// sequence: every accept decision downstream of this function is
 /// identical on every platform and libm version, which a vendor log
-/// (accurate but not correctly rounded) cannot promise. Every operation
-/// is an IEEE-754 basic op, so SIMD lanes evaluating this expression
-/// match the scalar path bit for bit as well.
+/// (accurate but not correctly rounded) cannot promise.
 inline double log_pos(double x) {
   if (x == 0.0) return -std::numeric_limits<double>::infinity();
   std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
@@ -221,10 +206,8 @@ inline double stirling_tail(double x) {
 }
 
 /// Inline body of rng::log_factorial (see binomial.hpp for the
-/// contract). Lives here so the SIMD lane TUs compile it with their own
-/// ISA flags: an out-of-line call from ymm-dirty code into a legacy-SSE
-/// copy costs a dirty-upper-state penalty per instruction on every
-/// Skylake-class core — measured at ~5x on the whole lane kernel.
+/// contract), defined here because the header-inline accept test below
+/// calls it.
 inline double log_factorial(std::uint64_t k) {
   if (k < kLogFactorialTableSize) return kLogFactorialTable[k];
   const double dk = static_cast<double>(k);
@@ -283,7 +266,7 @@ inline BtrsSetup btrs_setup(std::uint64_t n, double p) {
 // therefore the reference's rhs, sits on the same side of lhs as the
 // estimate, so the decision equals the reference's float comparison by
 // construction; inside eps the reference runs. Draw streams stay
-// bit-identical for the scalar sampler and every lane kernel alike.
+// bit-identical to the reference-only sampler.
 
 // Every count entering the estimate (m, k, n-m, n-k) must be at least
 // this, which keeps the reference's log_factorial on its Stirling branch.
@@ -455,8 +438,8 @@ inline double btrs_huge_n_rhs(const BtrsSetup& setup, std::uint64_t n,
 /// multiplicatively when the candidate is near the mode (the
 /// overwhelmingly common miss at small spq, where the squeeze is
 /// weakest), in the log domain otherwise, through the certified estimate
-/// first. Consumes no randomness, so the lane kernels run it scalar per
-/// lane without touching any stream.
+/// first. Consumes no randomness: a candidate's two uniforms are drawn
+/// before it is called.
 inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
                         double us, double kd, BtrsSlowTerms& slow) {
   if (std::abs(kd - setup.m) <= kNearModeWindow) {
@@ -495,13 +478,11 @@ inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
 /// Hörmann's BTRS transformed-rejection sampler (np >= 10, p <= 0.5):
 /// ~86% of candidate pairs accept via the squeeze. Two uniforms per
 /// candidate.
-template <typename Uniforms>
-std::uint64_t btrs(Uniforms& uniforms, const BtrsSetup& setup,
-                   std::uint64_t n) {
+inline std::uint64_t btrs(Rng& rng, const BtrsSetup& setup, std::uint64_t n) {
   BtrsSlowTerms slow;
   for (;;) {
-    const double u = uniforms.uniform01() - 0.5;
-    const double v = uniforms.uniform01();
+    const double u = rng.uniform01() - 0.5;
+    const double v = rng.uniform01();
     const double us = 0.5 - std::abs(u);
     const double kd = std::floor((2.0 * setup.a / us + setup.b) * u + setup.c);
     if (kd < 0.0 || kd > setup.dn) continue;
@@ -512,12 +493,10 @@ std::uint64_t btrs(Uniforms& uniforms, const BtrsSetup& setup,
   }
 }
 
-/// Full Binomial(n, p) draw from any uniform01 source: degenerate cases,
-/// reflection for p > 0.5, and the BINV/BTRS split — the scalar reference
-/// every batch path is pinned against. p must already be validated into
-/// [0, 1] by the caller.
-template <typename Uniforms>
-std::uint64_t binomial_draw(Uniforms& uniforms, std::uint64_t n, double p) {
+/// Full Binomial(n, p) draw from `rng`'s stream: degenerate cases,
+/// reflection for p > 0.5, and the BINV/BTRS split. p must already be
+/// validated into [0, 1] by the caller.
+inline std::uint64_t binomial_draw(Rng& rng, std::uint64_t n, double p) {
   if (n == 0 || p == 0.0) return 0;
   if (p == 1.0) return n;
   const bool reflect = p > 0.5;
@@ -525,10 +504,10 @@ std::uint64_t binomial_draw(Uniforms& uniforms, std::uint64_t n, double p) {
   std::uint64_t draw = 0;
   if (static_cast<double>(n) * ps < kBtrsCutoff) {
     const BinvSetup setup = binv_setup(n, ps);
-    draw = binv(uniforms, setup, n);
+    draw = binv(rng, setup, n);
   } else {
     const BtrsSetup setup = btrs_setup(n, ps);
-    draw = btrs(uniforms, setup, n);
+    draw = btrs(rng, setup, n);
   }
   return reflect ? n - draw : draw;
 }

@@ -95,6 +95,8 @@ void Rng::multinomial_into(std::uint64_t n, std::span<const double> weights,
     KUSD_CHECK_MSG(w >= 0.0, "multinomial weight must be non-negative");
     remaining_weight += w;
   }
+  KUSD_CHECK_MSG(n == 0 || remaining_weight > 0.0,
+                 "multinomial of n > 0 needs a positive total weight");
   std::uint64_t remaining = n;
   for (std::size_t i = 0; i + 1 < weights.size() && remaining > 0; ++i) {
     if (remaining_weight <= 0.0) break;

@@ -140,7 +140,8 @@ class Rng {
   /// Multinomial(n, weights): partition n into weights.size() buckets with
   /// probabilities proportional to weights. Exact via sequential
   /// conditional binomials; `out` must have weights.size() entries and is
-  /// overwritten. Allocation-free (the hot-loop form).
+  /// overwritten, and n > 0 needs a positive total weight (KUSD_CHECK).
+  /// Allocation-free (the hot-loop form).
   void multinomial_into(std::uint64_t n, std::span<const double> weights,
                         std::span<std::uint64_t> out);
 
@@ -151,11 +152,12 @@ class Rng {
   /// Standard normal via Marsaglia polar method.
   double normal();
 
-  /// Raw xoshiro state snapshot/restore: the lane-batched cohort sampler
-  /// (rng/binomial_lanes) gathers trial streams into SoA lane arrays,
-  /// steps them in parallel, and scatters them back. Round-tripping
-  /// through these is the identity; installing anything other than a
-  /// snapshot of a live stream forfeits the seeding-quality guarantees.
+  /// Raw xoshiro state snapshot/restore, for checks that compare stream
+  /// positions (kusdbench's trace replays a step on a shadow stream and
+  /// compares states) and for tests that install a state whose next word
+  /// is known. Round-tripping through these is the identity; installing
+  /// anything other than a snapshot of a live stream forfeits the
+  /// seeding-quality guarantees.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
 

@@ -1,45 +1,6 @@
 #include "rng/simd.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace kusd::rng::simd {
-
-namespace {
-
-Tier detect_supported() {
-#if !defined(KUSD_SIMD_ENABLED)
-  return Tier::kScalar;
-#elif defined(__x86_64__)
-  // SSE2 is part of the x86-64 baseline, so only AVX2 needs a cpuid probe.
-  return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kSse2;
-#else
-  return Tier::kScalar;
-#endif
-}
-
-Tier clamp_to_supported(Tier tier) {
-  return tier <= supported_tier() ? tier : supported_tier();
-}
-
-// KUSD_SIMD=auto|scalar|sse2|avx2 pins the startup tier; anything else
-// (including unset) means auto. Read exactly once, before any sampling.
-Tier initial_tier() {
-  const char* env = std::getenv("KUSD_SIMD");
-  if (env == nullptr) return supported_tier();
-  if (std::strcmp(env, "scalar") == 0) return Tier::kScalar;
-  if (std::strcmp(env, "sse2") == 0) return clamp_to_supported(Tier::kSse2);
-  if (std::strcmp(env, "avx2") == 0) return clamp_to_supported(Tier::kAvx2);
-  return supported_tier();
-}
-
-std::atomic<Tier>& active_slot() {
-  static std::atomic<Tier> slot{initial_tier()};
-  return slot;
-}
-
-}  // namespace
 
 const char* to_string(Tier tier) {
   switch (tier) {
@@ -54,16 +15,16 @@ const char* to_string(Tier tier) {
 }
 
 Tier supported_tier() {
-  static const Tier tier = detect_supported();
+#if defined(KUSD_SIMD_ENABLED) && defined(__x86_64__)
+  // SSE2 is part of the x86-64 baseline, so only AVX2 needs a cpuid probe.
+  static const Tier tier =
+      __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kSse2;
   return tier;
+#else
+  return Tier::kScalar;
+#endif
 }
 
-Tier active_tier() { return active_slot().load(std::memory_order_relaxed); }
-
-Tier set_tier(Tier tier) {
-  const Tier installed = clamp_to_supported(tier);
-  active_slot().store(installed, std::memory_order_relaxed);
-  return installed;
-}
+Tier active_tier() { return supported_tier(); }
 
 }  // namespace kusd::rng::simd

@@ -406,8 +406,9 @@ TEST(Binomial, ReflectionRegimeMomentsMatch) {
 }
 
 TEST(Binomial, DegenerateDrawsConsumeNoStream) {
-  // The documented contract the lockstep kernel's bit-identity relies
-  // on: n == 0, p == 0 and p == 1 return without touching the stream.
+  // The documented contract: n == 0, p == 0 and p == 1 return without
+  // touching the stream, so a caller that skips degenerate draws keeps
+  // the same stream position either way.
   const std::array<std::pair<std::uint64_t, double>, 3> cases = {
       {{0, 0.5}, {17, 0.0}, {17, 1.0}}};
   for (const auto& [n, p] : cases) {
@@ -419,41 +420,124 @@ TEST(Binomial, DegenerateDrawsConsumeNoStream) {
   }
 }
 
-TEST(Binomial, BatchMatchesScalarDrawForDraw) {
-  // binomial_batch is dispatch sugar: per-stream results must equal the
-  // scalar calls in index order, for both the pointer and the contiguous
-  // overloads.
-  const std::size_t lanes = 64;
-  std::vector<std::uint64_t> ns(lanes);
-  std::vector<double> ps(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    // Mix of regimes: degenerate, BINV, BTRS, reflection.
-    ns[i] = (i % 7 == 0) ? 0 : (i * i * 37 + 1);
-    ps[i] = (i % 5 == 0) ? 0.0 : static_cast<double>(i) / lanes;
-  }
+/// Runs one batch through binomial_batch, and the same (n, p) list
+/// through rng::binomial on fresh copies of the same streams: every draw
+/// and every stream's position afterwards must agree.
+void expect_batch_matches_scalar(std::span<const std::uint64_t> ns,
+                                 std::span<const double> ps,
+                                 std::uint64_t seed) {
   std::vector<rng::Rng> batch_rngs, scalar_rngs;
-  std::vector<rng::Rng*> batch_ptrs;
-  for (std::size_t i = 0; i < lanes; ++i) {
-    batch_rngs.emplace_back(rng::stream_seed(5004, i));
-    scalar_rngs.emplace_back(rng::stream_seed(5004, i));
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    batch_rngs.emplace_back(rng::stream_seed(seed, i));
+    scalar_rngs.emplace_back(rng::stream_seed(seed, i));
   }
-  for (auto& r : batch_rngs) batch_ptrs.push_back(&r);
-  std::vector<std::uint64_t> out_ptr(lanes), out_span(lanes);
-  rng::binomial_batch(std::span<rng::Rng* const>(batch_ptrs), ns, ps,
-                      out_ptr);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const auto scalar = rng::binomial(scalar_rngs[i], ns[i], ps[i]);
-    EXPECT_EQ(out_ptr[i], scalar) << "lane " << i;
-    // Stream positions must agree afterwards too.
+  std::vector<std::uint64_t> out(ns.size(), ~std::uint64_t{0});
+  rng::binomial_batch(batch_rngs, ns, ps, out);
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    EXPECT_EQ(out[i], rng::binomial(scalar_rngs[i], ns[i], ps[i]))
+        << "n=" << ns[i] << " p=" << ps[i] << " lane " << i << " of "
+        << ns.size();
     EXPECT_EQ(batch_rngs[i].next_u64(), scalar_rngs[i].next_u64())
-        << "lane " << i;
+        << "stream position diverged at n=" << ns[i] << " p=" << ps[i]
+        << " lane " << i << " of " << ns.size();
   }
-  std::vector<rng::Rng> span_rngs;
-  for (std::size_t i = 0; i < lanes; ++i) {
-    span_rngs.emplace_back(rng::stream_seed(5004, i));
+}
+
+void expect_draw_matches_scalar(std::uint64_t n, double p,
+                                std::uint64_t seed) {
+  const std::uint64_t ns[] = {n};
+  const double ps[] = {p};
+  expect_batch_matches_scalar(ns, ps, seed);
+}
+
+/// Every batch size from 1 to 17, and 64.
+std::vector<std::size_t> ragged_batch_sizes() {
+  std::vector<std::size_t> sizes(17);
+  std::iota(sizes.begin(), sizes.end(), std::size_t{1});
+  sizes.push_back(64);
+  return sizes;
+}
+
+TEST(Binomial, BatchMatchesScalarDrawForDraw) {
+  // A mix of degenerate (n = 0, p = 0), BINV and BTRS draws at every
+  // ragged batch size.
+  for (const std::size_t size : ragged_batch_sizes()) {
+    std::vector<std::uint64_t> ns(size);
+    std::vector<double> ps(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      ns[i] = (i % 7 == 0) ? 0 : (i * i * 37 + 1);
+      ps[i] = (i % 5 == 0) ? 0.0 : static_cast<double>(i) / size;
+    }
+    expect_batch_matches_scalar(ns, ps, 5004 + size);
   }
-  rng::binomial_batch(std::span<rng::Rng>(span_rngs), ns, ps, out_span);
-  EXPECT_EQ(out_span, out_ptr);
+}
+
+TEST(BinomialEdge, RaggedBatchSizesMatchScalarLoopOnEveryTier) {
+  // Degenerate (n = 0, p = 1), BINV, BTRS and reflection draws at every
+  // ragged batch size. Every tier runs the same scalar loop, so one pass
+  // covers them all.
+  for (const std::size_t size : ragged_batch_sizes()) {
+    std::vector<std::uint64_t> ns(size);
+    std::vector<double> ps(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      ns[i] = (i % 6 == 0) ? 0 : 400 * (i + 1) * (i + 1);
+      ps[i] = (i % 5 == 0) ? 1.0
+                           : 0.03 + 0.057 * static_cast<double>(i % 17);
+    }
+    expect_batch_matches_scalar(ns, ps, 6000 + size);
+  }
+}
+
+TEST(BinomialEdge, DegenerateParameters) {
+  // p = 0 and n = 0 return 0; p = 1 returns n. None consume randomness
+  // (checked via the stream-position assertion).
+  expect_draw_matches_scalar(0, 0.5, 41);
+  expect_draw_matches_scalar(5000, 0.0, 42);
+  expect_draw_matches_scalar(5000, 1.0, 43);
+  expect_draw_matches_scalar(1, 0.5, 44);  // single Bernoulli
+  rng::Rng rng_a(45);
+  EXPECT_EQ(rng::binomial(rng_a, 0, 0.7), 0u);
+  EXPECT_EQ(rng::binomial(rng_a, 123, 0.0), 0u);
+  EXPECT_EQ(rng::binomial(rng_a, 123, 1.0), 123u);
+  // Degenerate draws consumed nothing: the stream is still at origin.
+  rng::Rng rng_b(45);
+  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+}
+
+TEST(BinomialEdge, MeanStraddlingTheBtrsCutoff) {
+  // np just below 10 routes to BINV, just above to BTRS.
+  for (std::uint64_t seed = 50; seed < 58; ++seed) {
+    expect_draw_matches_scalar(1000, 0.00999, seed);   // np = 9.99
+    expect_draw_matches_scalar(1000, 0.010001, seed);  // np > 10
+    expect_draw_matches_scalar(100000, 0.0000999, seed);
+    expect_draw_matches_scalar(100000, 0.0001001, seed);
+  }
+}
+
+TEST(BinomialEdge, HugeCountsNearTheCap) {
+  // n near 2^63: exercises the BTRS setup at extreme scale and the
+  // reflection path's n - Binomial(n, 1 - p) subtraction.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  for (std::uint64_t seed = 60; seed < 64; ++seed) {
+    expect_draw_matches_scalar(huge, 1e-18, seed);  // np < 10: BINV
+    expect_draw_matches_scalar(huge, 0.3, seed);
+    expect_draw_matches_scalar(huge, 0.97, seed);  // reflection
+  }
+  rng::Rng rng_sanity(65);
+  const std::uint64_t draw = rng::binomial(rng_sanity, huge, 0.3);
+  EXPECT_LE(draw, huge);
+  // A draw at this n concentrates within ~1e7 of the mean; a factor-2
+  // band catches sign/overflow bugs without flaking.
+  EXPECT_GT(draw, huge / 5);
+  EXPECT_LT(draw, huge / 2);
+}
+
+TEST(BinomialEdge, ReflectionAboveHalf) {
+  for (std::uint64_t seed = 70; seed < 74; ++seed) {
+    expect_draw_matches_scalar(40, 0.999, seed);
+    expect_draw_matches_scalar(5000, 0.75, seed);
+    expect_draw_matches_scalar(5000, 0.5, seed);  // boundary
+  }
 }
 
 TEST(Binomial, LogFactorialMatchesLgamma) {
@@ -571,6 +655,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FitCase>& info) {
       return std::string(info.param.name);
     });
+
+TEST(Rng, MultinomialRejectsAZeroTotalWeightForPositiveN) {
+  // With no weight there is no bucket to put n > 0 agents in: the draw
+  // fails loudly instead of dumping them into the last bucket, or
+  // dropping them when there is none.
+  rng::Rng r(1);
+  EXPECT_THROW(r.multinomial(5, std::vector<double>{0.0, 0.0}),
+               util::CheckError);
+  EXPECT_THROW(r.multinomial(5, std::vector<double>{0.0}), util::CheckError);
+  EXPECT_THROW(r.multinomial(5, std::vector<double>{}), util::CheckError);
+  std::vector<std::uint64_t> out(2);
+  EXPECT_THROW(r.multinomial_into(1, std::vector<double>{0.0, 0.0}, out),
+               util::CheckError);
+  // n == 0 has nothing to place, so any weights do.
+  EXPECT_EQ(r.multinomial(0, std::vector<double>{0.0, 0.0}),
+            (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_TRUE(r.multinomial(0, std::vector<double>{}).empty());
+}
 
 TEST(Rng, MultinomialIntoMatchesMultinomial) {
   const std::vector<double> weights = {3.0, 0.0, 1.5, 0.25, 5.0};

@@ -33,8 +33,8 @@ NAMESPACE_DECL = re.compile(
 # Macro prefix -> providing module (macros leave no `mod::` spelling at
 # the use site). The check macros come from util/check.hpp (KUSD_CHECK,
 # KUSD_CHECK_MSG, KUSD_DCHECK); the prefixes are deliberately that
-# specific — build-system defines like KUSD_SIMD_ENABLED are not include
-# obligations.
+# specific — build-system defines like KUSD_SIMD_ENABLED (set for
+# rng/simd.cpp's tier probe) are not include obligations.
 MACRO_MODULES = {
     "KUSD_CHECK": "util",
     "KUSD_DCHECK": "util",

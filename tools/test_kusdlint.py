@@ -299,16 +299,20 @@ class RngDisciplineTest(FixtureTest):
                 self.assertEqual(result.returncode, 1, line)
                 self.assertIn("[raw-intrinsics]", result.stderr)
 
-    def test_raw_intrinsics_inside_src_rng_are_exempt(self):
+    def test_raw_intrinsics_inside_src_rng_are_flagged(self):
+        # src/rng/ is exempt from the provenance codes, not from this
+        # one: no sampler is vectorized, so no file of src/ may be.
         self.write("src/rng/binomial_lanes_avx2.cpp",
                    "#include <immintrin.h>\n"
                    "__m256i x = _mm256_set1_epi64x(1);\n")
         result = run_lint(self.root, "--pass", "rng-discipline")
-        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("src/rng/binomial_lanes_avx2.cpp:2", result.stderr)
+        self.assertIn("[raw-intrinsics]", result.stderr)
 
-    def test_tier_dispatch_api_use_passes(self):
-        # Consuming the dispatched API (rng/simd.hpp names, no
-        # intrinsics) is exactly what the pass wants to see.
+    def test_tier_probe_api_use_passes(self):
+        # Naming the tier probe (rng/simd.hpp, no intrinsics) is not
+        # vector code.
         self.write("src/core/a.cpp",
                    '#include "rng/simd.hpp"\n'
                    "auto t = rng::simd::active_tier();\n")
