@@ -1,7 +1,6 @@
 // Shared helpers for the bench binaries.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -11,43 +10,14 @@
 #include <vector>
 
 #include "pp/configuration.hpp"
-#include "rng/rng.hpp"
 #include "runner/scale.hpp"
 #include "runner/table.hpp"
-#include "util/stopwatch.hpp"
 
 namespace kusd::bench {
 
-/// Min-of-`reps` wall-clock estimator: run the identical deterministic
-/// `body` `reps` times and keep the fastest. On the 1-core dev container
-/// a single shot can be off by 50% from scheduler interference; the
-/// minimum over repetitions estimates the true cost (the standard bench
-/// methodology here — see README "Bench methodology").
-template <typename Body>
-[[nodiscard]] double min_seconds_over(int reps, Body&& body) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Stopwatch watch;
-    body();
-    best = std::min(best, watch.seconds());
-  }
-  return best;
-}
-
-/// The per-trial seed batch every many-trial bench derives the same way:
-/// seeds[t] = rng::stream_seed(base, t).
-[[nodiscard]] inline std::vector<std::uint64_t> stream_seeds(
-    std::uint64_t base, std::size_t count) {
-  std::vector<std::uint64_t> seeds(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    seeds[t] = rng::stream_seed(base, static_cast<std::uint64_t>(t));
-  }
-  return seeds;
-}
-
 /// Minimal machine-readable result emitter: accumulates an ordered flat
 /// JSON object and writes it to `path` (the BENCH_*.json convention — see
-/// README "Bench methodology"). Values are emitted verbatim, so callers
+/// docs/benchmarks.md). Values are emitted verbatim, so callers
 /// pass numbers as numbers and pre-quoted strings via add_string.
 class JsonResult {
  public:

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Self-test of bench/verdicts.py: rows that break each check kind fail
+their claim and clean rows pass, so an always-passing checker fails."""
+import contextlib
+import io
+import math
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import verdicts  # noqa: E402
+
+
+def row(n=65536, k=2, bias=0.0, win=1.0, pt=20.0, pred=None, **axes):
+    """A sweep row; with `pred`, pt_mean is pt times the claim's predictor."""
+    r = dict(dict(engine='skip', graph='-', start='uniform'), **axes,
+             n=n, k=k, bias=bias, trials=64, converged_rate=1.0,
+             plurality_win_rate=win, pt_mean=pt, pt_stddev=1.0)
+    return dict(r, pt_mean=pt * pred(r)) if pred else r
+
+
+def e7(wins=(0.5, 0.8, 1.0, 1.0)):
+    unit = math.sqrt(32768 * math.log(32768))
+    return [row(n=32768, bias=c * unit, win=w)
+            for c, w in zip((0, 0.5, 1, 2), wins)]
+
+
+def e8(pop=(30.0, 25.0, 20.0)):
+    return [row(k=16, engine=e, start=f"geometric:{g}", pt=pt)
+            for g, p in zip((0.4, 0.8, 1), pop)
+            for e, pt in (('skip', p), ('gossip', 15.0))]
+
+
+def e13(regular=15.0, cycle=3000.0):
+    return [row(n=256, engine='graph', graph=g, pt=pt) for g, pt in
+            (('complete', 12.0), ('regular:8', regular), ('er:0.0866', 14.0),
+             ('cycle', cycle))]
+
+
+class Verdicts(unittest.TestCase):
+    def fails(self, claim, rows):
+        rep = verdicts.Report()
+        with contextlib.redirect_stdout(io.StringIO()):
+            verdicts.CLAIMS[claim]['judge'](rep, rows)
+        return rep.failed > 0
+
+    def test_clean_rows_pass(self):
+        for claim, rows in (
+                ('E2', [row(n=4096, bias=2.0, pt=1.5, pred=verdicts.pred_e2),
+                        row(bias=2.0, pt=1.5, pred=verdicts.pred_e2)]),
+                ('E3', [row(k=8, bias=3410.0, pt=1, pred=verdicts.pred_e3)]),
+                ('E4', [row(win=0.5, pt=1, pred=verdicts.pred_e4)]),
+                ('E7', e7()), ('E8', e8()), ('E13', e13())):
+            self.assertFalse(self.fails(claim, rows), claim)
+
+    def test_broken_rows_fail(self):
+        unconverged = dict(row(win=0.5, pt=10.0), converged_rate=0.98)
+        for claim, rows in (
+                ('E2', [row(bias=2.0, win=0.75, pt=1, pred=verdicts.pred_e2)]),
+                ('E2', [row(bias=2.0, pt=verdicts.C_E2 * 1.01,
+                            pred=verdicts.pred_e2)]),
+                ('E4', [row(win=0.5, pt=verdicts.C_E4 * 1.01,
+                            pred=verdicts.pred_e4)]),
+                ('E4', [unconverged]),
+                ('E7', e7(wins=(0.5, 1.0, 0.6, 1.0))),
+                ('E8', e8(pop=(30.0, 20.0, 30.0))),
+                ('E4', [row(win=0.9, pt=1, pred=verdicts.pred_e4)]),
+                ('E7', e7(wins=(0.05, 0.8, 1.0, 1.0))),
+                ('E13', e13(regular=30.0)), ('E13', e13(cycle=600.0))):
+            self.assertTrue(self.fails(claim, rows), claim)
+
+    def test_clopper_pearson_lower_bound(self):
+        # Beta(5, 6)'s 5% quantile: the one-sided 95% bound for 5 of 10.
+        self.assertAlmostEqual(verdicts.cp_lower(5, 10), 0.2224, places=4)
+        self.assertEqual(verdicts.cp_lower(0, 64), 0.0)
+
+
+if __name__ == '__main__':
+    unittest.main()

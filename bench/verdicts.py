@@ -1,0 +1,316 @@
+#!/usr/bin/env python3
+"""Paper verdicts: the Theorem 2 claims as checked `kusd sweep` grids.
+
+    python3 bench/verdicts.py KUSD cheap|full [CLAIM ...]
+
+Each claim declares `cheap` and `full` grids (literal `kusd sweep`
+argument lists) and a seed; sweep i runs with seed + i. Its rows go to
+<claim>.csv in the working directory, and each check prints PASS/FAIL,
+its value, its threshold and the effect it detects with 80% power at the
+grid's trial count. Exits 1 if a check or a sweep fails, 2 on usage.
+"""
+import csv
+import math
+import os
+import subprocess
+import sys
+import time
+
+Z80 = 0.8416       # one-sided normal quantile for 80% power
+LOSS_MAX = 0.05    # "wins w.h.p.": the 95% CP lower bound on loss <= this
+STEP_SE = 2.0      # a monotone step may go the wrong way by this many SE
+SYMMETRY_SE = 3.0  # a zero-bias opinion-0 share may sit this far from 1/k
+# O(.) constants: pt_mean / predictor <= C at every point. Each C is 25%
+# above the largest ratio the retired bench mains printed at full scale
+# on the parent tree (4-vCPU Xeon, Release); BENCH_phases.json's
+# T/(k n ln n) of 0.86 and 0.60 at n = 1e8 is below E4's.
+C_E2 = 2.9    # 2.299 at n = 2^16, k = 32 (T / (n ln n + n^2/x1))
+C_E3 = 1.35   # 1.068 at n = 2^15, k = 2  (T / (n^2 ln n / x1))
+C_E4 = 1.85   # 1.463 at n = 2^16, k = 2  (T / (k n ln n))
+EXPANDER_FACTOR = 2.0   # E13: regular:8 and er within 2x of complete
+CYCLE_FACTOR = 100.0    # E13: the cycle at least 100x complete
+
+
+def binom_tail(x, n, p):
+    """P(X >= x) for X ~ Binomial(n, p), n up to ~1000."""
+    return sum(math.comb(n, i) * p ** i * (1 - p) ** (n - i)
+               for i in range(max(x, 0), n + 1))
+
+
+def solve_p(f, target):
+    """The p in [0, 1] where the increasing function f reaches target."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < target else (lo, mid)
+    return hi
+
+
+def cp_lower(x, n):
+    """One-sided 95% Clopper-Pearson lower bound on a rate seen x of n."""
+    return 0.0 if x == 0 else solve_p(lambda p: binom_tail(x, n, p), 0.05)
+
+
+def detectable_loss(n):
+    """The loss rate at which the w.h.p. check fails with 80% power."""
+    fail_at = next(x for x in range(n + 1) if cp_lower(x, n) > LOSS_MAX)
+    return solve_p(lambda p: binom_tail(fail_at, n, p), 0.8)
+
+
+def rel_se(row):
+    return row['pt_stddev'] / math.sqrt(row['trials']) / row['pt_mean']
+
+
+def mean_ratio(a, b):  # pt_mean(a) / pt_mean(b), delta-method relative SE
+    return a['pt_mean'] / b['pt_mean'], math.hypot(rel_se(a), rel_se(b))
+
+
+def loglog_slope(xs, ys):
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+            / sum((a - mx) ** 2 for a in lx))
+
+
+def regime(n):  # Theorem 2's largest k, at c = 1 and natural logs
+    return math.sqrt(n) / math.log(n) ** 2
+
+
+class Report:
+    def __init__(self):
+        self.checks = self.failed = 0
+
+    def check(self, ok, what, value, threshold, detect):
+        self.checks += 1
+        self.failed += not ok
+        print(f"  {'PASS' if ok else 'FAIL'}  {what}: {value}"
+              f" | threshold {threshold} | detects {detect}")
+
+
+def label(row):
+    n, k = row['n'], row['k']
+    return f"n={n} k={k}" + (
+        f" [out of regime: k > {regime(n):.2f}]" if k > regime(n) else "")
+
+
+def wins_whp(rep, row, what):
+    t = row['trials']
+    losses = round((1 - row['plurality_win_rate']) * t)
+    lower = cp_lower(losses, t)
+    rep.check(lower <= LOSS_MAX, f"wins w.h.p. {what}",
+              f"loss {losses}/{t}, 95% CP lower {lower:.3f}",
+              f"<= {LOSS_MAX}", f"loss rate >= {detectable_loss(t):.3f}")
+
+
+def symmetric(rep, row, what):
+    t, p0 = row['trials'], 1 / row['k']
+    se = math.sqrt(p0 * (1 - p0) / t)
+    share = row['plurality_win_rate']
+    rep.check(abs(share - p0) <= SYMMETRY_SE * se,
+              f"opinion-0 win share {what}", f"{share:.3f} vs 1/k = {p0:.3f}",
+              f"|share - 1/k| <= {SYMMETRY_SE * se:.3f} ({SYMMETRY_SE:g} SE)",
+              f"|share - 1/k| >= {(SYMMETRY_SE + Z80) * se:.3f}")
+
+
+def factor(rep, what, ratio, rel, limit, at_most):
+    """ratio <= limit (at_most) or >= limit; rel is its relative SE."""
+    rep.check(ratio <= limit if at_most else ratio >= limit, what,
+              f"{ratio:.4g}", f"{'<=' if at_most else '>='} {limit:g}",
+              f"ratio {'>=' if at_most else '<='} "
+              f"{limit * (1 + (Z80 if at_most else -Z80) * rel):.3f}")
+
+
+def ordered(rep, what, points, sign):
+    """points: (name, value, se) in axis order; no step may go against
+    `sign` (+1 non-decreasing, -1 non-increasing) by over STEP_SE SE."""
+    for (na, a, sa), (nb, b, sb) in zip(points, points[1:]):
+        se = math.hypot(sa, sb)
+        rep.check(sign * (b - a) >= -STEP_SE * se, f"{what} {na} -> {nb}",
+                  f"{a:.3f} -> {b:.3f}, step {b - a:+.3f} (SE {se:.3f})",
+                  f"wrong way <= {STEP_SE:g} SE",
+                  f"wrong-way step >= {(STEP_SE + Z80) * se:.3f}")
+
+
+def o_bound(predictor, c, name, point_check):
+    """A judge: point_check and pt_mean / predictor <= c, all converged, at
+    every point; then the k-slope and the ratio along n, reported."""
+    def judge(rep, rows):
+        for r in rows:
+            point_check(rep, r, label(r))
+            factor(rep, f"T/({name}) {label(r)}, converged "
+                   f"{r['converged_rate']:.2f}",
+                   r['pt_mean'] / predictor(r) if r['converged_rate'] == 1
+                   else math.inf, rel_se(r), c, True)
+        for n in sorted({r['n'] for r in rows}):
+            at = sorted((r for r in rows if r['n'] == n), key=lambda r: r['k'])
+            if len(at) >= 3:
+                slope = loglog_slope([r['k'] for r in at],
+                                     [r['pt_mean'] for r in at])
+                print(f"  ----  pt_mean ~ k^{slope:.2f} over k={at[0]['k']}.."
+                      f"{at[-1]['k']} at n={n}; regime k <= {regime(n):.2f}")
+        for k in sorted({r['k'] for r in rows}):
+            at = sorted((r for r in rows if r['k'] == k), key=lambda r: r['n'])
+            if len(at) >= 3:
+                print(f"  ----  T/({name}) along n={at[0]['n']}.."
+                      f"{at[-1]['n']} at k={k}: " + ", ".join(
+                          f"{r['pt_mean'] / predictor(r):.3f}" for r in at))
+    return judge
+
+
+def pred_e2(r):  # ln n + n/x1(0), x1 as Configuration builds alpha
+    x1 = r['n'] - math.floor(r['n'] / (r['bias'] + r['k'] - 1)) * (r['k'] - 1)
+    return math.log(r['n']) + r['n'] / x1
+
+
+def pred_e3(r):  # n ln n / x1(0), x1 as Configuration builds beta
+    x1 = r['n'] - (r['n'] - int(r['bias'])) // r['k'] * (r['k'] - 1)
+    return r['n'] * math.log(r['n']) / x1
+
+
+def pred_e4(r):  # k ln n
+    return r['k'] * math.log(r['n'])
+
+
+def judge_e7(rep, rows):
+    for k in sorted({r['k'] for r in rows}):
+        at = sorted((r for r in rows if r['k'] == k), key=lambda r: r['bias'])
+        unit = math.sqrt(at[0]['n'] * math.log(at[0]['n']))
+        # Laplace-smoothed SEs, so that a 0 or 1 rate is not certain.
+        smooth = [(r['plurality_win_rate'] * r['trials'] + 1)
+                  / (r['trials'] + 2) for r in at]
+        points = [(f"{r['bias'] / unit:.2f}", r['plurality_win_rate'],
+                   math.sqrt(p * (1 - p) / r['trials']))
+                  for r, p in zip(at, smooth)]
+        symmetric(rep, at[0], f"k={k} beta=0")
+        ordered(rep, f"win rate k={k}, beta/sqrt(n ln n)", points, +1)
+        wins_whp(rep, at[-1], f"k={k} beta/sqrt(n ln n)={points[-1][0]}")
+
+
+def judge_e8(rep, rows):
+    pairs = {}  # geometric ratio -> engine -> row
+    for r in rows:
+        pairs.setdefault(float(r['start'].split(':')[1]), {})[r['engine']] = r
+    ratios = [mean_ratio(pairs[g]['skip'], pairs[g]['gossip'])
+              for g in sorted(pairs)]  # skewed (small g) to flat (g = 1)
+    ordered(rep, "pop/gossip pt_mean as the start flattens",
+            [(f"geometric:{g:g}", r, r * rel)
+             for g, (r, rel) in zip(sorted(pairs), ratios)], -1)
+
+
+def judge_e13(rep, rows):
+    by = {r['graph'].split(':')[0]: r for r in rows}
+    for name in ('complete', 'regular', 'er'):
+        wins_whp(rep, by[name], by[name]['graph'])
+    for name in ('regular', 'er'):
+        factor(rep, f"{by[name]['graph']} / complete pt_mean",
+               *mean_ratio(by[name], by['complete']), EXPANDER_FACTOR, True)
+    factor(rep, f"cycle / complete pt_mean, cycle converged "
+           f"{by['cycle']['converged_rate']:.2f}",
+           *mean_ratio(by['cycle'], by['complete']), CYCLE_FACTOR, False)
+
+
+E2 = "--engine skip --bias multiplicative --alpha 2"
+E3 = "--engine skip --bias additive"
+E8 = ("--engine skip,gossip --k 16 --start geometric:1,geometric:0.9,"
+      "geometric:0.8,geometric:0.6,geometric:0.4")
+E13 = "--engine graph --k 2 --bias multiplicative --alpha 1.5"
+# E3's beta is floor(4 sqrt(n ln n)); E7's betas are floor(c sqrt(n ln n))
+# for c = 0, 1/4, 1/2, 1, 2, 4. E13's er:p is 4 ln n / n and its budget
+# 400 n^2 interactions, the cycle's ~n^3 time with room.
+CLAIMS = {
+    'E2': dict(
+        title="Theorem 2(1): multiplicative bias alpha = 2 wins w.h.p. in "
+              "O(log n + n/x1(0))", seed=2,
+        judge=o_bound(pred_e2, C_E2, "ln n + n/x1", wins_whp),
+        cheap=[f"{E2} --n 4096,16384 --k 2,8 --trials 16"],
+        full=[f"{E2} --n 4096,16384,65536,262144 --k 2 --trials 64",
+              f"{E2} --n 65536 --k 4,8,16,32 --trials 64"]),
+    'E3': dict(
+        title="Theorem 2(2): additive bias 4 sqrt(n ln n) wins w.h.p. in "
+              "O(n log n / x1(0))", seed=3,
+        judge=o_bound(pred_e3, C_E3, "n ln n / x1", wins_whp),
+        cheap=[f"{E3} --n 4096 --k 2,8 --beta 738 --trials 16",
+               f"{E3} --n 16384 --k 8 --beta 1594 --trials 16"],
+        full=[f"{E3} --n 4096 --k 8 --beta 738 --trials 64",
+              f"{E3} --n 16384 --k 8 --beta 1594 --trials 64",
+              f"{E3} --n 65536 --k 2,4,8,16,32 --beta 3410 --trials 64",
+              f"{E3} --n 262144 --k 8 --beta 7234 --trials 64"]),
+    'E4': dict(
+        title="Theorem 2(3): uniform start, O(k log n), symmetric winner",
+        seed=4, judge=o_bound(pred_e4, C_E4, "k ln n", symmetric),
+        cheap=["--engine skip --n 4096,16384 --k 2,8 --trials 16"],
+        full=["--engine skip --n 4096,16384,65536,262144 --k 2 --trials 64",
+              "--engine skip --n 65536 --k 4,8,16,32 --trials 64"]),
+    'E7': dict(
+        title="Theorem 2(2) threshold: win rate 1/k -> 1 within O(1) units "
+              "of sqrt(n ln n)", seed=7, judge=judge_e7,
+        cheap=[f"{E3} --n 4096 --k 2,8 --beta 0,46,92,184,369,738 "
+               "--trials 16"],
+        full=[f"{E3} --n 32768 --k 2,8 --beta 0,145,291,583,1167,2334 "
+              "--trials 64"]),
+    'E8': dict(
+        title="Appendix D: population against gossip model over the "
+              "start's skew", seed=8, judge=judge_e8,
+        cheap=[f"{E8} --n 4096 --trials 16"],
+        full=[f"{E8} --n 65536 --trials 32"]),
+    'E13': dict(
+        title="Graphs: expanders track complete, the cycle is far slower",
+        seed=13, judge=judge_e13,
+        cheap=[f"{E13} --graph complete,regular:8,er:0.1516,cycle --n 128 "
+               "--budget 6553600 --trials 16"],
+        full=[f"{E13} --graph complete,regular:8,er:0.0866,cycle --n 256 "
+              "--budget 26214400 --trials 32"]),
+}
+
+
+def run_grid(kusd, cid, claim, grid):
+    """Runs the claim's sweeps into <cid>.csv; returns the parsed rows."""
+    part, lines = f"{cid}.part.csv", []
+    for i, args in enumerate(claim[grid]):
+        cmd = [kusd, 'sweep', *args.split(), '--seed',
+               str(claim['seed'] + i), '--out', part]
+        proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, check=False)
+        if proc.returncode != 0:
+            sys.exit(f"{cid}: `{' '.join(cmd)}` exited {proc.returncode}:\n"
+                     f"{proc.stderr}")
+        with open(part, encoding='utf-8') as f:
+            lines += f.read().splitlines()[1 if lines else 0:]
+    os.remove(part)
+    with open(f"{cid}.csv", 'w', encoding='utf-8') as f:
+        f.write("\n".join(lines) + "\n")
+    rows = list(csv.DictReader(lines))
+    for r in rows:
+        r.update({key: int(r[key]) for key in ('n', 'k', 'trials')})
+        r.update({key: float(r[key]) for key in (
+            'bias', 'converged_rate', 'plurality_win_rate', 'pt_mean',
+            'pt_stddev')})
+    return rows
+
+
+def main(argv):
+    if (len(argv) < 3 or argv[2] not in ('cheap', 'full')
+            or any(c not in CLAIMS for c in argv[3:])):
+        print(__doc__.strip() + f"\nclaims: {' '.join(CLAIMS)}",
+              file=sys.stderr)
+        return 2
+    kusd, grid, failed = argv[1], argv[2], []
+    for cid in argv[3:] or CLAIMS:
+        claim, started = CLAIMS[cid], time.monotonic()
+        rows = run_grid(kusd, cid, claim, grid)
+        print(f"== {cid} · {claim['title']}\n   {grid} grid: "
+              f"{len(claim[grid])} sweep(s), {len(rows)} points, seed "
+              f"{claim['seed']}, {time.monotonic() - started:.1f} s "
+              f"-> {cid}.csv")
+        rep = Report()
+        claim['judge'](rep, rows)
+        print(f"   {cid}: {'FAIL' if rep.failed else 'PASS'} "
+              f"({rep.checks - rep.failed}/{rep.checks} checks pass)")
+        failed += [cid] if rep.failed else []
+    print(f"verdicts ({grid}): "
+          + (f"FAIL {' '.join(failed)}" if failed else "all pass"))
+    return 1 if failed else 0
+
+
+if __name__ == '__main__':
+    sys.exit(main(sys.argv))

@@ -91,9 +91,12 @@ void Rng::multinomial_into(std::uint64_t n, std::span<const double> weights,
                  "multinomial output size must match the weight count");
   std::fill(out.begin(), out.end(), 0);
   double remaining_weight = 0.0;
-  for (double w : weights) {
-    KUSD_CHECK_MSG(w >= 0.0, "multinomial weight must be non-negative");
-    remaining_weight += w;
+  std::size_t last_positive = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    KUSD_CHECK_MSG(weights[i] >= 0.0,
+                   "multinomial weight must be non-negative");
+    remaining_weight += weights[i];
+    if (weights[i] > 0.0) last_positive = i;
   }
   KUSD_CHECK_MSG(n == 0 || remaining_weight > 0.0,
                  "multinomial of n > 0 needs a positive total weight");
@@ -106,7 +109,10 @@ void Rng::multinomial_into(std::uint64_t n, std::span<const double> weights,
     remaining -= draw;
     remaining_weight -= weights[i];
   }
-  if (!weights.empty()) out.back() += remaining;
+  // The leftover belongs to the last bucket that can hold agents: the
+  // conditional p of that bucket can round to just below 1, and a
+  // trailing zero-weight bucket must stay empty.
+  if (remaining > 0) out[last_positive] += remaining;
 }
 
 std::vector<std::uint64_t> Rng::multinomial(std::uint64_t n,

@@ -261,14 +261,29 @@ TEST(Rng, BinomialEdgeCases) {
 }
 
 TEST(Rng, MultinomialPreservesTotal) {
+  // Zero-weight buckets stay empty, interior and trailing ones alike. At
+  // n = 2^62 the last positive bucket's conditional p, 0.2 / (0.1 + 0.2 -
+  // 0.1), rounds to just below 1, so the sequential draws leave agents
+  // over: they belong to that bucket, not to a trailing zero-weight one.
+  const std::uint64_t big = std::uint64_t{1} << 62;
+  const std::vector<std::pair<std::uint64_t, std::vector<double>>> cases = {
+      {1000, {3.0, 1.0, 0.0, 2.0}},
+      {big, {0.1, 0.2, 0.0}},
+      {big, {0.1, 0.0, 0.2, 0.0, 0.0}},
+      {big, {0.0, 0.1, 0.2, 0.0}}};
   rng::Rng r(41);
-  const std::vector<double> weights{3.0, 1.0, 0.0, 2.0};
-  for (int i = 0; i < 200; ++i) {
-    const auto parts = r.multinomial(1000, weights);
-    ASSERT_EQ(parts.size(), weights.size());
-    EXPECT_EQ(std::accumulate(parts.begin(), parts.end(), std::uint64_t{0}),
-              1000u);
-    EXPECT_EQ(parts[2], 0u);  // zero-weight bucket stays empty
+  for (const auto& [n, weights] : cases) {
+    for (int i = 0; i < 200; ++i) {
+      const auto parts = r.multinomial(n, weights);
+      ASSERT_EQ(parts.size(), weights.size());
+      EXPECT_EQ(std::accumulate(parts.begin(), parts.end(), std::uint64_t{0}),
+                n);
+      for (std::size_t b = 0; b < weights.size(); ++b) {
+        if (weights[b] == 0.0) {
+          EXPECT_EQ(parts[b], 0u) << "n " << n << ", bucket " << b;
+        }
+      }
+    }
   }
 }
 
