@@ -175,9 +175,12 @@ UsdExactSolver::UsdExactSolver(pp::Count n, int k) : n_(n), k_(k) {
 std::size_t UsdExactSolver::index_of(const std::vector<pp::Count>& x) const {
   KUSD_CHECK_MSG(static_cast<int>(x.size()) == k_, "support vector size");
   pp::Count total = 0;
-  for (auto v : x) total += v;
+  for (auto v : x) {
+    // Compared before adding, so a huge entry cannot wrap the sum.
+    KUSD_CHECK_MSG(v <= n_ - total, "support exceeds population");
+    total += v;
+  }
   KUSD_CHECK_MSG(total >= 1, "all-undecided start never converges");
-  KUSD_CHECK_MSG(total <= n_, "support exceeds population");
   return index_.at(x);
 }
 

@@ -14,6 +14,11 @@ namespace kusd::core {
 /// one opinion has support.
 [[nodiscard]] double multiplicative_bias(const pp::Configuration& x);
 
+/// The significance constant alpha at which the drivers track phases and
+/// classify outcomes (runner::run_usd, core::PhaseTracker's default). The
+/// paper's theorems hold for any constant alpha.
+inline constexpr double kSignificanceAlpha = 1.0;
+
 /// The paper's significance threshold alpha * sqrt(n * ln n).
 [[nodiscard]] double significance_threshold(pp::Count n, double alpha);
 

@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 
+#include "core/bias.hpp"
 #include "pp/configuration.hpp"
 
 namespace kusd::core {
@@ -37,7 +38,7 @@ class PhaseTracker {
  public:
   /// `alpha` is the significance constant of the paper (threshold
   /// alpha * sqrt(n ln n)).
-  PhaseTracker(pp::Count n, double alpha = 1.0);
+  PhaseTracker(pp::Count n, double alpha = kSignificanceAlpha);
 
   /// Feed a snapshot. Snapshots must be fed with non-decreasing t.
   void observe(std::uint64_t t, std::span<const pp::Count> opinions,

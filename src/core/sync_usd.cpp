@@ -27,26 +27,26 @@ std::uint64_t SyncUsd::super_round() {
   // non-trivial n astronomically unlikely) event that every agent becomes
   // undecided, the round is re-run: the idealized synchronized process is
   // only defined conditioned on at least one decided survivor.
-  std::vector<pp::Count> next(k, 0);
   pp::Count undecided = 0;
   do {
-    next.assign(k, 0);
+    next_.assign(k, 0);
     undecided = engine_.decided_step(opinions_, /*undecided=*/0,
-                                     /*keep_on_undecided=*/false, next, rng_);
+                                     /*keep_on_undecided=*/false, next_, rng_);
     ++total_rounds_;
   } while (undecided == n_);
 
   // Phase B: undecided agents repeatedly sample until they land on a
   // decided agent, one synchronous sub-round per attempt. Partners are the
-  // current (partially re-adopted) counts, so `next` aliases both roles.
+  // current (partially re-adopted) counts, so `next_` aliases both roles.
   std::uint64_t sub_rounds = 0;
   while (undecided > 0) {
-    undecided = engine_.adoption_step(next, undecided, undecided, next, rng_);
+    undecided =
+        engine_.adoption_step(next_, undecided, undecided, next_, rng_);
     ++sub_rounds;
     ++total_rounds_;
   }
 
-  opinions_ = std::move(next);
+  opinions_.swap(next_);
   ++super_rounds_;
   for (std::size_t i = 0; i < k; ++i) {
     if (opinions_[i] == n_) winner_ = static_cast<int>(i);

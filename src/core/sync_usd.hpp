@@ -47,6 +47,9 @@ class SyncUsd {
 
  private:
   std::vector<pp::Count> opinions_;
+  /// The round's next counts, swapped with opinions_ so no round
+  /// allocates.
+  std::vector<pp::Count> next_;
   pp::Count n_;
   RoundEngine engine_;
   rng::Rng rng_;

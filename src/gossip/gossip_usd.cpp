@@ -22,18 +22,18 @@ GossipUsd::GossipUsd(const pp::Configuration& initial, rng::Rng rng)
 void GossipUsd::round() {
   KUSD_DCHECK(!winner_.has_value());
   const std::size_t k = opinions_.size();
-  std::vector<pp::Count> next(k, 0);
+  next_.assign(k, 0);
 
   // Decided agents of opinion i: keep i iff the partner is undecided or of
   // the same opinion; otherwise become undecided. Undecided agents: adopt
   // the partner's opinion if decided. Both half-rounds sample partners from
   // the pre-round configuration.
   pp::Count next_undecided = engine_.decided_step(
-      opinions_, undecided_, /*keep_on_undecided=*/true, next, rng_);
+      opinions_, undecided_, /*keep_on_undecided=*/true, next_, rng_);
   next_undecided +=
-      engine_.adoption_step(opinions_, undecided_, undecided_, next, rng_);
+      engine_.adoption_step(opinions_, undecided_, undecided_, next_, rng_);
 
-  opinions_ = std::move(next);
+  opinions_.swap(next_);
   undecided_ = next_undecided;
   ++rounds_;
   for (std::size_t i = 0; i < k; ++i) {

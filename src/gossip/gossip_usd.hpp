@@ -46,6 +46,9 @@ class GossipUsd {
 
  private:
   std::vector<pp::Count> opinions_;
+  /// The round's next counts, swapped with opinions_ so no round
+  /// allocates.
+  std::vector<pp::Count> next_;
   pp::Count undecided_;
   pp::Count n_;
   core::RoundEngine engine_;

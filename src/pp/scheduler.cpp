@@ -1,7 +1,6 @@
 #include "pp/scheduler.hpp"
 
 #include "rng/rng.hpp"
-#include "urn/urn.hpp"
 #include "util/check.hpp"
 
 namespace kusd::pp {
@@ -13,9 +12,9 @@ constexpr int kMaxTabulatedStates = 700;
 
 CountScheduler::CountScheduler(const PairProtocol& protocol,
                                std::span<const std::uint64_t> initial_counts,
-                               rng::Rng rng, urn::UrnEngine engine)
+                               rng::Rng rng)
     : protocol_(protocol),
-      urn_(initial_counts, engine),
+      urn_(initial_counts),
       rng_(rng),
       num_states_(protocol.num_states()) {
   KUSD_CHECK_MSG(static_cast<int>(initial_counts.size()) == num_states_,

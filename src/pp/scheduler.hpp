@@ -29,8 +29,7 @@ class CountScheduler {
   /// function is tabulated when num_states^2 is small enough.
   CountScheduler(const PairProtocol& protocol,
                  std::span<const std::uint64_t> initial_counts,
-                 rng::Rng rng,
-                 urn::UrnEngine engine = urn::UrnEngine::kAuto);
+                 rng::Rng rng);
 
   /// Execute one interaction.
   void step();

@@ -36,7 +36,7 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
                                 ? options.max_interactions
                                 : engine->default_budget();
   if (options.track_phases) {
-    core::PhaseTracker tracker(initial.n(), options.alpha);
+    core::PhaseTracker tracker(initial.n());
     const std::uint64_t interval = options.observe_interval != 0
                                        ? options.observe_interval
                                        : engine->default_observe_interval();
@@ -57,7 +57,8 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
     result.winner = engine->consensus_opinion();
     result.plurality_won = result.winner == result.initial_plurality;
     result.winner_initially_significant =
-        core::is_significant(initial, result.winner, options.alpha);
+        core::is_significant(initial, result.winner,
+                             core::kSignificanceAlpha);
   }
   return result;
 }

@@ -48,8 +48,6 @@ struct RunOptions {
   /// resolution far below phase lengths — or one round).
   bool track_phases = true;
   std::uint64_t observe_interval = 0;
-  /// Significance constant alpha of the paper.
-  double alpha = 1.0;
 };
 
 struct RunResult {
@@ -69,7 +67,7 @@ struct RunResult {
   int initial_plurality = -1;
   bool plurality_won = false;
   /// Whether the winner was significant at t = 0 (Theorem 2's no-bias
-  /// guarantee).
+  /// guarantee), at core::kSignificanceAlpha like the phases.
   bool winner_initially_significant = false;
 };
 

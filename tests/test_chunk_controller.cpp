@@ -3,6 +3,8 @@
 // engine matches the exact asynchronous chain in distribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -17,7 +19,6 @@
 namespace kusd {
 namespace {
 
-using core::AdaptiveChunkOptions;
 using core::BatchedUsdSimulator;
 using core::ChunkController;
 using core::ChunkOptions;
@@ -31,6 +32,36 @@ ChunkOptions adaptive_options() {
   ChunkOptions options;
   options.policy = ChunkPolicy::kAdaptive;
   return options;
+}
+
+// The flat chain's raw tau bound at kDriftTolerance, in the controller's
+// order of operations: the largest chunk keeping every count's predicted
+// drift and fluctuation inside its tolerance band, capped at max_chunk.
+double raw_tau_bound(const std::vector<pp::Count>& opinions,
+                     pp::Count undecided, std::uint64_t max_chunk) {
+  double decided = 0.0, cross = 0.0;
+  for (const pp::Count x : opinions) {
+    decided += static_cast<double>(x);
+    cross += static_cast<double>(x) * static_cast<double>(x);
+  }
+  const double u = static_cast<double>(undecided);
+  const double total = u + decided;
+  const double inv_w2 = 1.0 / (total * total);
+  double bound = static_cast<double>(max_chunk);
+  const auto band = [&bound](double count, double gain, double loss) {
+    const double width = std::max(core::kDriftTolerance * count, 1.0);
+    if (gain != loss) bound = std::min(bound, width / std::abs(gain - loss));
+    if (gain + loss > 0.0) {
+      bound = std::min(bound, width * width / (gain + loss));
+    }
+  };
+  for (const pp::Count count : opinions) {
+    const double x = static_cast<double>(count);
+    band(x, 1.0 * u * x * inv_w2, 1.0 * x * (decided - x) * inv_w2);
+  }
+  band(u, 1.0 * (decided * decided - cross) * inv_w2,
+       1.0 * u * decided * inv_w2);
+  return bound;
 }
 
 TEST(ChunkController, FixedPolicyProposesTheConstantChunk) {
@@ -53,7 +84,7 @@ TEST(ChunkController, FixedPolicyIgnoresRejectFeedback) {
 
 TEST(ChunkController, AdaptiveGrowsGeometricallyInAFlatRegime) {
   // In a balanced mid-run state the rates drift slowly: the proposal must
-  // ramp up geometrically (at most grow_factor per step) from the floor
+  // ramp up geometrically (at most kChunkGrowFactor per step) from the floor
   // and plateau at an error bound far above the fixed 2% default.
   const pp::Count n = 1'000'000;
   ChunkController c(adaptive_options(), n);
@@ -65,7 +96,7 @@ TEST(ChunkController, AdaptiveGrowsGeometricallyInAFlatRegime) {
   for (int i = 0; i < 64; ++i) {
     const std::uint64_t next = c.propose(opinions, undecided);
     EXPECT_LE(next, c.max_chunk());
-    EXPECT_LE(next, 2 * prev);  // default grow_factor
+    EXPECT_LE(next, 2 * prev);  // kChunkGrowFactor
     EXPECT_GE(next, prev);      // the state never tightens mid-ramp
     if (next == prev) {
       plateau = next;
@@ -77,25 +108,6 @@ TEST(ChunkController, AdaptiveGrowsGeometricallyInAFlatRegime) {
   // the fixed default and below the 0.5 n ceiling.
   EXPECT_GT(plateau, n / 10);
   EXPECT_LT(plateau, c.max_chunk());
-}
-
-TEST(ChunkController, GrowthBelowTwoStillRamps) {
-  // floor(1 * g) == 1 for g in (1, 2): without the one-interaction
-  // minimum step the schedule would stay pinned at the initial chunk of
-  // 1 forever. The cap must grow by at least one interaction per step.
-  const pp::Count n = 1'000'000;
-  ChunkOptions options = adaptive_options();
-  options.adaptive.grow_factor = 1.5;
-  ChunkController c(options, n);
-  const std::vector<pp::Count> opinions = {250000, 250000};
-  const pp::Count undecided = 500000;
-  std::uint64_t prev = c.propose(opinions, undecided);
-  EXPECT_EQ(prev, 2u);  // max(1 + 1, floor(1.5))
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t next = c.propose(opinions, undecided);
-    EXPECT_GT(next, prev) << "step " << i;
-    prev = next;
-  }
 }
 
 TEST(ChunkController, AdaptiveShrinksNearAbsorption) {
@@ -113,22 +125,19 @@ TEST(ChunkController, AdaptiveShrinksNearAbsorption) {
   EXPECT_LT(proposal, warm.max_chunk() / 4);
 }
 
-TEST(ChunkController, AdaptiveTightensWithTolerance) {
+TEST(ChunkController, AdaptivePlateauIsTheToleranceBound) {
+  // Past the growth ramp, a constant state is proposed its tau bound at
+  // kDriftTolerance: the drift band of the minority binds here, far
+  // below the kMaxChunkFraction ceiling.
   const pp::Count n = 100000;
-  ChunkOptions loose = adaptive_options();
-  loose.adaptive.drift_tolerance = 0.2;
-  ChunkOptions tight = adaptive_options();
-  tight.adaptive.drift_tolerance = 0.01;
-  ChunkController a(loose, n), b(tight, n);
+  ChunkController c(adaptive_options(), n);
   const std::vector<pp::Count> opinions = {60000, 30000};
   const pp::Count undecided = 10000;
-  // Warm both controllers past the growth ramp.
-  std::uint64_t la = 0, lb = 0;
-  for (int i = 0; i < 64; ++i) {
-    la = a.propose(opinions, undecided);
-    lb = b.propose(opinions, undecided);
-  }
-  EXPECT_GT(la, lb);
+  std::uint64_t plateau = 0;
+  for (int i = 0; i < 64; ++i) plateau = c.propose(opinions, undecided);
+  const double bound = raw_tau_bound(opinions, undecided, c.max_chunk());
+  EXPECT_LT(bound, static_cast<double>(c.max_chunk()) / 10);
+  EXPECT_EQ(plateau, static_cast<std::uint64_t>(std::floor(bound)));
 }
 
 TEST(ChunkController, RejectHalvesTheAdaptiveBaseline) {
@@ -144,21 +153,23 @@ TEST(ChunkController, RejectHalvesTheAdaptiveBaseline) {
 }
 
 TEST(ChunkController, RespectsMinAndMaxFractions) {
-  ChunkOptions options = adaptive_options();
-  options.adaptive.min_fraction = 0.01;
-  options.adaptive.max_fraction = 0.05;
+  // The floor is one interaction, the exact chain; the ceiling is
+  // kMaxChunkFraction of n.
   const pp::Count n = 100000;
-  ChunkController c(options, n);
-  EXPECT_EQ(c.min_chunk(), 1000u);
-  EXPECT_EQ(c.max_chunk(), 5000u);
-  // Even a state demanding tiny chunks is floored at min_chunk...
+  ChunkController c(adaptive_options(), n);
+  EXPECT_EQ(c.max_chunk(), 50000u);
+  // Even a state demanding tiny chunks is floored at one interaction...
   const std::vector<pp::Count> near_consensus = {99999, 1};
-  EXPECT_GE(c.propose(near_consensus, 0), c.min_chunk());
-  // ...and a flat state is capped at max_chunk.
-  const std::vector<pp::Count> flat = {25000, 25000};
+  EXPECT_GE(c.propose(near_consensus, 0), 1u);
+  // ...and a state that bounds nothing (consensus: no count moves) ramps
+  // up to the ceiling and stays there.
+  const std::vector<pp::Count> consensus = {100000, 0};
+  std::uint64_t last = 0;
   for (int i = 0; i < 64; ++i) {
-    EXPECT_LE(c.propose(flat, 50000), c.max_chunk());
+    last = c.propose(consensus, 0);
+    EXPECT_LE(last, c.max_chunk());
   }
+  EXPECT_EQ(last, c.max_chunk());
 }
 
 TEST(ChunkController, ProposalsAreDeterministic) {
@@ -173,47 +184,47 @@ TEST(ChunkController, ProposalsAreDeterministic) {
 }
 
 TEST(ChunkController, TrendLookaheadShrinksBeforeATransition) {
-  // The PI-style satellite: on a trajectory whose tau bound is falling
-  // (a minority collapsing toward absorption), the smoothed controller
-  // must propose smaller chunks than a purely instantaneous one fed the
-  // same observations — it anticipates the next drop instead of reacting
-  // one chunk late.
+  // The PI-style lookahead: on a trajectory whose tau bound is falling (a
+  // minority collapsing toward absorption), the EWMA trend turns
+  // negative and the controller proposes less than the state's own bound,
+  // anticipating the next drop instead of reacting one chunk late. Held
+  // at the last state, the trend decays and the proposal recovers.
   const pp::Count n = 1'000'000;
-  ChunkOptions smoothed = adaptive_options();  // default trend_alpha
-  ChunkOptions instantaneous = adaptive_options();
-  instantaneous.adaptive.trend_alpha = 0.0;
-  ChunkController with_trend(smoothed, n), without_trend(instantaneous, n);
-  // Warm both controllers in the same flat state.
+  ChunkController c(adaptive_options(), n);
   const std::vector<pp::Count> flat = {400000, 400000};
-  for (int i = 0; i < 64; ++i) {
-    (void)with_trend.propose(flat, 200000);
-    (void)without_trend.propose(flat, 200000);
-  }
-  // Minority collapsing by 2x per observation: the bound falls every
-  // step, so the EWMA trend turns negative and stays there.
-  bool anticipated = false;
+  for (int i = 0; i < 64; ++i) (void)c.propose(flat, 200000);
+  std::vector<pp::Count> state;
+  pp::Count undecided = 0;
+  std::uint64_t anticipated = 0;
   for (pp::Count minority = 200000; minority >= 1000; minority /= 2) {
-    const std::vector<pp::Count> state = {n - 2 * minority, minority};
-    const std::uint64_t a = with_trend.propose(state, minority);
-    const std::uint64_t b = without_trend.propose(state, minority);
-    EXPECT_LE(a, b);
-    anticipated = anticipated || a < b;
+    state = {n - 2 * minority, minority};
+    undecided = minority;
+    anticipated = c.propose(state, undecided);
   }
-  EXPECT_TRUE(anticipated);
+  EXPECT_LT(static_cast<double>(anticipated),
+            std::floor(raw_tau_bound(state, undecided, c.max_chunk())));
+  std::uint64_t settled = 0;
+  for (int i = 0; i < 64; ++i) settled = c.propose(state, undecided);
+  EXPECT_GT(settled, anticipated);
 }
 
 TEST(ChunkController, TrendIsInertInFlatRegimes) {
-  // A constant observation sequence has zero trend: the smoothed and
-  // instantaneous controllers must agree exactly, so the lookahead costs
-  // nothing where the PR-3 controller was already right.
+  // A constant observation sequence has zero trend: past the growth ramp
+  // the proposal is exactly the state's tau bound, so the lookahead costs
+  // nothing where an instantaneous controller is already right.
   const pp::Count n = 500000;
-  ChunkOptions instantaneous = adaptive_options();
-  instantaneous.adaptive.trend_alpha = 0.0;
-  ChunkController a(adaptive_options(), n), b(instantaneous, n);
+  ChunkController c(adaptive_options(), n);
   const std::vector<pp::Count> flat = {150000, 150000};
+  const auto bound = static_cast<std::uint64_t>(
+      std::floor(raw_tau_bound(flat, 200000, c.max_chunk())));
+  std::uint64_t prev = 0;
   for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(a.propose(flat, 200000), b.propose(flat, 200000));
+    const std::uint64_t next = c.propose(flat, 200000);
+    EXPECT_GE(next, prev);
+    EXPECT_LE(next, bound);
+    prev = next;
   }
+  EXPECT_EQ(prev, bound);
 }
 
 TEST(ChunkController, RejectsInvalidOptions) {
@@ -223,22 +234,7 @@ TEST(ChunkController, RejectsInvalidOptions) {
   EXPECT_THROW(ChunkController(ChunkOptions{.chunk_fraction = 1.5}, n),
                util::CheckError);
   ChunkOptions bad = adaptive_options();
-  bad.adaptive.drift_tolerance = 0.0;
-  EXPECT_THROW(ChunkController(bad, n), util::CheckError);
-  bad = adaptive_options();
-  bad.adaptive.min_fraction = 0.6;
-  bad.adaptive.max_fraction = 0.5;
-  EXPECT_THROW(ChunkController(bad, n), util::CheckError);
-  bad = adaptive_options();
-  bad.adaptive.max_fraction = 1.5;
-  EXPECT_THROW(ChunkController(bad, n), util::CheckError);
-  bad = adaptive_options();
-  bad.adaptive.grow_factor = 1.0;
-  EXPECT_THROW(ChunkController(bad, n), util::CheckError);
-  bad = adaptive_options();
-  bad.adaptive.trend_alpha = 1.0;
-  EXPECT_THROW(ChunkController(bad, n), util::CheckError);
-  bad.adaptive.trend_alpha = -0.1;
+  bad.chunk_fraction = -0.1;
   EXPECT_THROW(ChunkController(bad, n), util::CheckError);
 }
 
@@ -273,20 +269,6 @@ TEST(AdaptiveBatched, TakesFewerChunksThanTheFixedDefault) {
   ASSERT_TRUE(fixed.run_to_consensus(~std::uint64_t{0}));
   ASSERT_TRUE(adaptive.run_to_consensus(~std::uint64_t{0}));
   EXPECT_LT(adaptive.chunks(), fixed.chunks() / 2);
-}
-
-TEST(AdaptiveBatched, SlowGrowthFinishesInBoundedChunks) {
-  // grow_factor 1.5 once pinned the chunk at one interaction: a run at
-  // n = 5e4 took ~n * 46 single-interaction chunks. Ramping at 1.5x per
-  // step, it needs about as few chunks as the default 2x ramp.
-  const auto x0 = Configuration::uniform(50000, 4, 0);
-  ChunkOptions options = adaptive_options();
-  options.adaptive.grow_factor = 1.5;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    BatchedUsdSimulator sim(x0, rng::Rng(seed), options);
-    ASSERT_TRUE(sim.run_to_consensus(~std::uint64_t{0}));
-    EXPECT_LT(sim.chunks(), 20000u) << "seed " << seed;
-  }
 }
 
 TEST(AdaptiveBatched, TinyPopulationsTerminate) {

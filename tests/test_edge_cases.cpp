@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 
 #include "runner/run.hpp"
+#include "core/phase_tracker.hpp"
 #include "core/usd.hpp"
 #include "gossip/gossip_usd.hpp"
 #include "pp/configuration.hpp"
@@ -138,25 +140,32 @@ TEST(EdgeCases, RunUsdSmallestPopulation) {
   EXPECT_TRUE(r.phases.complete());
 }
 
-TEST(EdgeCases, RunUsdCustomAlphaAffectsPhase2Detection) {
+TEST(EdgeCases, CustomAlphaAffectsPhase2Detection) {
   // alpha = 100 puts the significance threshold above n at this scale, so
   // T2 (a unique significant opinion) can NEVER fire — and because later
   // phases wait for earlier ones, T3..T5 stay empty too, even though the
-  // process itself converges. alpha only changes detection, not dynamics.
+  // process itself converges. alpha only changes detection, not dynamics:
+  // both trackers watch the one trajectory.
   const auto x0 = Configuration::uniform(2000, 3, 0);
-  runner::RunOptions strict;
-  strict.alpha = 100.0;
-  const auto r = runner::run_usd(x0, 5, strict);
-  ASSERT_TRUE(r.converged);
-  EXPECT_TRUE(r.phases.t1.has_value());
-  EXPECT_FALSE(r.phases.t2.has_value());
-  EXPECT_FALSE(r.phases.t5.has_value());
-  // Same seed with the default alpha: identical dynamics, full phases.
-  runner::RunOptions normal;
-  const auto r2 = runner::run_usd(x0, 5, normal);
-  EXPECT_EQ(r2.interactions, r.interactions);
-  EXPECT_EQ(r2.winner, r.winner);
-  EXPECT_TRUE(r2.phases.complete());
+  const auto engine = sim::Registry::instance().create("skip", x0, 5);
+  core::PhaseTracker strict(x0.n(), 100.0);
+  core::PhaseTracker normal(x0.n());
+  ASSERT_TRUE(engine->run_observed(
+      engine->default_budget(), engine->default_observe_interval(),
+      [&](std::uint64_t t, std::span<const pp::Count> opinions,
+          pp::Count undecided) {
+        strict.observe(t, opinions, undecided);
+        normal.observe(t, opinions, undecided);
+      }));
+  EXPECT_TRUE(strict.times().t1.has_value());
+  EXPECT_FALSE(strict.times().t2.has_value());
+  EXPECT_FALSE(strict.times().t5.has_value());
+  EXPECT_TRUE(normal.times().complete());
+  // run_usd tracks phases at the paper's alpha: the same phases.
+  const auto r = runner::run_usd(x0, 5);
+  EXPECT_EQ(r.interactions, engine->elapsed());
+  EXPECT_EQ(r.phases.t2, normal.times().t2);
+  EXPECT_EQ(r.phases.t5, normal.times().t5);
 }
 
 TEST(EdgeCases, ObserveIntervalOfOneSeesEveryProductiveStep) {

@@ -712,14 +712,21 @@ int cmd_exact(const Args& args) {
       return 2;
     }
   }
-  analysis::UsdExactSolver solver(n, k);
+  // Every answer is read before the first line is printed: the solver
+  // rejects a support it cannot answer for (over n, or all undecided),
+  // and a rejected input must not leave a success header behind.
+  const analysis::UsdExactSolver solver(n, k);
+  const double expected = solver.expected_consensus_time(support);
+  std::vector<double> wins;
+  for (int i = 0; i < k; ++i) {
+    wins.push_back(solver.win_probability(support, i));
+  }
   std::printf("exact analysis: n=%llu k=%d (%zu states)\n",
               static_cast<unsigned long long>(n), k, solver.num_states());
-  std::printf("expected interactions to consensus: %.3f\n",
-              solver.expected_consensus_time(support));
+  std::printf("expected interactions to consensus: %.3f\n", expected);
   for (int i = 0; i < k; ++i) {
     std::printf("P[opinion %d wins] = %.6f\n", i,
-                solver.win_probability(support, i));
+                wins[static_cast<std::size_t>(i)]);
   }
   return 0;
 }

@@ -28,6 +28,17 @@ Codes:
   flag-doc-drift       a flag accepted by any subcommand's known-flags
                        set has no `--flag` row in docs/sweep.md, or a
                        documented row names a flag no subcommand accepts
+  knob-ledger-missing  a settable value has no row in architecture.md's
+                       "## Knob ledger": a field of a public src/
+                       `*Options`/`*Spec` struct, a subcommand flag, a
+                       CMake option() or a getenv() name (or the section
+                       itself is missing)
+  knob-ledger-ghost    a ledger row names no such knob, or a constant
+                       that src/ does not declare
+
+The ledger's first column names each row's knobs in backticks:
+`Struct::field`, `--flag`, an ALL_CAPS CMake option or environment
+variable, or a tuning constant (`kName`, optionally qualified).
 """
 
 import re
@@ -59,6 +70,14 @@ KNOWN_FLAGS_SET = re.compile(
     r"std\s*::\s*set\s*<\s*std\s*::\s*string\s*>\s*known\s*=\s*\{")
 COMMAND_FN = re.compile(r"\bcmd_(\w+)\s*\(")
 FLAG_ROW = re.compile(r"^\s*\|\s*`--([\w-]+)`", re.MULTILINE)
+
+# The knob surfaces the ledger must cover.
+OPTION_STRUCT = re.compile(r"\bstruct\s+(\w+(?:Options|Spec))\s*\{")
+CMAKE_OPTION = re.compile(r"^\s*option\s*\(\s*(\w+)", re.MULTILINE)
+GETENV = re.compile(r'\bgetenv\s*\(\s*"(\w+)"\s*\)')
+LEDGER_SECTION = re.compile(r"^##\s+Knob ledger\s*$", re.MULTILINE)
+TICKED = re.compile(r"`([^`]+)`")
+CONSTANT_NAME = re.compile(r"^(?:\w+::)*(k[A-Z]\w*)$")
 
 
 def span(text: str, start: int, open_ch: str = "(",
@@ -141,6 +160,40 @@ def parse_catalog(text: str) -> tuple[dict | None, int]:
     return (rows if columns else None), section_line
 
 
+def struct_fields(body: str) -> list[tuple[str, int]]:
+    """(name, offset in body) of each data member of a struct body.
+
+    Members are the body's top-level `;`-terminated declarations; nested
+    types, `using`/`static`/`friend` declarations and member functions
+    (a declarator ending in `)` or a trailing qualifier) are skipped,
+    and a default initializer (`= ...` or `{...}`) is cut off before the
+    name is read.
+    """
+    fields = []
+    depth = start = 0
+    for idx, ch in enumerate(body):
+        if ch in "{(<":
+            depth += 1
+        elif ch in "})>":
+            depth -= 1
+        elif ch == ";" and depth == 0:
+            decl = body[start:idx]
+            offset = start + len(decl) - len(decl.lstrip())
+            start = idx + 1
+            decl = decl.strip()
+            if not decl or re.match(
+                    r"(enum|struct|class|using|static|friend|template)\b",
+                    decl) or "operator" in decl:
+                continue
+            head = re.split(r"\s*(?:=|\{)", decl, maxsplit=1)[0].strip()
+            if re.search(r"\)\s*(const|noexcept|override)?\s*$", head):
+                continue
+            name = re.search(r"(\w+)\s*(\[[^\]]*\])?$", head)
+            if name:
+                fields.append((name.group(1), offset))
+    return fields
+
+
 def mentions(name: str, text: str) -> bool:
     """Word-boundary mention ('graph' must not match 'graph-batched')."""
     return re.search(r"(?<![\w-])" + re.escape(name) + r"(?![\w-])",
@@ -151,7 +204,8 @@ def mentions(name: str, text: str) -> bool:
 class ContractSyncPass(base.Pass):
     name = "contract-sync"
     description = ("sim::Registry registrations vs the architecture.md "
-                   "engine catalog, sweep.md axes/schema, and CLI help")
+                   "engine catalog, sweep.md axes/schema, CLI help, and "
+                   "every knob vs the knob ledger")
 
     # Overridable so self-tests can point at a fixture tree.
     engines_file = "src/sim/engines.cpp"
@@ -159,6 +213,10 @@ class ContractSyncPass(base.Pass):
     sweep_doc = "docs/sweep.md"
     sweep_source = "src/runner/sweep.cpp"
     cli_file = "tools/kusd_cli.cpp"
+    # Where CMake option()s and getenv() names are looked for (the root
+    # CMakeLists.txt is always read).
+    cmake_dirs = ("cmake", "src", "tools", "tests", "bench", "examples")
+    getenv_dirs = ("src", "tools", "bench", "examples")
 
     def __init__(self):
         self.checked = 0
@@ -184,6 +242,7 @@ class ContractSyncPass(base.Pass):
         findings += self.check_cli(ctx, by_name)
         findings += self.check_schema(ctx)
         findings += self.check_sweep_flags(ctx)
+        findings += self.check_knob_ledger(ctx)
         return findings
 
     def check_catalog(self, ctx, by_name):
@@ -268,6 +327,135 @@ class ContractSyncPass(base.Pass):
                             f"engine '{name}'"))
         return findings
 
+    def accepted_flags(self, ctx) -> dict:
+        """flag -> the first subcommand whose known-flags set has it."""
+        source = cpplex.strip_comments(ctx.read(self.cli_file))
+        matches = list(KNOWN_FLAGS_SET.finditer(source))
+        if not matches:
+            raise base.UsageError(
+                f"contract-sync: no known-flags set literal "
+                f"(std::set<std::string> known = {{...}}) parsed from "
+                f"{self.cli_file}")
+        accepted = {}
+        for match in matches:
+            command = "sweep"
+            for fn in COMMAND_FN.finditer(source, 0, match.start()):
+                command = fn.group(1)
+            flags = STRING.findall(span(source, match.end() - 1, "{", "}"))
+            for flag in flags:
+                accepted.setdefault(flag, command)
+        return accepted
+
+    def collect_knobs(self, ctx) -> dict:
+        """Every settable value: ledger name -> (file, line, kind)."""
+        knobs = {}
+        for rel in ctx.cpp_files("src"):
+            if not rel.endswith(".hpp"):
+                continue
+            text = cpplex.strip_comments(ctx.read(rel))
+            for match in OPTION_STRUCT.finditer(text):
+                body_start = match.end()
+                body = span(text, body_start - 1, "{", "}")
+                for name, offset in struct_fields(body):
+                    line = text.count("\n", 0, body_start + offset) + 1
+                    knobs[f"{match.group(1)}::{name}"] = (
+                        rel, line, "option field")
+        for flag, command in self.accepted_flags(ctx).items():
+            knobs[f"--{flag}"] = (self.cli_file, 0, f"{command} flag")
+        cmake_files = ["CMakeLists.txt"] + [
+            p.relative_to(ctx.root).as_posix()
+            for d in self.cmake_dirs if (ctx.root / d).is_dir()
+            for p in sorted((ctx.root / d).rglob("*"))
+            if p.name == "CMakeLists.txt" or p.suffix == ".cmake"]
+        for rel in cmake_files:
+            if not ctx.exists(rel):
+                continue
+            text = ctx.read(rel)
+            for match in CMAKE_OPTION.finditer(text):
+                knobs.setdefault(match.group(1), (
+                    rel, text.count("\n", 0, match.start()) + 1,
+                    "CMake option"))
+        for rel in ctx.cpp_files(*self.getenv_dirs):
+            text = cpplex.strip_comments(ctx.read(rel))
+            for match in GETENV.finditer(text):
+                knobs.setdefault(match.group(1), (
+                    rel, text.count("\n", 0, match.start()) + 1,
+                    "environment variable"))
+        return knobs
+
+    def declared_constants(self, ctx) -> set:
+        """Names of the constexpr constants and enumerators in src/."""
+        names = set()
+        for rel in ctx.cpp_files("src"):
+            text = cpplex.strip_noise(ctx.read(rel))
+            names.update(re.findall(r"\bconstexpr\b[^;=]*?\b(k[A-Z]\w*)\s*=",
+                                    text))
+            for body in re.findall(r"\benum\b[^;{]*\{([^}]*)\}", text):
+                names.update(re.findall(r"\b(k[A-Z]\w*)\b", body))
+        return names
+
+    def check_knob_ledger(self, ctx):
+        """Every settable value vs the rows of the knob ledger.
+
+        A knob with no row is `knob-ledger-missing`, reported where the
+        knob is declared; a row naming something that is not a knob (a
+        removed field or flag, a constant src/ no longer declares) is
+        `knob-ledger-ghost`.
+        """
+        knobs = self.collect_knobs(ctx)
+        doc = ctx.read(self.architecture_file)
+        section = LEDGER_SECTION.search(doc)
+        if not section:
+            return [base.Finding(
+                file=self.architecture_file, line=0,
+                code="knob-ledger-missing",
+                message="no '## Knob ledger' section — every option "
+                        "field, flag, CMake option and environment "
+                        "variable needs a row there")]
+        section_line = doc.count("\n", 0, section.start()) + 1
+        rows = {}  # ledger name -> line
+        header_seen = False
+        for offset, line in enumerate(
+                doc[section.end():].splitlines(), start=section_line + 1):
+            if line.startswith("## "):
+                break
+            if not line.lstrip().startswith("|"):
+                header_seen = False
+                continue
+            first = line.strip().strip("|").split("|")[0]
+            if not header_seen:
+                header_seen = True  # the table's header row
+                continue
+            if set(first.strip()) <= {"-", ":", " "}:
+                continue  # separator row
+            for name in TICKED.findall(first):
+                rows.setdefault(name, offset)
+
+        findings = []
+        for name, (rel, line, kind) in sorted(knobs.items()):
+            if name not in rows:
+                findings.append(base.Finding(
+                    file=rel, line=line, code="knob-ledger-missing",
+                    message=f"{kind} '{name}' has no row in the knob "
+                            f"ledger of {self.architecture_file}"))
+        constants = None
+        for name, line in sorted(rows.items(), key=lambda kv: kv[1]):
+            if name in knobs:
+                continue
+            constant = CONSTANT_NAME.match(name)
+            if constant:
+                if constants is None:
+                    constants = self.declared_constants(ctx)
+                if constant.group(1) in constants:
+                    continue
+            findings.append(base.Finding(
+                file=self.architecture_file, line=line,
+                code="knob-ledger-ghost",
+                message=f"ledger row names '{name}', which is no option "
+                        f"field, flag, CMake option, environment "
+                        f"variable or constant declared in src/"))
+        return findings
+
     def check_sweep_flags(self, ctx):
         """Every subcommand's accepted flags vs docs/sweep.md option rows.
 
@@ -280,21 +468,7 @@ class ContractSyncPass(base.Pass):
         behind. Flags are attributed to the nearest enclosing cmd_*
         function for the diagnostic.
         """
-        source = cpplex.strip_comments(ctx.read(self.cli_file))
-        matches = list(KNOWN_FLAGS_SET.finditer(source))
-        if not matches:
-            raise base.UsageError(
-                f"contract-sync: no known-flags set literal "
-                f"(std::set<std::string> known = {{...}}) parsed from "
-                f"{self.cli_file}")
-        accepted = {}  # flag -> subcommand name, first set wins
-        for match in matches:
-            command = "sweep"
-            for fn in COMMAND_FN.finditer(source, 0, match.start()):
-                command = fn.group(1)
-            flags = STRING.findall(span(source, match.end() - 1, "{", "}"))
-            for flag in flags:
-                accepted.setdefault(flag, command)
+        accepted = self.accepted_flags(ctx)
         doc = ctx.read(self.sweep_doc)
         documented = {}
         for row in FLAG_ROW.finditer(doc):

@@ -41,6 +41,16 @@ void register_builtin_engines(Registry& registry) {
     "docs/architecture.md": """\
 # Architecture
 
+## Knob ledger
+
+| knob | default | set by | number |
+|---|---|---|---|
+| `--engine`, `--graph`, `--trials` | - | sweep | axis |
+| `--inputs`, `--out` | - | merge | paths |
+| `WidgetOptions::size`, `WidgetOptions::hook` | 3 | tests | axis |
+| `KUSD_WIDGETS`, `KUSD_TRIP` | ON | CI | build scope |
+| `kWidgetLimit` | 4 | constant | unmeasured |
+
 ## Engine catalog
 
 | engine | description | graph axis | chunked | decided start | aggregated |
@@ -79,6 +89,7 @@ static const char kUsage[] =
 int cmd_sweep(int argc, char** argv) {
   static const std::set<std::string> known = {
       "engine", "graph", "trials"};
+  const char* trip = std::getenv("KUSD_TRIP");
   return 0;
 }
 int cmd_merge(int argc, char** argv) {
@@ -86,6 +97,24 @@ int cmd_merge(int argc, char** argv) {
       "inputs", "out"};
   return 0;
 }
+""",
+    # Knob surfaces: an option struct (a data member, a callback member,
+    # a defaulted operator and a nested enum, of which two are knobs), a
+    # constant, and a CMake option.
+    "src/core/widget.hpp": """\
+#pragma once
+namespace kusd::core {
+inline constexpr int kWidgetLimit = 4;
+struct WidgetOptions {
+  enum class Kind { kRound, kSquare };
+  int size = 3;  // a comment; with a semicolon
+  std::function<void(std::size_t count)> hook;
+  bool operator==(const WidgetOptions&) const = default;
+};
+}  // namespace kusd::core
+""",
+    "CMakeLists.txt": """\
+option(KUSD_WIDGETS "Build the widgets" ON)
 """,
 }
 
@@ -425,6 +454,16 @@ class ContractSyncTest(FixtureTest):
             "docs/architecture.md": """\
 # Architecture
 
+## Knob ledger
+
+| knob | default | set by | number |
+|---|---|---|---|
+| `--engine`, `--graph`, `--trials` | - | sweep | axis |
+| `--inputs`, `--out` | - | merge | paths |
+| `WidgetOptions::size`, `WidgetOptions::hook` | 3 | tests | axis |
+| `KUSD_WIDGETS`, `KUSD_TRIP` | ON | CI | build scope |
+| `kWidgetLimit` | 4 | constant | unmeasured |
+
 ## Engine catalog
 
 | engine | description | graph axis | chunked | decided start | aggregated |
@@ -540,6 +579,67 @@ class ContractSyncTest(FixtureTest):
         self.assertEqual(result.returncode, 1)
         self.assertIn("[flag-doc-drift]", result.stderr)
         self.assertIn("retired", result.stderr)
+
+    def test_option_field_without_ledger_row_fails(self):
+        # The acceptance case for the ledger: a new option field without
+        # its row fails, reported where the field is declared.
+        self.write_contract_fixture(**{
+            "src/core/widget.hpp": CONTRACT_FIXTURE[
+                "src/core/widget.hpp"].replace(
+                "  int size = 3;", "  int size = 3;\n  double scale = 1.0;")})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("src/core/widget.hpp:7: [knob-ledger-missing]",
+                      result.stderr)
+        self.assertIn("'WidgetOptions::scale'", result.stderr)
+
+    def test_flag_cmake_option_and_env_without_ledger_row_fail(self):
+        self.write_contract_fixture(**{
+            "docs/architecture.md": CONTRACT_FIXTURE[
+                "docs/architecture.md"].replace(
+                "| `--inputs`, `--out` | - | merge | paths |\n", "").replace(
+                "`KUSD_WIDGETS`, `KUSD_TRIP`", "`KUSD_WIDGETS`"),
+            "src/CMakeLists.txt": 'option(KUSD_GADGETS "gadgets" OFF)\n'})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        for knob in ("'--inputs'", "'--out'", "'KUSD_GADGETS'",
+                     "'KUSD_TRIP'"):
+            self.assertIn(knob, result.stderr)
+        self.assertEqual(result.stderr.count("[knob-ledger-missing]"), 4)
+
+    def test_missing_ledger_section_fails(self):
+        self.write_contract_fixture(**{
+            "docs/architecture.md": CONTRACT_FIXTURE[
+                "docs/architecture.md"].replace("## Knob ledger",
+                                                "## Knobs")})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("[knob-ledger-missing]", result.stderr)
+        self.assertIn("no '## Knob ledger' section", result.stderr)
+
+    def test_ledger_row_for_a_removed_field_is_a_ghost(self):
+        # A field that became a constant leaves its row behind: the row
+        # names no knob.
+        self.write_contract_fixture(**{
+            "src/core/widget.hpp": CONTRACT_FIXTURE[
+                "src/core/widget.hpp"].replace(
+                "  std::function<void(std::size_t count)> hook;\n", "")})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("docs/architecture.md:9: [knob-ledger-ghost]",
+                      result.stderr)
+        self.assertIn("'WidgetOptions::hook'", result.stderr)
+        self.assertNotIn("[knob-ledger-missing]", result.stderr)
+
+    def test_ledger_row_for_an_undeclared_constant_is_a_ghost(self):
+        self.write_contract_fixture(**{
+            "src/core/widget.hpp": CONTRACT_FIXTURE[
+                "src/core/widget.hpp"].replace(
+                "inline constexpr int kWidgetLimit = 4;\n", "")})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("[knob-ledger-ghost]", result.stderr)
+        self.assertIn("'kWidgetLimit'", result.stderr)
 
     def test_missing_known_flags_set_is_a_usage_error(self):
         self.write_contract_fixture(**{
