@@ -38,6 +38,16 @@ def e13(regular=15.0, cycle=3000.0):
              ('cycle', cycle))]
 
 
+def e17(complete=1.0, dense=0.96, sparse=0.7, converged=1.0):
+    """graph-batched pt_mean at these multiples of graph's, per topology."""
+    return [dict(row(n=20000, k=4, engine=e, graph=g, pt=pt * (r if
+                     e == 'graph-batched' else 1)), converged_rate=converged)
+            for g, r, pt in (('complete', complete, 30.0),
+                             ('regular:64', dense, 31.0),
+                             ('regular:8', sparse, 45.0))
+            for e in ('graph', 'graph-batched')]
+
+
 class Verdicts(unittest.TestCase):
     def fails(self, claim, rows):
         rep = verdicts.Report()
@@ -51,7 +61,8 @@ class Verdicts(unittest.TestCase):
                         row(bias=2.0, pt=1.5, pred=verdicts.pred_e2)]),
                 ('E3', [row(k=8, bias=3410.0, pt=1, pred=verdicts.pred_e3)]),
                 ('E4', [row(win=0.5, pt=1, pred=verdicts.pred_e4)]),
-                ('E7', e7()), ('E8', e8()), ('E13', e13())):
+                ('E7', e7()), ('E8', e8()), ('E13', e13()),
+                ('E17', e17())):
             self.assertFalse(self.fails(claim, rows), claim)
 
     def test_broken_rows_fail(self):
@@ -67,7 +78,10 @@ class Verdicts(unittest.TestCase):
                 ('E8', e8(pop=(30.0, 20.0, 30.0))),
                 ('E4', [row(win=0.9, pt=1, pred=verdicts.pred_e4)]),
                 ('E7', e7(wins=(0.05, 0.8, 1.0, 1.0))),
-                ('E13', e13(regular=30.0)), ('E13', e13(cycle=600.0))):
+                ('E13', e13(regular=30.0)), ('E13', e13(cycle=600.0)),
+                ('E17', e17(complete=1.15)), ('E17', e17(dense=0.85)),
+                ('E17', e17(sparse=1.05)), ('E17', e17(sparse=0.45)),
+                ('E17', e17(converged=0.99))):
             self.assertTrue(self.fails(claim, rows), claim)
 
     def test_clopper_pearson_lower_bound(self):

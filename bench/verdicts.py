@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Paper verdicts: the Theorem 2 claims as checked `kusd sweep` grids.
+"""Paper verdicts: the paper's claims as checked `kusd sweep` grids.
 
     python3 bench/verdicts.py KUSD cheap|full [CLAIM ...]
 
@@ -29,6 +29,19 @@ C_E3 = 1.35   # 1.068 at n = 2^15, k = 2  (T / (n^2 ln n / x1))
 C_E4 = 1.85   # 1.463 at n = 2^16, k = 2  (T / (k n ln n))
 EXPANDER_FACTOR = 2.0   # E13: regular:8 and er within 2x of complete
 CYCLE_FACTOR = 100.0    # E13: the cycle at least 100x complete
+# E17: pt_mean(graph-batched) / pt_mean(graph) lies within 1 +- MEAN_FIELD_TOL
+# on complete and regular:64. The retired bench_graph_batched main read KS
+# 0.10 (complete) and 0.21 (regular:64) at n = 2e4, k = 4, 100 trials,
+# against its alpha = 0.001 gate of 0.276. A location shift with KS
+# distance D moves a normal mean by sqrt(2 pi) D sd: at the consensus
+# time's CV of 0.12 (ROADMAP's skip row at n = 5e4, k = 4) that is 3%, 6%
+# and, at the gate, 8%. The tolerance is 25% above the gate's 8%, the
+# margin the C_* constants take.
+MEAN_FIELD_TOL = 0.10
+# E17 on regular:8: the annealed chain is faster by its O(1/d) bias but
+# not 2x faster, as BatchedGraphEngine.SparseRegularBiasIsOptimisticAndBounded
+# checks at n = 256; the retired main read a ratio of 0.688 at n = 2e4.
+SPARSE_RATIO = (0.5, 1.0)
 
 
 def binom_tail(x, n, p):
@@ -209,11 +222,34 @@ def judge_e13(rep, rows):
            *mean_ratio(by['cycle'], by['complete']), CYCLE_FACTOR, False)
 
 
+def judge_e17(rep, rows):
+    by = {(r['engine'], r['graph']): r for r in rows}
+
+    def ratio(graph):  # annealed over quenched; inf unless all converged
+        agg, edge = by['graph-batched', graph], by['graph', graph]
+        r, rel = mean_ratio(agg, edge)
+        converged = min(agg['converged_rate'], edge['converged_rate'])
+        what = (f"{graph} graph-batched / graph pt_mean, converged "
+                f"{converged:.2f}")
+        return what, r if converged == 1 else math.inf, rel
+
+    for graph in ('complete', 'regular:64'):
+        what, r, rel = ratio(graph)
+        factor(rep, what, r, rel, 1 + MEAN_FIELD_TOL, True)
+        factor(rep, what, r, rel, 1 - MEAN_FIELD_TOL, False)
+    what, r, rel = ratio('regular:8')
+    factor(rep, what, r, rel, SPARSE_RATIO[1], True)
+    factor(rep, what, r, rel, SPARSE_RATIO[0], False)
+
+
 E2 = "--engine skip --bias multiplicative --alpha 2"
 E3 = "--engine skip --bias additive"
 E8 = ("--engine skip,gossip --k 16 --start geometric:1,geometric:0.9,"
       "geometric:0.8,geometric:0.6,geometric:0.4")
+E10 = "--engine batched --n 1e9 --k 64"
 E13 = "--engine graph --k 2 --bias multiplicative --alpha 1.5"
+E17 = ("--engine graph,graph-batched --graph complete,regular:64,regular:8 "
+       "--k 4")
 # E3's beta is floor(4 sqrt(n ln n)); E7's betas are floor(c sqrt(n ln n))
 # for c = 0, 1/4, 1/2, 1, 2, 4. E13's er:p is 4 ln n / n and its budget
 # 400 n^2 interactions, the cycle's ~n^3 time with room.
@@ -253,6 +289,12 @@ CLAIMS = {
               "start's skew", seed=8, judge=judge_e8,
         cheap=[f"{E8} --n 4096 --trials 16"],
         full=[f"{E8} --n 65536 --trials 32"]),
+    'E10': dict(
+        title="Batched tau-leap: uniform start at n = 1e9, k = 64 in "
+              "O(k log n)", seed=10,
+        judge=o_bound(pred_e4, C_E4, "k ln n", symmetric),
+        cheap=[f"{E10} --trials 4"],
+        full=[f"{E10} --trials 32"]),
     'E13': dict(
         title="Graphs: expanders track complete, the cycle is far slower",
         seed=13, judge=judge_e13,
@@ -260,6 +302,11 @@ CLAIMS = {
                "--budget 6553600 --trials 16"],
         full=[f"{E13} --graph complete,regular:8,er:0.0866,cycle --n 256 "
               "--budget 26214400 --trials 32"]),
+    'E17': dict(
+        title="Degree-aggregated graph engine against the per-edge one",
+        seed=17, judge=judge_e17,
+        cheap=[f"{E17} --n 2000 --trials 32"],
+        full=[f"{E17} --n 20000 --trials 100"]),
 }
 
 

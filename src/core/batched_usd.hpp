@@ -19,8 +19,8 @@
 // tests (tests/test_batched_usd.cpp, tests/test_chunk_controller.cpp).
 //
 // Unlike UsdSimulator, populations are not limited to 32 bits: only k+1
-// counts are stored, so n = 10^9 and beyond run comfortably (see
-// bench_batched_rounds.cpp).
+// counts are stored, so n = 10^9 and beyond run comfortably (E10 of
+// bench/verdicts.py converges n = 10^9, k = 64).
 #pragma once
 
 #include <cstdint>

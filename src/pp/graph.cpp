@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -52,31 +51,41 @@ InteractionGraph InteractionGraph::random_regular(std::uint32_t n, int d,
                  "degree out of range");
   KUSD_CHECK_MSG((static_cast<std::uint64_t>(n) * d) % 2 == 0,
                  "n * d must be even");
-  // Configuration model with retry on collisions; drop residual
-  // self-loops / multi-edges (degree error is O(d^2/n)).
+  // Configuration model: up to kPairings shuffles of the stubs, keeping
+  // the first simple pairing; if none is simple, the last one keeps its
+  // edges without self-loops and multi-edges (degree error is O(d^2/n)).
+  // A rejected pairing stops at its first self-loop; repeated edges are
+  // found by sort + unique, so the kept edges come in (u, v) order.
+  constexpr int kPairings = 50;
   std::vector<std::uint32_t> stubs;
   stubs.reserve(static_cast<std::size_t>(n) * d);
   for (std::uint32_t v = 0; v < n; ++v) {
     for (int i = 0; i < d; ++i) stubs.push_back(v);
   }
-  std::set<std::pair<std::uint32_t, std::uint32_t>> edge_set;
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    edge_set.clear();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  edges.reserve(stubs.size() / 2);
+  for (int attempt = 1;; ++attempt) {
     rng.shuffle(std::span<std::uint32_t>(stubs));
-    bool clean = true;
+    const bool last = attempt == kPairings;
+    bool simple = true;
+    edges.clear();
     for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-      std::uint32_t u = stubs[i], v = stubs[i + 1];
+      const std::uint32_t u = stubs[i], v = stubs[i + 1];
       if (u == v) {
-        clean = false;
+        simple = false;
+        if (!last) break;
         continue;
       }
-      if (u > v) std::swap(u, v);
-      if (!edge_set.emplace(u, v).second) clean = false;
+      edges.emplace_back(std::min(u, v), std::max(u, v));
     }
-    if (clean) break;  // otherwise keep the de-duplicated edge set
+    if (simple || last) {
+      std::sort(edges.begin(), edges.end());
+      const auto unique_end = std::unique(edges.begin(), edges.end());
+      simple = simple && unique_end == edges.end();
+      edges.erase(unique_end, edges.end());
+    }
+    if (simple || last) break;
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges(
-      edge_set.begin(), edge_set.end());
   return InteractionGraph(n, std::move(edges));
 }
 
@@ -87,16 +96,16 @@ InteractionGraph InteractionGraph::erdos_renyi(std::uint32_t n, double p,
   // Geometric skipping over the (n choose 2) potential edges: O(#edges).
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   std::uint64_t idx = p < 1.0 ? rng.geometric_failures(p) : 0;
+  // Row u covers indices [row_start, row_start + n-1-u); idx only grows,
+  // so the row search resumes where the last edge left it.
+  std::uint32_t u = 0;
+  std::uint64_t row_start = 0;
   while (idx < total) {
-    // Map linear index -> (u, v), u < v.
-    // Row u covers indices [u*n - u*(u+1)/2, ...) of length n-1-u.
-    std::uint32_t u = 0;
-    std::uint64_t rem = idx;
-    while (rem >= static_cast<std::uint64_t>(n - 1 - u)) {
-      rem -= n - 1 - u;
+    while (idx - row_start >= static_cast<std::uint64_t>(n - 1 - u)) {
+      row_start += n - 1 - u;
       ++u;
     }
-    const auto v = static_cast<std::uint32_t>(u + 1 + rem);
+    const auto v = static_cast<std::uint32_t>(u + 1 + (idx - row_start));
     edges.emplace_back(u, v);
     const std::uint64_t gap = p < 1.0 ? rng.geometric_failures(p) : 0;
     // Saturate: a gap near UINT64_MAX (tiny p) must end the scan, not wrap

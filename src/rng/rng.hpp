@@ -117,12 +117,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    bounded(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform01() < p; }
 

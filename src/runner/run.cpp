@@ -22,8 +22,8 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
   point.n = initial.n();
   point.k = initial.k();
   const PointTopology topology = realize_topology(point, seed);
-  if (foregone_timeout(topology, options.max_interactions, initial)) {
-    result.interactions = trial_budget(options.max_interactions, point);
+  if (foregone_timeout(topology, 0, initial)) {
+    result.interactions = trial_budget(0, point);
     result.parallel_time = static_cast<double>(result.interactions) /
                            static_cast<double>(initial.n());
     return result;
@@ -32,9 +32,7 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
       options.engine, initial, seed,
       engine_options(options.batch, point, topology));
 
-  const std::uint64_t cap = options.max_interactions != 0
-                                ? options.max_interactions
-                                : engine->default_budget();
+  const std::uint64_t cap = engine->default_budget();
   if (options.track_phases) {
     core::PhaseTracker tracker(initial.n());
     const std::uint64_t interval = options.observe_interval != 0

@@ -10,9 +10,11 @@
 //
 // The trial is built the way runner::Sweep builds one (runner/sweep.hpp):
 // the topology comes from realize_topology, from the stream the engine
-// would build its own from, and a disconnected topology under the default
-// budget is the sweep's foregone timeout. Phases are observed through
-// sim::Engine::run_observed, the one observation loop.
+// would build its own from. The trial runs under the engine's own budget
+// (for the asynchronous engines 64 * k * n * (ln n + 1), several times the
+// paper's O(k n log n)), so a disconnected topology is the sweep's
+// foregone timeout. Phases are observed through sim::Engine::run_observed,
+// the one observation loop.
 //
 // This driver lives in runner — above sim in the layering DAG — because
 // it resolves engines by name through the registry; core stays below sim
@@ -30,11 +32,6 @@
 namespace kusd::runner {
 
 struct RunOptions {
-  /// Hard cap in the engine's native time unit (interactions for the
-  /// asynchronous engines, super-rounds/rounds for sync/gossip); 0 picks
-  /// the engine's generous default budget (for the asynchronous engines,
-  /// 64 * k * n * (ln n + 1) — several times the paper's O(k n log n)).
-  std::uint64_t max_interactions = 0;
   /// sim::Registry name of the engine to run ("every", "skip", "batched",
   /// "sync", "gossip", "graph", or anything registered).
   std::string engine = "skip";

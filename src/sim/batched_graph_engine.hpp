@@ -29,7 +29,8 @@
 // does not see) — measured ~+50% consensus time at d = 8, ~+10% at
 // d = 32, and below KS detectability at property-test scale by d = 64
 // (tests/test_batched_graph.cpp pins both the dense agreement and the
-// sparse bias direction/magnitude; bench_graph_batched records them).
+// sparse bias direction/magnitude; E17 of bench/verdicts.py checks them
+// at n = 20000).
 // It deliberately does NOT capture slow mixing from low conductance:
 // `cycle` runs at complete-graph speed here. Use the per-interaction
 // "graph" engine when the quenched geometry is the point; use this

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -16,6 +17,20 @@ namespace kusd {
 namespace {
 
 using pp::InteractionGraph;
+
+/// FNV-1a over the edge list in order: pins a realization, whose edge
+/// order reaches the sweep bytes through the scheduler's edge draws.
+std::uint64_t edge_list_hash(const InteractionGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    const auto [u, v] = g.edge(i);
+    for (const std::uint32_t x : {u, v}) {
+      h ^= x;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
 
 TEST(InteractionGraph, CompleteGraphShape) {
   const auto g = InteractionGraph::complete(10);
@@ -44,6 +59,27 @@ TEST(InteractionGraph, RandomRegularDegreesNearD) {
   double total = 0;
   for (int d : degree) total += d;
   EXPECT_NEAR(total / 200.0, 4.0, 0.2);
+  // This realization is a simple pairing; pin it and the generator after.
+  EXPECT_EQ(g.num_edges(), 400u);
+  EXPECT_EQ(edge_list_hash(g), 0x3959f562bf399665ULL);
+  EXPECT_EQ(r.next_u64(), 0xe486c62ac00077b1ULL);
+}
+
+TEST(InteractionGraph, RandomRegularKeepsTheLastPairingDeduplicated) {
+  // regular:8 on 64 vertices is almost never a simple pairing, so all 50
+  // pairings are rejected and the last one loses its self-loops and
+  // repeated edges: fewer than n d / 2 edges, each once, sorted.
+  rng::Rng r(11);
+  const auto g = InteractionGraph::random_regular(64, 8, r);
+  EXPECT_EQ(g.num_edges(), 240u);
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    EXPECT_LT(g.edge(i).first, g.edge(i).second);
+    if (i > 0) {
+      EXPECT_LT(g.edge(i - 1), g.edge(i));
+    }
+  }
+  EXPECT_EQ(edge_list_hash(g), 0xefd29d54de00f7d1ULL);
+  EXPECT_EQ(r.next_u64(), 0x8d2698ea19557649ULL);
 }
 
 TEST(InteractionGraph, ErdosRenyiEdgeCountNearExpectation) {
@@ -56,6 +92,9 @@ TEST(InteractionGraph, ErdosRenyiEdgeCountNearExpectation) {
               5.0 * std::sqrt(expected));
   // Above the connectivity threshold (p >> ln n / n ~ 0.012).
   EXPECT_TRUE(g.is_connected());
+  EXPECT_EQ(g.num_edges(), 6284u);
+  EXPECT_EQ(edge_list_hash(g), 0x72c1080f16502496ULL);
+  EXPECT_EQ(r.next_u64(), 0x0822bc2f6da4a74cULL);
 }
 
 TEST(InteractionGraph, ErdosRenyiPOneIsComplete) {

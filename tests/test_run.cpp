@@ -84,20 +84,6 @@ TEST(RunUsd, DisconnectedGraphShortCircuitsAtDefaultBudget) {
   EXPECT_EQ(aggregated.interactions, core::default_interaction_cap(2000, 2));
 }
 
-TEST(RunUsd, ExplicitCapRunsDisconnectedGraphHonestly) {
-  // An explicit cap bounds the cost the caller chose, so the run is
-  // simulated for real (parity with the sweep's --budget semantics).
-  const auto x0 = Configuration::uniform(2000, 2, 0);
-  RunOptions options;
-  options.engine = "graph";
-  options.graph = sim::GraphSpec{sim::GraphSpec::Kind::kErdosRenyi, 4, 1e-4};
-  options.max_interactions = 5000;
-  const auto result = run_usd(x0, 3, options);
-  EXPECT_FALSE(result.converged);
-  // The engine genuinely stepped to the cap instead of reporting it.
-  EXPECT_EQ(result.interactions, 5000u);
-}
-
 TEST(RunUsd, ConsensusAtStartIsExemptFromTheShortCircuit) {
   // A population already at consensus is consensus on any topology.
   const auto x0 = Configuration({2000, 0}, 0);
@@ -108,16 +94,6 @@ TEST(RunUsd, ConsensusAtStartIsExemptFromTheShortCircuit) {
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.winner, 0);
   EXPECT_EQ(result.interactions, 0u);
-}
-
-TEST(RunUsd, RespectsInteractionCap) {
-  RunOptions opts;
-  opts.max_interactions = 50;
-  opts.track_phases = false;
-  const auto result = run_usd(Configuration::uniform(10000, 8, 0), 3, opts);
-  EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.winner, -1);
-  EXPECT_GE(result.interactions, 50u);
 }
 
 TEST(RunUsd, DeterministicAcrossCalls) {

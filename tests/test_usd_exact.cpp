@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "analysis/usd_exact.hpp"
 #include "core/usd.hpp"
@@ -95,36 +97,63 @@ TEST(UsdExactSolver, RejectsBadQueries) {
 }
 
 TEST(UsdExactSolver, ThreeOpinionMonteCarloAgreement) {
-  const pp::Count n = 9;
-  UsdExactSolver solver(n, 3);
-  const std::vector<pp::Count> start{4, 2, 1};  // u = 2
-  const double exact_time = solver.expected_consensus_time(start);
-  const double exact_w0 = solver.win_probability(start, 0);
+  // A start with undecided agents at n = 9, then bias 0 through 9 at
+  // n = 18 with none: the exact win probability and expected time of
+  // each start against 30000 simulated runs.
+  struct Case {
+    pp::Count n;
+    std::vector<pp::Count> start;
+  };
+  const Case cases[] = {{9, {4, 2, 1}},   {18, {6, 6, 6}},  {18, {7, 6, 5}},
+                        {18, {8, 5, 5}},  {18, {9, 5, 4}},  {18, {10, 4, 4}},
+                        {18, {12, 3, 3}}};
+  std::uint64_t seed = 31337;
+  for (const auto& [n, start] : cases) {
+    UsdExactSolver solver(n, 3);
+    const double exact_time = solver.expected_consensus_time(start);
+    const double exact_w0 = solver.win_probability(start, 0);
 
-  const pp::Configuration x0(start, n - 7);
-  const int trials = 30000;
-  double time_total = 0.0;
-  int wins0 = 0;
-  for (int t = 0; t < trials; ++t) {
-    core::UsdSimulator sim(x0, rng::Rng(rng::stream_seed(31337, t)));
-    ASSERT_TRUE(sim.run_to_consensus(10'000'000));
-    time_total += static_cast<double>(sim.interactions());
-    wins0 += sim.consensus_opinion() == 0 ? 1 : 0;
+    const pp::Count decided = start[0] + start[1] + start[2];
+    const pp::Configuration x0(start, n - decided);
+    const int trials = 30000;
+    double time_total = 0.0;
+    int wins0 = 0;
+    for (int t = 0; t < trials; ++t) {
+      core::UsdSimulator sim(x0, rng::Rng(rng::stream_seed(seed, t)));
+      ASSERT_TRUE(sim.run_to_consensus(10'000'000));
+      time_total += static_cast<double>(sim.interactions());
+      wins0 += sim.consensus_opinion() == 0 ? 1 : 0;
+    }
+    EXPECT_NEAR(time_total / trials, exact_time, 0.03 * exact_time)
+        << start[0] << "," << start[1] << "," << start[2];
+    const double se = std::sqrt(exact_w0 * (1 - exact_w0) / trials);
+    EXPECT_NEAR(static_cast<double>(wins0) / trials, exact_w0, 5 * se)
+        << start[0] << "," << start[1] << "," << start[2];
+    ++seed;
   }
-  EXPECT_NEAR(time_total / trials, exact_time, 0.03 * exact_time);
-  const double se = std::sqrt(exact_w0 * (1 - exact_w0) / trials);
-  EXPECT_NEAR(static_cast<double>(wins0) / trials, exact_w0, 5 * se);
 }
 
 // Theorem 2's bias threshold, exactly: the win probability of the
-// plurality grows monotonically with the additive bias.
+// plurality grows monotonically with the additive bias, at k = 2 and at
+// k = 3 from a tie to bias 9 at n = 18.
 TEST(UsdExactSolver, WinProbabilityMonotoneInBias) {
-  const pp::Count n = 14;
-  UsdExactSolver solver(n, 2);
+  UsdExactSolver pair(14, 2);
   double prev = 0.0;
   for (pp::Count x0 = 7; x0 <= 14; ++x0) {
-    const double w = solver.win_probability({x0, 14 - x0}, 0);
+    const double w = pair.win_probability({x0, 14 - x0}, 0);
     EXPECT_GT(w, prev);
+    prev = w;
+  }
+  UsdExactSolver triple(18, 3);
+  prev = 0.0;
+  for (const auto& start : {std::vector<pp::Count>{6, 6, 6},
+                            std::vector<pp::Count>{7, 6, 5},
+                            std::vector<pp::Count>{8, 5, 5},
+                            std::vector<pp::Count>{9, 5, 4},
+                            std::vector<pp::Count>{10, 4, 4},
+                            std::vector<pp::Count>{12, 3, 3}}) {
+    const double w = triple.win_probability(start, 0);
+    EXPECT_GT(w, prev) << start[0] << "," << start[1] << "," << start[2];
     prev = w;
   }
 }
