@@ -20,6 +20,12 @@ def row(n=65536, k=2, bias=0.0, win=1.0, pt=20.0, pred=None, **axes):
     return dict(r, pt_mean=pt * pred(r)) if pred else r
 
 
+def e10(wins):
+    """E10's cheap point: k = 64, 4 trials, opinion 0 winning `wins`."""
+    return dict(row(n=10 ** 9, k=64, win=wins / 4, pt=1,
+                    pred=verdicts.pred_e4), trials=4)
+
+
 def e7(wins=(0.5, 0.8, 1.0, 1.0)):
     unit = math.sqrt(32768 * math.log(32768))
     return [row(n=32768, bias=c * unit, win=w)
@@ -61,6 +67,7 @@ class Verdicts(unittest.TestCase):
                         row(bias=2.0, pt=1.5, pred=verdicts.pred_e2)]),
                 ('E3', [row(k=8, bias=3410.0, pt=1, pred=verdicts.pred_e3)]),
                 ('E4', [row(win=0.5, pt=1, pred=verdicts.pred_e4)]),
+                ('E10', [e10(wins=1)]),
                 ('E7', e7()), ('E8', e8()), ('E13', e13()),
                 ('E17', e17())):
             self.assertFalse(self.fails(claim, rows), claim)
@@ -77,6 +84,7 @@ class Verdicts(unittest.TestCase):
                 ('E7', e7(wins=(0.5, 1.0, 0.6, 1.0))),
                 ('E8', e8(pop=(30.0, 20.0, 30.0))),
                 ('E4', [row(win=0.9, pt=1, pred=verdicts.pred_e4)]),
+                ('E10', [e10(wins=3)]),
                 ('E7', e7(wins=(0.05, 0.8, 1.0, 1.0))),
                 ('E13', e13(regular=30.0)), ('E13', e13(cycle=600.0)),
                 ('E17', e17(complete=1.15)), ('E17', e17(dense=0.85)),
@@ -88,6 +96,15 @@ class Verdicts(unittest.TestCase):
         # Beta(5, 6)'s 5% quantile: the one-sided 95% bound for 5 of 10.
         self.assertAlmostEqual(verdicts.cp_lower(5, 10), 0.2224, places=4)
         self.assertEqual(verdicts.cp_lower(0, 64), 0.0)
+
+    def test_clopper_pearson_upper_bound(self):
+        # Beta(6, 5)'s 95% quantile, the mirror image of the bound above.
+        self.assertAlmostEqual(verdicts.cp_upper(5, 10), 0.7776, places=4)
+        self.assertEqual(verdicts.cp_upper(64, 64), 1.0)
+        # At the symmetry level, 1 win of 4 keeps 1/64 inside; 3 do not.
+        a = verdicts.SYMMETRY_ALPHA / 2
+        self.assertLess(verdicts.cp_lower(1, 4, a), 1 / 64)
+        self.assertGreater(verdicts.cp_lower(3, 4, a), 1 / 64)
 
 
 if __name__ == '__main__':

@@ -19,7 +19,9 @@ import time
 Z80 = 0.8416       # one-sided normal quantile for 80% power
 LOSS_MAX = 0.05    # "wins w.h.p.": the 95% CP lower bound on loss <= this
 STEP_SE = 2.0      # a monotone step may go the wrong way by this many SE
-SYMMETRY_SE = 3.0  # a zero-bias opinion-0 share may sit this far from 1/k
+# A zero-bias opinion-0 win count is tested against 1/k by the two-sided
+# exact Clopper-Pearson interval at the level of a normal +-3 SE band.
+SYMMETRY_ALPHA = math.erfc(3 / math.sqrt(2))  # 0.0027
 # O(.) constants: pt_mean / predictor <= C at every point. Each C is 25%
 # above the largest ratio the retired bench mains printed at full scale
 # on the parent tree (4-vCPU Xeon, Release); BENCH_phases.json's
@@ -59,14 +61,22 @@ def solve_p(f, target):
     return hi
 
 
-def cp_lower(x, n):
-    """One-sided 95% Clopper-Pearson lower bound on a rate seen x of n."""
-    return 0.0 if x == 0 else solve_p(lambda p: binom_tail(x, n, p), 0.05)
+def cp_lower(x, n, alpha=0.05):
+    """One-sided 1 - alpha Clopper-Pearson lower bound on a rate seen x of n."""
+    return 0.0 if x == 0 else solve_p(lambda p: binom_tail(x, n, p), alpha)
 
 
-def detectable_loss(n):
-    """The loss rate at which the w.h.p. check fails with 80% power."""
-    fail_at = next(x for x in range(n + 1) if cp_lower(x, n) > LOSS_MAX)
+def cp_upper(x, n, alpha=0.05):
+    """One-sided 1 - alpha Clopper-Pearson upper bound on a rate seen x of n."""
+    return 1.0 if x == n else solve_p(lambda p: binom_tail(x + 1, n, p),
+                                      1 - alpha)
+
+
+def detectable_rate(n, limit, alpha=0.05):
+    """The rate at which a check that the CP lower bound stays <= limit
+    fails with 80% power (1.0: no count of n fails it)."""
+    fail_at = next((x for x in range(n + 1)
+                    if cp_lower(x, n, alpha) > limit), n + 1)
     return solve_p(lambda p: binom_tail(fail_at, n, p), 0.8)
 
 
@@ -112,17 +122,21 @@ def wins_whp(rep, row, what):
     lower = cp_lower(losses, t)
     rep.check(lower <= LOSS_MAX, f"wins w.h.p. {what}",
               f"loss {losses}/{t}, 95% CP lower {lower:.3f}",
-              f"<= {LOSS_MAX}", f"loss rate >= {detectable_loss(t):.3f}")
+              f"<= {LOSS_MAX}",
+              f"loss rate >= {detectable_rate(t, LOSS_MAX):.3f}")
 
 
 def symmetric(rep, row, what):
-    t, p0 = row['trials'], 1 / row['k']
-    se = math.sqrt(p0 * (1 - p0) / t)
-    share = row['plurality_win_rate']
-    rep.check(abs(share - p0) <= SYMMETRY_SE * se,
-              f"opinion-0 win share {what}", f"{share:.3f} vs 1/k = {p0:.3f}",
-              f"|share - 1/k| <= {SYMMETRY_SE * se:.3f} ({SYMMETRY_SE:g} SE)",
-              f"|share - 1/k| >= {(SYMMETRY_SE + Z80) * se:.3f}")
+    t, p0, a = row['trials'], 1 / row['k'], SYMMETRY_ALPHA / 2
+    wins = round(row['plurality_win_rate'] * t)
+    lo, hi = cp_lower(wins, t, a), cp_upper(wins, t, a)
+    rep.check(lo <= p0 <= hi, f"opinion-0 win share {what}",
+              f"{wins}/{t} wins vs 1/k = {p0:.3f}",
+              f"1/k in the two-sided {1 - SYMMETRY_ALPHA:.2%} CP interval "
+              f"[{lo:.3f}, {hi:.3f}]",
+              # Mirrored, the low side is the high side of 1 - share.
+              f"share <= {1 - detectable_rate(t, 1 - p0, a):.3f} or "
+              f">= {detectable_rate(t, p0, a):.3f}")
 
 
 def factor(rep, what, ratio, rel, limit, at_most):

@@ -1,4 +1,5 @@
-// Graph-restricted scheduler: one uniformly random edge per interaction.
+// The USD under the graph-restricted scheduler: one uniformly random
+// (oriented) edge per interaction, its responder updated by UsdProtocol.
 //
 // On the complete graph this is the standard population protocol scheduler
 // conditioned on responder != initiator (the paper's self-interactions are
@@ -8,42 +9,39 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
+#include "core/usd.hpp"
 #include "pp/graph.hpp"
-#include "pp/protocol.hpp"
 #include "rng/rng.hpp"
 
-namespace kusd::pp {
+namespace kusd::core {
 
 class GraphScheduler {
  public:
-  /// `initial_states[v]` is the starting state of vertex v; values must be
-  /// in [0, protocol.num_states()).
-  GraphScheduler(const PairProtocol& protocol, const InteractionGraph& graph,
+  /// `initial_states[v]` is the starting state of vertex v: an opinion in
+  /// [0, k) or the undecided state k.
+  GraphScheduler(int k, const pp::InteractionGraph& graph,
                  std::vector<int> initial_states, rng::Rng rng);
 
   void step();
-  std::uint64_t run_until(
-      const std::function<bool(std::span<const std::uint64_t>)>& stop,
-      std::uint64_t max_steps);
 
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
   [[nodiscard]] std::span<const int> states() const { return states_; }
-  /// Per-state counts, maintained incrementally.
+  /// Per-state counts (opinions 0..k-1, then undecided), maintained
+  /// incrementally.
   [[nodiscard]] std::span<const std::uint64_t> counts() const {
     return counts_;
   }
 
  private:
-  const PairProtocol& protocol_;
-  const InteractionGraph& graph_;
+  UsdProtocol protocol_;
+  const pp::InteractionGraph& graph_;
   std::vector<int> states_;
   std::vector<std::uint64_t> counts_;
   rng::Rng rng_;
   std::uint64_t steps_ = 0;
 };
 
-}  // namespace kusd::pp
+}  // namespace kusd::core

@@ -7,9 +7,9 @@
 // Phase clocks make this implementable in the population model at the cost
 // of extra states; the payoff is polylogarithmic convergence *regardless of
 // the initial configuration*. We implement the idealized synchronized
-// process on top of the count-based round engine so bench_baselines can
-// show the contrast the paper draws: polylog rounds, but a "less natural"
-// protocol.
+// process on top of the count-based round engine; it is the `sync` engine,
+// and shows the contrast the paper draws: polylog rounds, but a "less
+// natural" protocol.
 #pragma once
 
 #include <cstdint>

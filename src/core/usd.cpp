@@ -2,7 +2,6 @@
 
 #include "core/stepping.hpp"
 #include "pp/configuration.hpp"
-#include "pp/protocol.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -12,7 +11,7 @@ UsdProtocol::UsdProtocol(int k) : k_(k) {
   KUSD_CHECK_MSG(k >= 1, "need at least one opinion");
 }
 
-pp::PairTransition UsdProtocol::apply(int responder, int initiator) const {
+PairTransition UsdProtocol::apply(int responder, int initiator) const {
   KUSD_DCHECK(responder >= 0 && responder <= k_);
   KUSD_DCHECK(initiator >= 0 && initiator <= k_);
   const int undecided = k_;
@@ -34,7 +33,7 @@ std::uint64_t square(pp::Count c) {
 
 UsdSimulator::UsdSimulator(const pp::Configuration& initial, rng::Rng rng,
                            UsdOptions options)
-    : opinions_(initial.opinions(), options.engine),
+    : opinions_(initial.opinions()),
       undecided_(initial.undecided()),
       n_(initial.n()),
       rng_(rng),

@@ -2,9 +2,9 @@
 //
 // Two faces are exposed:
 //
-//  * UsdProtocol — the transition function as a pp::PairProtocol, usable
-//    with the generic schedulers (and the form in which the protocol is
-//    stated in Section 2 of the paper).
+//  * UsdProtocol — the transition function, the form in which the
+//    protocol is stated in Section 2 of the paper; core::GraphScheduler
+//    applies it edge by edge.
 //  * UsdSimulator — the tuned count-based engine used by the benches. It
 //    samples the exact same Markov chain (one uniformly random ordered
 //    (responder, initiator) pair per interaction, self-pairs allowed) but
@@ -18,21 +18,27 @@
 #include <span>
 
 #include "pp/configuration.hpp"
-#include "pp/protocol.hpp"
 #include "rng/rng.hpp"
 #include "urn/urn.hpp"
 
 namespace kusd::core {
 
+/// Result of applying delta to (responder, initiator).
+struct PairTransition {
+  int responder = 0;
+  int initiator = 0;
+};
+
 /// delta of the USD with k opinions; state k is the undecided state.
-class UsdProtocol final : public pp::PairProtocol {
+class UsdProtocol {
  public:
   explicit UsdProtocol(int k);
 
-  [[nodiscard]] int num_states() const override { return k_ + 1; }
+  /// Number of agent states |Q| = k + 1.
+  [[nodiscard]] int num_states() const { return k_ + 1; }
   [[nodiscard]] int undecided_state() const { return k_; }
-  [[nodiscard]] pp::PairTransition apply(int responder,
-                                         int initiator) const override;
+  /// delta(responder, initiator).
+  [[nodiscard]] PairTransition apply(int responder, int initiator) const;
 
  private:
   int k_;
@@ -52,7 +58,6 @@ enum class StepMode {
 
 struct UsdOptions {
   StepMode mode = StepMode::kEveryInteraction;
-  urn::UrnEngine engine = urn::UrnEngine::kAuto;
 };
 
 class UsdSimulator {

@@ -4,9 +4,8 @@
 // interaction graph; the broader literature it cites (e.g. Schoenebeck &
 // Yu [41] on Erdos-Renyi graphs, Cooper et al. on expanders) restricts the
 // scheduler to edges of a communication graph. We ship the standard
-// topologies plus a graph-restricted scheduler so the USD (or any
-// PairProtocol) can be run beyond the complete graph — the "future work"
-// axis of the paper.
+// topologies, which core::GraphScheduler steps the USD on beyond the
+// complete graph — the "future work" axis of the paper.
 #pragma once
 
 #include <cstdint>

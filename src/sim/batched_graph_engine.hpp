@@ -15,7 +15,7 @@
 // weight 1. Chunks that overshoot a count are halved and redrawn down to
 // m = 1 — a single interaction of the annealed chain, which is always
 // exact — so near consensus the engine degrades gracefully to the exact
-// per-interaction limit of its model, the role pp::GraphScheduler plays
+// per-interaction limit of its model, the role core::GraphScheduler plays
 // for the materialized engine.
 //
 // Model and its limits. The aggregation is the *annealed* (mean-field)

@@ -10,11 +10,11 @@
 
 #include "core/batched_usd.hpp"
 #include "core/budget.hpp"
+#include "core/graph_scheduler.hpp"
 #include "core/sync_usd.hpp"
 #include "core/usd.hpp"
 #include "gossip/gossip_usd.hpp"
 #include "pp/graph.hpp"
-#include "pp/graph_scheduler.hpp"
 #include "rng/rng.hpp"
 #include "sim/batched_graph_engine.hpp"
 #include "sim/graph_spec.hpp"
@@ -179,7 +179,7 @@ class GraphUsdEngine final : public Engine {
  public:
   GraphUsdEngine(const pp::Configuration& initial, std::uint64_t seed,
                  const EngineOptions& options)
-      : protocol_(initial.k()), n_(initial.n()), rng_(seed) {
+      : n_(initial.n()), rng_(seed) {
     KUSD_CHECK_MSG(n_ <= std::numeric_limits<std::uint32_t>::max(),
                    "graph engine caps n below 2^32 (32-bit vertex ids)");
     KUSD_CHECK_MSG(initial.decided() >= 1,
@@ -210,7 +210,7 @@ class GraphUsdEngine final : public Engine {
                   static_cast<std::size_t>(initial.undecided()),
                   initial.k());
     rng_.shuffle(std::span<int>(states));
-    scheduler_.emplace(protocol_, *graph_, std::move(states), rng_);
+    scheduler_.emplace(initial.k(), *graph_, std::move(states), rng_);
 
     for (int i = 0; i < initial.k(); ++i) {
       if (initial.opinion(i) == n_) winner_ = i;
@@ -259,12 +259,11 @@ class GraphUsdEngine final : public Engine {
   }
 
  private:
-  core::UsdProtocol protocol_;
   pp::Count n_;
   rng::Rng rng_;
   std::optional<pp::InteractionGraph> owned_graph_;
   const pp::InteractionGraph* graph_ = nullptr;
-  std::optional<pp::GraphScheduler> scheduler_;
+  std::optional<core::GraphScheduler> scheduler_;
   std::optional<int> winner_;
 };
 

@@ -2,7 +2,7 @@
 //
 // The adapters wrap the concrete simulators (core::UsdSimulator,
 // core::BatchedUsdSimulator, core::SyncUsd, gossip::GossipUsd,
-// pp::GraphScheduler) behind sim::Engine without changing their dynamics:
+// core::GraphScheduler) behind sim::Engine without changing their dynamics:
 // each adapter drives the exact step/chunk/round calls the simulator's own
 // run loop would, so seeded trajectories are identical to driving the
 // simulator directly.

@@ -1,6 +1,6 @@
 // Urn: category counts with weighted sampling.
 //
-// The population protocol schedulers never look at individual agents; the
+// The count-based simulators never look at individual agents; the
 // configuration is a vector of counts per state, and picking a uniformly
 // random agent is sampling a category proportionally to its count. The urn
 // keeps one count array and its total; find() maps a position r to its
@@ -33,9 +33,10 @@ enum class UrnEngine {
 };
 
 /// Default engine crossover (categories): linear up to and including it.
-/// BM_UrnEngine in bench_throughput (every-interaction steps at n=1e5,
-/// Release+IPO, gcc 12, 4-vCPU Xeon; median of 5), ns per interaction,
-/// linear / Fenwick:
+/// Measured at commit 8aa1da0 by its Google Benchmark main, since retired
+/// (`bench_throughput --benchmark_filter=BM_UrnEngine`: every-interaction
+/// steps at n=1e5, Release+IPO, gcc 12, 4-vCPU Xeon; median of 5), ns per
+/// interaction, linear / Fenwick:
 ///   k=16 27.6 / 37.5, k=32 34.3 / 61.5, k=64 65.5 / 72.4,
 ///   k=128 107 / 79.6, k=256 147 / 88.9.
 /// Linear still wins at 64 and loses at 128.

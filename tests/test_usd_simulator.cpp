@@ -258,26 +258,5 @@ TEST(UsdSimulator, GoldenStreamsArePinned) {
   }
 }
 
-// Fenwick vs linear urn engines must also agree (second ablation axis).
-TEST(UsdSimulator, UrnEnginesAgreeInDistribution) {
-  const auto x0 = Configuration::uniform(80, 3, 0);
-  const int trials = 350;
-  std::vector<double> lin, fen;
-  for (int t = 0; t < trials; ++t) {
-    UsdSimulator a(x0, rng::Rng(rng::stream_seed(500, t)),
-                   UsdOptions{StepMode::kEveryInteraction,
-                              urn::UrnEngine::kLinear});
-    a.run_to_consensus(50'000'000);
-    lin.push_back(static_cast<double>(a.interactions()));
-    UsdSimulator b(x0, rng::Rng(rng::stream_seed(501, t)),
-                   UsdOptions{StepMode::kEveryInteraction,
-                              urn::UrnEngine::kFenwick});
-    b.run_to_consensus(50'000'000);
-    fen.push_back(static_cast<double>(b.interactions()));
-  }
-  EXPECT_LT(stats::ks_statistic(lin, fen),
-            stats::ks_threshold(lin.size(), fen.size(), 0.001));
-}
-
 }  // namespace
 }  // namespace kusd

@@ -1,7 +1,7 @@
 """Module layering: the #include graph must match the declared DAG.
 
 The engine stack is layered — util/rng/stats/urn at the bottom, then the
-model layer (pp, protocols, core, gossip, analysis), then sim (the
+model layer (pp, core, gossip, analysis), then sim (the
 engine roster), then runner (drivers), with tools/bench/tests/examples
 on top — and the whole architecture rests on includes only pointing
 *down* that order (see docs/architecture.md, "Module layering"). The
@@ -39,7 +39,6 @@ DECLARED_DAG = {
     "stats": {"util"},
     "urn": {"rng", "util"},
     "pp": {"rng", "urn", "util"},
-    "protocols": {"pp"},
     "core": {"pp", "rng", "urn", "util"},
     "gossip": {"core", "pp", "rng", "util"},
     "analysis": {"pp", "rng", "util"},
@@ -52,6 +51,7 @@ DECLARED_DAG = {
 SIMULATOR_HEADERS = {
     "core/usd.hpp",
     "core/batched_usd.hpp",
+    "core/graph_scheduler.hpp",
     "core/sync_usd.hpp",
     "gossip/gossip_usd.hpp",
     "sim/batched_graph_engine.hpp",
