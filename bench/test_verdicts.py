@@ -54,6 +54,24 @@ def e17(complete=1.0, dense=0.96, sparse=0.7, converged=1.0):
             for e in ('graph', 'graph-batched')]
 
 
+def phase_trials(cs, n=65536, over=None, trials=4, **broken):
+    """`trials` `kusd run` trials at k = 8 whose PHASE_RATIOS sit at 0.8 C,
+    or at 1.01 C for the key `over`; `broken` replaces the first trial's
+    fields."""
+    k, nl = 8, n * math.log(n)
+    r = {key: c * (1.01 if key == over else 0.8)
+         for key, c in zip(verdicts.PHASE_RATIOS, cs)}
+    p = [r['p1_nlnn'] * nl, r['p23_knlnn'] * k * nl / 2,
+         r['p23_knlnn'] * k * nl / 2, 0.05 * nl, r['p5_nlnn'] * nl]
+    if over == 't5_knlnn':
+        p[3] = r['t5_knlnn'] * k * nl - sum(p) + p[3]
+    t = tuple(round(sum(p[:i + 1])) for i in range(5))
+    rows = [dict(n=n, k=k, engine='skip', converged=True, t=t)
+            for _ in range(trials)]
+    rows[0].update(broken)
+    return rows
+
+
 class Verdicts(unittest.TestCase):
     def fails(self, claim, rows):
         rep = verdicts.Report()
@@ -69,8 +87,23 @@ class Verdicts(unittest.TestCase):
                 ('E4', [row(win=0.5, pt=1, pred=verdicts.pred_e4)]),
                 ('E10', [e10(wins=1)]),
                 ('E7', e7()), ('E8', e8()), ('E13', e13()),
-                ('E17', e17())):
+                ('E17', e17()),
+                ('E1', phase_trials(verdicts.C_E1, n=8192)
+                 + phase_trials(verdicts.C_E1, n=32768)),
+                ('E16', phase_trials(verdicts.C_E16, n=10 ** 8))):
             self.assertFalse(self.fails(claim, rows), claim)
+
+    def test_broken_phase_trials_fail(self):
+        for claim, cs in (('E1', verdicts.C_E1), ('E16', verdicts.C_E16)):
+            t = phase_trials(cs)[0]['t']
+            for broken in (dict(converged=False),
+                           dict(t=t[:2] + (None,) + t[3:]),
+                           dict(t=(t[0], t[2], t[1]) + t[3:])):
+                self.assertTrue(
+                    self.fails(claim, phase_trials(cs, **broken)), broken)
+            for key in verdicts.PHASE_RATIOS:
+                self.assertTrue(
+                    self.fails(claim, phase_trials(cs, over=key)), key)
 
     def test_broken_rows_fail(self):
         unconverged = dict(row(win=0.5, pt=10.0), converged_rate=0.98)

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Paper verdicts: the paper's claims as checked `kusd sweep` grids.
+"""Paper verdicts: the paper's claims as checked `kusd sweep` and
+`kusd run` grids.
 
     python3 bench/verdicts.py KUSD cheap|full [CLAIM ...]
 
-Each claim declares `cheap` and `full` grids (literal `kusd sweep`
-argument lists) and a seed; sweep i runs with seed + i. Its rows go to
-<claim>.csv in the working directory, and each check prints PASS/FAIL,
-its value, its threshold and the effect it detects with 80% power at the
-grid's trial count. Exits 1 if a check or a sweep fails, 2 on usage.
+Each claim declares `cheap` and `full` grids and a seed. A sweep claim's
+grids are literal `kusd sweep` argument lists, and sweep i runs with
+seed + i. A phase-table claim's grids are `kusd run` arguments whose --n
+and --k take comma lists and whose --trials counts runs per point; run i
+of the claim gets seed + i. Per-point rows go to <claim>.csv in the
+working directory, and each check prints PASS/FAIL, its value, its
+threshold and the effect it detects with 80% power at the grid's trial
+count. Exits 1 if a check or a sweep fails, 2 on usage.
 """
+import concurrent.futures
 import csv
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -24,8 +30,8 @@ STEP_SE = 2.0      # a monotone step may go the wrong way by this many SE
 SYMMETRY_ALPHA = math.erfc(3 / math.sqrt(2))  # 0.0027
 # O(.) constants: pt_mean / predictor <= C at every point. Each C is 25%
 # above the largest ratio the retired bench mains printed at full scale
-# on the parent tree (4-vCPU Xeon, Release); BENCH_phases.json's
-# T/(k n ln n) of 0.86 and 0.60 at n = 1e8 is below E4's.
+# on the parent tree (4-vCPU Xeon, Release); the phase table's
+# T5/(k n ln n) of 0.85 and 0.59 at n = 1e8 is below E4's.
 C_E2 = 2.9    # 2.299 at n = 2^16, k = 32 (T / (n ln n + n^2/x1))
 C_E3 = 1.35   # 1.068 at n = 2^15, k = 2  (T / (n^2 ln n / x1))
 C_E4 = 1.85   # 1.463 at n = 2^16, k = 2  (T / (k n ln n))
@@ -44,6 +50,17 @@ MEAN_FIELD_TOL = 0.10
 # not 2x faster, as BatchedGraphEngine.SparseRegularBiasIsOptimisticAndBounded
 # checks at n = 256; the retired main read a ratio of 0.688 at n = 2e4.
 SPARSE_RATIO = (0.5, 1.0)
+# E1 and E16, the phase table of Section 2.1: at every point the trials'
+# mean of each ratio is at most its C. Pi = Ti - T(i-1) with T0 = 0;
+# Phases 1 and 5 are O(n log n), Phases 2 and 3 O(n^2 log n / xmax), which
+# is O(k n log n) from a uniform start. Each C is 25% above the largest
+# mean the retired main printed at full scale on the parent tree, rounded
+# up: bench_phases at n = 8192 for E1, and bench_phase_lengths at
+# n = 1e8, on the adaptive schedule, for E16.
+PHASE_RATIOS = {'p1_nlnn': 'P1/(n ln n)', 'p5_nlnn': 'P5/(n ln n)',
+                'p23_knlnn': '(P2+P3)/(k n ln n)', 't5_knlnn': 'T5/(k n ln n)'}
+C_E1 = (0.66, 1.64, 0.70, 1.98)   # 0.528 (k = 32), 1.309, 0.559, 1.579 (k = 2)
+C_E16 = (0.56, 1.47, 0.74, 1.07)  # 0.446 (k = 32), 1.168, 0.586, 0.850 (k = 8)
 
 
 def binom_tail(x, n, p):
@@ -256,6 +273,71 @@ def judge_e17(rep, rows):
     factor(rep, what, r, rel, SPARSE_RATIO[0], False)
 
 
+def complete(trial):
+    """The run converged and printed T1 <= T2 <= ... <= T5."""
+    t = trial['t']
+    return (trial['converged'] and None not in t
+            and all(a <= b for a, b in zip(t, t[1:])))
+
+
+def phase_rows(trials):
+    """One row per (n, k): phase means and the PHASE_RATIOS means (with
+    relative SEs) over the point's complete trials; inf with none."""
+    points = {}
+    for trial in trials:
+        points.setdefault((trial['n'], trial['k'], trial['engine']),
+                          []).append(trial)
+    rows = []
+    for (n, k, engine), at in sorted(points.items()):
+        done = [tr['t'] for tr in at if complete(tr)]
+        row = dict(n=n, k=k, engine=engine, trials=len(at),
+                   complete=len(done))
+        phases = [[b - a for a, b in zip((0,) + t, t)] for t in done]
+        for i in range(5):
+            row[f"p{i + 1}"] = (statistics.fmean(p[i] for p in phases)
+                                if done else math.inf)
+        nl = n * math.log(n)
+        values = {'p1_nlnn': [p[0] / nl for p in phases],
+                  'p5_nlnn': [p[4] / nl for p in phases],
+                  'p23_knlnn': [(p[1] + p[2]) / (k * nl) for p in phases],
+                  't5_knlnn': [t[4] / (k * nl) for t in done]}
+        for key, xs in values.items():
+            mean = statistics.fmean(xs) if xs else math.inf
+            row[key] = mean
+            row[key + '_rel_se'] = (statistics.stdev(xs) / math.sqrt(len(xs))
+                                    / mean if len(xs) > 1 else 0.0)
+        rows.append(row)
+    return rows
+
+
+def phase_table(cs):
+    """A judge of `kusd run` trials: every trial complete and each
+    PHASE_RATIOS mean at most its C, at every point; then the slopes along
+    n at k = 8 and T5/(k n ln n) along k, reported."""
+    def judge(rep, trials):
+        rows = phase_rows(trials)
+        for r in rows:
+            rep.check(r['complete'] == r['trials'],
+                      f"converged with T1 <= ... <= T5 {label(r)}",
+                      f"{r['complete']}/{r['trials']} trials",
+                      "every trial", "one failed trial")
+            for (key, name), c in zip(PHASE_RATIOS.items(), cs):
+                factor(rep, f"{name} {label(r)}", r[key],
+                       r[key + '_rel_se'], c, True)
+        at8 = [r for r in rows if r['k'] == 8 and r['complete']]
+        if len(at8) >= 2:
+            ns = [r['n'] for r in at8]
+            print(f"  ----  along n={ns[0]}..{ns[-1]} at k=8: P1 ~ n^"
+                  f"{loglog_slope(ns, [r['p1'] for r in at8]):.2f}, P2+P3 ~ "
+                  f"n^{loglog_slope(ns, [r['p2'] + r['p3'] for r in at8]):.2f}"
+                  " (n ln n reads ~1.1)")
+        for n in sorted({r['n'] for r in rows}):
+            at = [r for r in rows if r['n'] == n]
+            print(f"  ----  T5/(k n ln n) along k at n={n}: " + ", ".join(
+                f"k={r['k']} {r['t5_knlnn']:.3f}" for r in at))
+    return judge
+
+
 E2 = "--engine skip --bias multiplicative --alpha 2"
 E3 = "--engine skip --bias additive"
 E8 = ("--engine skip,gossip --k 16 --start geometric:1,geometric:0.9,"
@@ -268,6 +350,18 @@ E17 = ("--engine graph,graph-batched --graph complete,regular:64,regular:8 "
 # for c = 0, 1/4, 1/2, 1, 2, 4. E13's er:p is 4 ln n / n and its budget
 # 400 n^2 interactions, the cycle's ~n^3 time with room.
 CLAIMS = {
+    'E1': dict(
+        title="Section 2.1's phase table at per-interaction scale: Phases 1 "
+              "and 5 in O(n log n), Phases 2 and 3 in O(k n log n)",
+        seed=1, command='run', judge=phase_table(C_E1),
+        cheap=["--engine skip --n 8192,32768 --k 2,8,32 --trials 8"],
+        full=["--engine skip --n 8192,32768,131072 --k 2,8,32 --trials 8"]),
+    'E16': dict(
+        title="Section 2.1's phase table at n = 1e8 on the batched tau-leap "
+              "(fixed 2% chunks)", seed=16, command='run',
+        judge=phase_table(C_E16),
+        cheap=["--engine batched --n 1e8 --k 8,32 --trials 3"],
+        full=["--engine batched --n 1e8 --k 8,32 --trials 6"]),
     'E2': dict(
         title="Theorem 2(1): multiplicative bias alpha = 2 wins w.h.p. in "
               "O(log n + n/x1(0))", seed=2,
@@ -349,6 +443,42 @@ def run_grid(kusd, cid, claim, grid):
     return rows
 
 
+def run_phase_grid(kusd, cid, claim, grid):
+    """Runs the claim's `kusd run` trials, writes per-point phase means
+    and ratios to <cid>.csv and returns one row per trial; a non-zero exit
+    is an unconverged trial."""
+    jobs = []
+    for args in claim[grid]:
+        flags = dict(zip(*[iter(args.split())] * 2))
+        ns, ks = flags.pop('--n').split(','), flags.pop('--k').split(',')
+        trials = int(flags.pop('--trials'))
+        jobs += [(flags, n, k) for n in ns for k in ks for _ in range(trials)]
+
+    def run(i):
+        flags, n, k = jobs[i]
+        proc = subprocess.run(
+            [kusd, 'run', *(x for kv in flags.items() for x in kv),
+             '--n', n, '--k', k, '--seed', str(claim['seed'] + i)],
+            capture_output=True, text=True, check=False)
+        t = dict(line.split() for line in proc.stdout.splitlines()
+                 if line.startswith('  T'))
+        return dict(n=int(float(n)), k=int(k),
+                    engine=flags.get('--engine', 'skip'),
+                    converged=proc.returncode == 0,
+                    t=tuple(int(t[p]) if p in t else None for p in
+                            ('T1', 'T2', 'T3', 'T4', 'T5')))
+
+    with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
+        trials = list(pool.map(run, range(len(jobs))))
+    rows = phase_rows(trials)
+    with open(f"{cid}.csv", 'w', encoding='utf-8', newline='') as f:
+        out = csv.DictWriter(f, list(rows[0]), lineterminator='\n')
+        out.writeheader()
+        out.writerows({key: f"{v:.6g}" if isinstance(v, float) else v
+                       for key, v in r.items()} for r in rows)
+    return trials
+
+
 def main(argv):
     if (len(argv) < 3 or argv[2] not in ('cheap', 'full')
             or any(c not in CLAIMS for c in argv[3:])):
@@ -358,9 +488,11 @@ def main(argv):
     kusd, grid, failed = argv[1], argv[2], []
     for cid in argv[3:] or CLAIMS:
         claim, started = CLAIMS[cid], time.monotonic()
-        rows = run_grid(kusd, cid, claim, grid)
+        runs = claim.get('command') == 'run'
+        rows = (run_phase_grid if runs else run_grid)(kusd, cid, claim, grid)
         print(f"== {cid} · {claim['title']}\n   {grid} grid: "
-              f"{len(claim[grid])} sweep(s), {len(rows)} points, seed "
+              f"{len(claim[grid])} {'run grid' if runs else 'sweep'}(s), "
+              f"{len(rows)} {'trials' if runs else 'points'}, seed "
               f"{claim['seed']}, {time.monotonic() - started:.1f} s "
               f"-> {cid}.csv")
         rep = Report()

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/bias.hpp"
+#include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
 #include "runner/sweep.hpp"
 #include "sim/registry.hpp"
@@ -30,16 +31,13 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
   }
   const auto engine = sim::Registry::instance().create(
       options.engine, initial, seed,
-      engine_options(options.batch, point, topology));
+      engine_options(core::ChunkOptions{}, point, topology));
 
   const std::uint64_t cap = engine->default_budget();
   if (options.track_phases) {
     core::PhaseTracker tracker(initial.n());
-    const std::uint64_t interval = options.observe_interval != 0
-                                       ? options.observe_interval
-                                       : engine->default_observe_interval();
     result.converged = engine->run_observed(
-        cap, interval,
+        cap, engine->default_observe_interval(),
         [&tracker](std::uint64_t t, std::span<const pp::Count> opinions,
                    pp::Count undecided) {
           tracker.observe(t, opinions, undecided);

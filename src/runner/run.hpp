@@ -1,12 +1,13 @@
 // High-level one-call runner: run the USD from an initial configuration,
 // track the five phases, and classify the outcome against the paper's
 // claims (did the initial plurality win? was the winner initially
-// significant?). This is the entry point the examples and most benches use.
+// significant?). This is the entry point of `kusd run` and the examples.
 //
 // The engine is resolved by name through sim::Registry
 // (RunOptions::engine): the asynchronous engines, the round models
 // ("sync", "gossip") and the graph-restricted scheduler ("graph", with
-// RunOptions::graph selecting the topology).
+// RunOptions::graph selecting the topology). The batched engines run the
+// default chunk schedule, fixed chunks of 2% of n.
 //
 // The trial is built the way runner::Sweep builds one (runner/sweep.hpp):
 // the topology comes from realize_topology, from the stream the engine
@@ -24,7 +25,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/chunk_controller.hpp"
 #include "core/phase_tracker.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
@@ -35,16 +35,12 @@ struct RunOptions {
   /// sim::Registry name of the engine to run ("every", "skip", "batched",
   /// "sync", "gossip", "graph", or anything registered).
   std::string engine = "skip";
-  /// Chunk schedule for the batched engine: fixed chunk fraction or the
-  /// error-controlled adaptive policy (see chunk_controller.hpp).
-  core::ChunkOptions batch;
   /// Topology for the graph engine.
   sim::GraphSpec graph;
-  /// Track T1..T5; snapshots are taken every `observe_interval` native
-  /// time units (0 picks the engine default: n/8 interactions — a
-  /// resolution far below phase lengths — or one round).
+  /// Track T1..T5 from snapshots at the engine's observation interval
+  /// (n/8 interactions, a resolution far below the phase lengths, or one
+  /// round).
   bool track_phases = true;
-  std::uint64_t observe_interval = 0;
 };
 
 struct RunResult {

@@ -29,31 +29,6 @@ std::string fmt(double value, int precision) {
   return buf;
 }
 
-std::string fmt_int(std::uint64_t value) {
-  // Group digits with thin separators for readability.
-  std::string digits = std::to_string(value);
-  std::string out;
-  const std::size_t len = digits.size();
-  for (std::size_t i = 0; i < len; ++i) {
-    if (i > 0 && (len - i) % 3 == 0) out += ',';
-    out += digits[i];
-  }
-  return out;
-}
-
-std::string fmt_compact(double value) {
-  char buf[64];
-  if (value == 0.0) return "0";
-  if (value >= 1e6 || value < 1e-2) {
-    std::snprintf(buf, sizeof(buf), "%.2e", value);
-  } else if (value >= 100.0) {
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f", value);
-  }
-  return buf;
-}
-
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   widths_.reserve(headers_.size());

@@ -1,4 +1,4 @@
-// ASCII table printer: the benches print paper-style rows with it.
+// ASCII table printer: `kusd sweep` prints its rows with it.
 #pragma once
 
 #include <cstdint>
@@ -8,11 +8,8 @@
 
 namespace kusd::runner {
 
-/// Format helpers used by benches for uniform numeric rendering.
+/// `value` with `precision` decimals, spelled as printf's "%.*f" would.
 [[nodiscard]] std::string fmt(double value, int precision = 3);
-[[nodiscard]] std::string fmt_int(std::uint64_t value);
-/// Compact scientific-ish rendering for large counts (e.g. "3.1e+07").
-[[nodiscard]] std::string fmt_compact(double value);
 
 class Table {
  public:

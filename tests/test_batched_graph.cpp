@@ -440,7 +440,6 @@ TEST(BatchedGraphEngine, RunUsdResolvesItThroughTheRegistry) {
   runner::RunOptions options;
   options.engine = "graph-batched";
   options.graph = GraphSpec{GraphSpec::Kind::kRegular, 8};
-  options.batch.policy = core::ChunkPolicy::kAdaptive;
   const auto result = runner::run_usd(x0, 47, options);
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(result.phases.complete());

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "runner/csv.hpp"
-#include "runner/scale.hpp"
 #include "runner/table.hpp"
 #include "runner/task_graph.hpp"
 #include "runner/trials.hpp"
@@ -190,14 +189,6 @@ TEST(Table, RejectsMismatchedRow) {
   EXPECT_THROW(t.add_row({"only one"}), util::CheckError);
 }
 
-TEST(TableFormat, Helpers) {
-  EXPECT_EQ(runner::fmt(3.14159, 2), "3.14");
-  EXPECT_EQ(runner::fmt_int(1234567), "1,234,567");
-  EXPECT_EQ(runner::fmt_int(12), "12");
-  EXPECT_EQ(runner::fmt_compact(0.0), "0");
-  EXPECT_NE(runner::fmt_compact(3.1e7).find("e"), std::string::npos);
-}
-
 TEST(TableFormat, FmtMatchesPrintfByteForByte) {
   // fmt is the sweep schema's number spelling: it must stay exactly
   // printf's "%.*f", ties (round half to even on the exact binary value)
@@ -314,26 +305,6 @@ TEST(Csv, QuotesLineBreakCells) {
   EXPECT_NE(content.find("\"with\nnewline\""), std::string::npos);
   EXPECT_NE(content.find("\"with\rcarriage\""), std::string::npos);
   std::remove(path.c_str());
-}
-
-TEST(Scale, DefaultsToOneWithoutEnv) {
-  unsetenv("REPRO_SCALE");
-  EXPECT_DOUBLE_EQ(runner::repro_scale(), 1.0);
-  EXPECT_EQ(runner::scaled(1000), 1000u);
-  EXPECT_EQ(runner::scaled_trials(20), 20);
-}
-
-TEST(Scale, HonorsEnvAndClamps) {
-  setenv("REPRO_SCALE", "2", 1);
-  EXPECT_DOUBLE_EQ(runner::repro_scale(), 2.0);
-  EXPECT_EQ(runner::scaled(1000), 2000u);
-  setenv("REPRO_SCALE", "0.000001", 1);
-  EXPECT_DOUBLE_EQ(runner::repro_scale(), 0.05);
-  setenv("REPRO_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(runner::repro_scale(), 1.0);
-  setenv("REPRO_SCALE", "0.25", 1);
-  EXPECT_EQ(runner::scaled(100, 50), 50u);  // floor respected
-  unsetenv("REPRO_SCALE");
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

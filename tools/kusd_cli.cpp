@@ -531,11 +531,12 @@ int cmd_sweep(const Args& args) {
   table.reserve(total);
   std::size_t cells = 0;
   // Rows are written as they arrive but flushed once per batch of rows
-  // that were ready together: the journal (flushed per cell by the
-  // service, before the row gets here) is the durable record, so the CSV
-  // and JSONL may trail it by at most one batch and never lead it. The
-  // stderr progress lines are buffered the same way (nothing has been
-  // written to stderr yet, which setvbuf requires).
+  // that were ready together, and after the run's first row, which would
+  // otherwise wait for the rest of its batch: the journal (flushed per
+  // cell by the service, before the row gets here) is the durable record,
+  // so the CSV and JSONL may trail it by at most one batch and never lead
+  // it. The stderr progress lines are buffered the same way (nothing has
+  // been written to stderr yet, which setvbuf requires).
   static char progress_buffer[1 << 16];
   std::setvbuf(stderr, progress_buffer, _IOFBF, sizeof progress_buffer);
   std::string progress;  // one progress line, reused across rows
@@ -584,7 +585,7 @@ int cmd_sweep(const Args& args) {
           progress += "s\n";
         }
         std::fwrite(progress.data(), 1, progress.size(), stderr);
-        if (event.last_in_batch) flush_outputs();
+        if (event.last_in_batch || cells == 1) flush_outputs();
       });
   open_outputs();  // a shard with no cells still writes the CSV header
   flush_outputs();

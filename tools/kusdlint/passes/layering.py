@@ -166,7 +166,7 @@ class LayeringPass(base.Pass):
                                     f"DECLARED_DAG)"))
                     continue
                 # Not a module path: accept a file that resolves next to
-                # the includer (bench_common.hpp style) or relative to the
+                # the includer (tests/chi_square.hpp style) or relative to the
                 # repo root (tools/ sources are compiled with -I src).
                 parent = (ctx.root / rel).parent
                 if (parent / target).exists() or \
