@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
           ++votes[static_cast<std::size_t>(reading)];
         }
         const pp::Configuration initial(votes, 0);
-        runner::RunOptions opts;
-        opts.track_phases = false;
-        const auto result = runner::run_usd(initial, rng.next_u64(), opts);
+        const auto result = runner::run_usd(initial, rng.next_u64());
         return result.converged && result.winner == true_class ? 1 : 0;
       });
 

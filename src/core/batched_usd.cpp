@@ -34,8 +34,11 @@ void BatchedUsdSimulator::step(std::uint64_t max_length) {
   }
 }
 
-bool BatchedUsdSimulator::run_to_consensus(std::uint64_t max_interactions) {
-  return detail::run_sim_to_consensus(*this, max_interactions);
+void BatchedUsdSimulator::advance(std::uint64_t budget) {
+  const std::uint64_t target = saturating_add(interactions_, budget);
+  while (!is_consensus() && interactions_ < target) {
+    step(target - interactions_);
+  }
 }
 
 }  // namespace kusd::core

@@ -1,5 +1,6 @@
 // Batched simulator for the asynchronous USD chain: Θ(n) interactions per
-// O(k) work via chunked Poissonization (tau-leaping).
+// O(k) work via chunked Poissonization (tau-leaping). It is the registry's
+// `batched` engine.
 //
 // Each step freezes the per-interaction transition rates at the current
 // configuration and draws the aggregate event counts of a whole chunk of
@@ -10,7 +11,7 @@
 // the chunk is a single interaction, and accurate whenever the rates
 // change little across a chunk. The chunk length comes from a
 // ChunkController — a fixed fraction of n (ChunkPolicy::kFixed, the
-// bit-compatible default) or an error-controlled adaptive schedule
+// default) or an error-controlled adaptive schedule
 // (ChunkPolicy::kAdaptive) that bounds the predicted rate drift per chunk
 // (see chunk_controller.hpp). Chunks that would overshoot a count are
 // halved and redrawn down to a single interaction, which is always exact,
@@ -29,44 +30,44 @@
 #include <vector>
 
 #include "core/chunk_controller.hpp"
+#include "core/engine.hpp"
 #include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 
 namespace kusd::core {
 
-class BatchedUsdSimulator {
+class BatchedUsdSimulator final : public Engine {
  public:
   BatchedUsdSimulator(const pp::Configuration& initial, rng::Rng rng,
                       ChunkOptions options = {});
 
   /// Advance one chunk (possibly halved on overshoot; at least one
   /// interaction). The proposed chunk is clamped to `max_length`
-  /// interactions, which sim's `batched` engine uses to land exactly on
-  /// advance targets and observation boundaries.
+  /// interactions, which advance() uses to land exactly on its target.
   void step(std::uint64_t max_length = ~std::uint64_t{0});
 
-  /// Run until consensus or until `max_interactions` have elapsed.
-  bool run_to_consensus(std::uint64_t max_interactions);
+  /// Steps until consensus or until exactly `budget` more interactions
+  /// have elapsed: the last chunk is clamped to the target.
+  void advance(std::uint64_t budget) override;
 
-  // ---- Inspection (mirrors UsdSimulator) ----
+  // ---- Inspection ----
   [[nodiscard]] std::uint64_t interactions() const { return interactions_; }
+  /// Native time is interactions.
+  [[nodiscard]] std::uint64_t elapsed() const override {
+    return interactions_;
+  }
   /// Number of multinomial chunks drawn so far (including halved retries).
   [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] int k() const { return static_cast<int>(opinions_.size()); }
-  [[nodiscard]] std::span<const pp::Count> opinions() const {
+  [[nodiscard]] pp::Count n() const override { return n_; }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
     return opinions_;
   }
-  [[nodiscard]] pp::Count opinion(int i) const {
-    return opinions_[static_cast<std::size_t>(i)];
+  [[nodiscard]] pp::Count undecided() const override { return undecided_; }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
   }
-  [[nodiscard]] pp::Count undecided() const { return undecided_; }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
-  [[nodiscard]] pp::Configuration configuration() const {
-    return pp::Configuration(opinions_, undecided_);
-  }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
 
  private:
   std::vector<pp::Count> opinions_;

@@ -1,9 +1,7 @@
-// Default native-time budgets for the asynchronous engines.
-//
-// Lives in core (not runner) so the sim-layer engine adapters can publish
-// their default budgets without reaching up the layer stack: the layering
-// contract is util/rng/stats/urn -> core/pp/... -> sim -> runner, and this
-// cap is needed on both sides of the sim boundary.
+// Default native-time budgets of the engines: each engine's
+// Engine::default_budget(), and the published copies the registry hands
+// to drivers that report a cap without constructing an engine
+// (sim::EngineInfo::default_budget).
 #pragma once
 
 #include <cmath>
@@ -24,6 +22,19 @@ namespace kusd::core {
   // uint64 range; saturate instead of an unrepresentable (UB) cast.
   constexpr double kMax = 18446744073709549568.0;  // largest double < 2^64
   return cap >= kMax ? ~std::uint64_t{0} : static_cast<std::uint64_t>(cap);
+}
+
+/// Generous round caps of the round models: the synchronized variant
+/// (SyncUsd, super-rounds) is O(log^2 n) w.h.p., gossip (GossipUsd,
+/// rounds) O(k log n).
+[[nodiscard]] inline std::uint64_t sync_round_cap(pp::Count n) {
+  const double lg = std::log2(static_cast<double>(n)) + 1.0;
+  return static_cast<std::uint64_t>(64.0 * lg * lg) + 256;
+}
+
+[[nodiscard]] inline std::uint64_t gossip_round_cap(pp::Count n, int k) {
+  const double lg = std::log2(static_cast<double>(n)) + 1.0;
+  return static_cast<std::uint64_t>(64.0 * static_cast<double>(k) * lg) + 256;
 }
 
 }  // namespace kusd::core

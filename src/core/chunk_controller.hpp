@@ -9,9 +9,8 @@
 // per-class counts and class weights. ChunkController turns that
 // prediction into a step-size policy:
 //
-//  * ChunkPolicy::kFixed — the PR-2 behaviour, bit-for-bit: a constant
-//    chunk of chunk_fraction * n interactions. Kept as the default so
-//    seeded runs stay reproducible across revisions.
+//  * ChunkPolicy::kFixed — a constant chunk of chunk_fraction * n
+//    interactions, the default.
 //  * ChunkPolicy::kAdaptive — an error-controlled chunk in the style of
 //    Cao–Gillespie tau-selection: the largest m such that, for every
 //    count c with per-interaction drift mu_c and variance sigma2_c,
@@ -85,9 +84,8 @@ inline constexpr double kChunkGrowFactor = 2.0;
 /// effect on the bias; ROADMAP item 1 deletes it.
 inline constexpr double kTrendAlpha = 0.25;
 
-/// Options of the batched engine's chunk schedule. The first member keeps
-/// brace-initialization compatibility with the PR-2 BatchedOptions
-/// (`{0.02}` still means "fixed 2% chunks").
+/// Options of the batched engines' chunk schedule; `{0.02}` means
+/// "fixed 2% chunks".
 struct ChunkOptions {
   /// Chunk length under kFixed, as a fraction of n.
   double chunk_fraction = 0.02;

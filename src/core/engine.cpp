@@ -1,10 +1,23 @@
-#include "sim/engine.hpp"
+#include "core/engine.hpp"
 
 #include <algorithm>
 
+#include "core/budget.hpp"
 #include "util/check.hpp"
 
-namespace kusd::sim {
+namespace kusd::core {
+
+double Engine::parallel_time() const {
+  return static_cast<double>(elapsed()) / static_cast<double>(n());
+}
+
+std::uint64_t Engine::default_budget() const {
+  return default_interaction_cap(n(), k());
+}
+
+std::uint64_t Engine::default_observe_interval() const {
+  return std::max<std::uint64_t>(1, n() / 8);
+}
 
 bool Engine::run_to_consensus(std::uint64_t max_native) {
   while (!is_consensus() && elapsed() < max_native) {
@@ -34,4 +47,4 @@ bool Engine::run_observed(std::uint64_t max_native, std::uint64_t interval,
   return is_consensus();
 }
 
-}  // namespace kusd::sim
+}  // namespace kusd::core

@@ -1,9 +1,7 @@
-// Shared stepping for the simulators, in one place so the engines cannot
-// drift apart: the tau-leap step of BatchedUsdSimulator and
-// sim::BatchedGraphEngine, and the run-to-consensus loop of UsdSimulator
-// and BatchedUsdSimulator, which expose the same stepping surface (step /
-// is_consensus / interactions). Observation has one loop, above the
-// simulators: sim::Engine::run_observed.
+// The tau-leap step, shared by BatchedUsdSimulator and
+// sim::BatchedGraphEngine so the two engines cannot drift apart: the
+// first runs it with one class of weight 1, the second over degree
+// classes. Running and observation are Engine's (core/engine.hpp).
 #pragma once
 
 #include <algorithm>
@@ -47,15 +45,3 @@ inline std::uint64_t tau_leap_step(ChunkController& controller,
 }
 
 }  // namespace kusd::core
-
-namespace kusd::core::detail {
-
-template <typename Sim>
-bool run_sim_to_consensus(Sim& sim, std::uint64_t max_interactions) {
-  while (!sim.is_consensus() && sim.interactions() < max_interactions) {
-    sim.step();
-  }
-  return sim.is_consensus();
-}
-
-}  // namespace kusd::core::detail

@@ -1,6 +1,5 @@
 #include "core/usd.hpp"
 
-#include "core/stepping.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -47,13 +46,6 @@ UsdSimulator::UsdSimulator(const pp::Configuration& initial, rng::Rng rng,
   for (int i = 0; i < initial.k(); ++i) {
     if (initial.opinion(i) == n_) winner_ = i;
   }
-}
-
-pp::Configuration UsdSimulator::configuration() const {
-  return pp::Configuration(
-      std::vector<pp::Count>(opinions_.counts().begin(),
-                             opinions_.counts().end()),
-      undecided_);
 }
 
 void UsdSimulator::adopt(int opinion) {
@@ -130,8 +122,9 @@ void UsdSimulator::step_skip() {
   }
 }
 
-bool UsdSimulator::run_to_consensus(std::uint64_t max_interactions) {
-  return detail::run_sim_to_consensus(*this, max_interactions);
+void UsdSimulator::advance(std::uint64_t budget) {
+  const std::uint64_t target = saturating_add(interactions_, budget);
+  while (!is_consensus() && interactions_ < target) step();
 }
 
 }  // namespace kusd::core

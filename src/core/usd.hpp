@@ -5,18 +5,20 @@
 //  * UsdProtocol — the transition function, the form in which the
 //    protocol is stated in Section 2 of the paper; core::GraphScheduler
 //    applies it edge by edge.
-//  * UsdSimulator — the tuned count-based engine used by the benches. It
-//    samples the exact same Markov chain (one uniformly random ordered
-//    (responder, initiator) pair per interaction, self-pairs allowed) but
-//    exploits USD structure: only the responder ever changes, consensus is
-//    detectable in O(1), and unproductive interactions can optionally be
-//    skipped in bulk with an exact geometric jump (StepMode::kSkipUnproductive).
+//  * UsdSimulator — the tuned count-based engine, the registry's `every`
+//    and `skip`. It samples the exact same Markov chain (one uniformly
+//    random ordered (responder, initiator) pair per interaction,
+//    self-pairs allowed) but exploits USD structure: only the responder
+//    ever changes, consensus is detectable in O(1), and unproductive
+//    interactions can optionally be skipped in bulk with an exact
+//    geometric jump (StepMode::kSkipUnproductive).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "urn/urn.hpp"
@@ -60,7 +62,7 @@ struct UsdOptions {
   StepMode mode = StepMode::kEveryInteraction;
 };
 
-class UsdSimulator {
+class UsdSimulator final : public Engine {
  public:
   UsdSimulator(const pp::Configuration& initial, rng::Rng rng,
                UsdOptions options = {});
@@ -69,25 +71,27 @@ class UsdSimulator {
   /// interaction plus the unproductive run before it (kSkipUnproductive).
   void step();
 
-  /// Run until consensus or until `max_interactions` have elapsed.
-  /// Returns true iff consensus was reached.
-  bool run_to_consensus(std::uint64_t max_interactions);
+  /// Steps until consensus or until `budget` more interactions have
+  /// elapsed; a skip step's geometric jump may overshoot the target by
+  /// part of one jump.
+  void advance(std::uint64_t budget) override;
 
   // ---- Inspection ----
   [[nodiscard]] std::uint64_t interactions() const { return interactions_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] int k() const { return static_cast<int>(opinions_.size()); }
-  [[nodiscard]] std::span<const pp::Count> opinions() const {
+  /// Native time is interactions.
+  [[nodiscard]] std::uint64_t elapsed() const override {
+    return interactions_;
+  }
+  [[nodiscard]] pp::Count n() const override { return n_; }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
     return opinions_.counts();
   }
-  [[nodiscard]] pp::Count opinion(int i) const {
-    return opinions_.count(static_cast<std::size_t>(i));
+  [[nodiscard]] pp::Count undecided() const override { return undecided_; }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
   }
-  [[nodiscard]] pp::Count undecided() const { return undecided_; }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
   /// The consensus opinion; only valid when is_consensus().
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
-  [[nodiscard]] pp::Configuration configuration() const;
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
 
  private:
   void step_plain();

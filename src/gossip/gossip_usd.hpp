@@ -8,6 +8,7 @@
 // that keep their opinion are one binomial per opinion, and the undecided
 // agents' adoptions one multinomial over the pre-round state distribution,
 // so one round costs at most 2k binomial draws instead of O(n) samples.
+// It is the registry's `gossip` engine.
 #pragma once
 
 #include <cstdint>
@@ -15,33 +16,44 @@
 #include <span>
 #include <vector>
 
+#include "core/budget.hpp"
+#include "core/engine.hpp"
 #include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 
 namespace kusd::gossip {
 
-class GossipUsd {
+class GossipUsd final : public core::Engine {
  public:
   GossipUsd(const pp::Configuration& initial, rng::Rng rng);
 
   /// Execute one synchronous round.
   void round();
 
-  /// Returns true iff consensus was reached within `max_rounds`.
-  bool run_to_consensus(std::uint64_t max_rounds);
+  /// Rounds until consensus or until `budget` more have elapsed.
+  void advance(std::uint64_t budget) override;
 
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] int k() const { return static_cast<int>(opinions_.size()); }
-  [[nodiscard]] std::span<const pp::Count> opinions() const {
+  [[nodiscard]] pp::Count n() const override { return n_; }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
     return opinions_;
   }
-  [[nodiscard]] pp::Count undecided() const { return undecided_; }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
-  [[nodiscard]] pp::Configuration configuration() const {
-    return pp::Configuration(opinions_, undecided_);
+  [[nodiscard]] pp::Count undecided() const override { return undecided_; }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
+  }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
+  /// Native time is rounds.
+  [[nodiscard]] std::uint64_t elapsed() const override { return rounds_; }
+  [[nodiscard]] double parallel_time() const override {
+    return static_cast<double>(rounds_);
+  }
+  [[nodiscard]] std::uint64_t default_budget() const override {
+    return core::gossip_round_cap(n_, k());
+  }
+  [[nodiscard]] std::uint64_t default_observe_interval() const override {
+    return 1;
   }
 
  private:

@@ -33,19 +33,14 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
       options.engine, initial, seed,
       engine_options(core::ChunkOptions{}, point, topology));
 
-  const std::uint64_t cap = engine->default_budget();
-  if (options.track_phases) {
-    core::PhaseTracker tracker(initial.n());
-    result.converged = engine->run_observed(
-        cap, engine->default_observe_interval(),
-        [&tracker](std::uint64_t t, std::span<const pp::Count> opinions,
-                   pp::Count undecided) {
-          tracker.observe(t, opinions, undecided);
-        });
-    result.phases = tracker.times();
-  } else {
-    result.converged = engine->run_to_consensus(cap);
-  }
+  core::PhaseTracker tracker(initial.n());
+  result.converged = engine->run_observed(
+      engine->default_budget(), engine->default_observe_interval(),
+      [&tracker](std::uint64_t t, std::span<const pp::Count> opinions,
+                 pp::Count undecided) {
+        tracker.observe(t, opinions, undecided);
+      });
+  result.phases = tracker.times();
 
   result.interactions = engine->elapsed();
   result.parallel_time = engine->parallel_time();

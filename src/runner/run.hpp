@@ -14,8 +14,9 @@
 // would build its own from. The trial runs under the engine's own budget
 // (for the asynchronous engines 64 * k * n * (ln n + 1), several times the
 // paper's O(k n log n)), so a disconnected topology is the sweep's
-// foregone timeout. Phases are observed through sim::Engine::run_observed,
-// the one observation loop.
+// foregone timeout. Phases T1..T5 are always tracked, from snapshots at the
+// engine's observation interval (n/8 interactions, a resolution far below
+// the phase lengths, or one round) through Engine::run_observed.
 //
 // This driver lives in runner — above sim in the layering DAG — because
 // it resolves engines by name through the registry; core stays below sim
@@ -37,10 +38,6 @@ struct RunOptions {
   std::string engine = "skip";
   /// Topology for the graph engine.
   sim::GraphSpec graph;
-  /// Track T1..T5 from snapshots at the engine's observation interval
-  /// (n/8 interactions, a resolution far below the phase lengths, or one
-  /// round).
-  bool track_phases = true;
 };
 
 struct RunResult {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/budget.hpp"
 #include "core/stepping.hpp"
 #include "pp/configuration.hpp"
 #include "pp/degree_classes.hpp"
@@ -95,18 +94,10 @@ void BatchedGraphEngine::refresh_totals() {
 }
 
 void BatchedGraphEngine::advance(std::uint64_t budget) {
-  const std::uint64_t target = saturating_add(interactions_, budget);
+  const std::uint64_t target = core::saturating_add(interactions_, budget);
   while (!winner_.has_value() && interactions_ < target) {
     step(target - interactions_);
   }
-}
-
-std::uint64_t BatchedGraphEngine::default_budget() const {
-  return core::default_interaction_cap(n_, k());
-}
-
-std::uint64_t BatchedGraphEngine::default_observe_interval() const {
-  return std::max<std::uint64_t>(1, n_ / 8);
 }
 
 }  // namespace kusd::sim

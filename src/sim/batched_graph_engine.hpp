@@ -72,15 +72,10 @@ class BatchedGraphEngine final : public Engine {
   [[nodiscard]] std::uint64_t elapsed() const override {
     return interactions_;
   }
-  [[nodiscard]] double parallel_time() const override {
-    return static_cast<double>(interactions_) / static_cast<double>(n_);
-  }
   [[nodiscard]] bool is_consensus() const override {
     return winner_.has_value();
   }
   [[nodiscard]] int consensus_opinion() const override { return *winner_; }
-  [[nodiscard]] std::uint64_t default_budget() const override;
-  [[nodiscard]] std::uint64_t default_observe_interval() const override;
 
   // ---- Introspection (tests, benches) ----
   /// Multinomial chunks drawn so far (including halved retries).

@@ -1,7 +1,5 @@
 #include "sim/engines.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -22,153 +20,7 @@
 
 namespace kusd::sim {
 
-std::uint64_t sync_round_cap(pp::Count n) {
-  const double lg = std::log2(static_cast<double>(n)) + 1.0;
-  return static_cast<std::uint64_t>(64.0 * lg * lg) + 256;
-}
-
-std::uint64_t gossip_round_cap(pp::Count n, int k) {
-  const double lg = std::log2(static_cast<double>(n)) + 1.0;
-  return static_cast<std::uint64_t>(64.0 * static_cast<double>(k) * lg) + 256;
-}
-
 namespace {
-
-/// every / skip: UsdSimulator stepped one (productive) interaction at a
-/// time. The skip mode's geometric jumps may overshoot an advance target
-/// by part of one jump, exactly as UsdSimulator's own run loop does.
-class UsdEngine final : public Engine {
- public:
-  UsdEngine(const pp::Configuration& initial, std::uint64_t seed,
-            core::StepMode mode)
-      : sim_(initial, rng::Rng(seed), core::UsdOptions{mode}) {}
-
-  void advance(std::uint64_t budget) override {
-    const std::uint64_t target = saturating_add(sim_.interactions(), budget);
-    while (!sim_.is_consensus() && sim_.interactions() < target) sim_.step();
-  }
-  std::span<const pp::Count> counts() const override {
-    return sim_.opinions();
-  }
-  pp::Count undecided() const override { return sim_.undecided(); }
-  pp::Count n() const override { return sim_.n(); }
-  std::uint64_t elapsed() const override { return sim_.interactions(); }
-  double parallel_time() const override {
-    return static_cast<double>(sim_.interactions()) /
-           static_cast<double>(sim_.n());
-  }
-  bool is_consensus() const override { return sim_.is_consensus(); }
-  int consensus_opinion() const override { return sim_.consensus_opinion(); }
-  std::uint64_t default_budget() const override {
-    return core::default_interaction_cap(sim_.n(), sim_.k());
-  }
-  std::uint64_t default_observe_interval() const override {
-    return std::max<std::uint64_t>(1, sim_.n() / 8);
-  }
-
- private:
-  core::UsdSimulator sim_;
-};
-
-/// batched: chunked tau-leap, clamped so advance() and observation
-/// boundaries are exact.
-class BatchedEngine final : public Engine {
- public:
-  BatchedEngine(const pp::Configuration& initial, std::uint64_t seed,
-                const core::ChunkOptions& options)
-      : sim_(initial, rng::Rng(seed), options) {}
-
-  void advance(std::uint64_t budget) override {
-    const std::uint64_t target = saturating_add(sim_.interactions(), budget);
-    while (!sim_.is_consensus() && sim_.interactions() < target) {
-      sim_.step(target - sim_.interactions());
-    }
-  }
-  std::span<const pp::Count> counts() const override {
-    return sim_.opinions();
-  }
-  pp::Count undecided() const override { return sim_.undecided(); }
-  pp::Count n() const override { return sim_.n(); }
-  std::uint64_t elapsed() const override { return sim_.interactions(); }
-  double parallel_time() const override {
-    return static_cast<double>(sim_.interactions()) /
-           static_cast<double>(sim_.n());
-  }
-  bool is_consensus() const override { return sim_.is_consensus(); }
-  int consensus_opinion() const override { return sim_.consensus_opinion(); }
-  std::uint64_t default_budget() const override {
-    return core::default_interaction_cap(sim_.n(), sim_.k());
-  }
-  std::uint64_t default_observe_interval() const override {
-    return std::max<std::uint64_t>(1, sim_.n() / 8);
-  }
-
- private:
-  core::BatchedUsdSimulator sim_;
-};
-
-/// sync: native time is super-rounds; parallel_time counts every
-/// synchronous round including re-adoption sub-rounds (the comparable
-/// metric the paper's polylog bounds are stated in).
-class SyncEngine final : public Engine {
- public:
-  SyncEngine(const pp::Configuration& initial, std::uint64_t seed)
-      : sim_(initial, rng::Rng(seed)) {}
-
-  void advance(std::uint64_t budget) override {
-    const std::uint64_t target = saturating_add(sim_.super_rounds(), budget);
-    while (!sim_.is_consensus() && sim_.super_rounds() < target) {
-      sim_.super_round();
-    }
-  }
-  std::span<const pp::Count> counts() const override {
-    return sim_.opinions();
-  }
-  pp::Count undecided() const override { return 0; }  // fully decided between super-rounds
-  pp::Count n() const override { return sim_.n(); }
-  std::uint64_t elapsed() const override { return sim_.super_rounds(); }
-  double parallel_time() const override {
-    return static_cast<double>(sim_.total_rounds());
-  }
-  bool is_consensus() const override { return sim_.is_consensus(); }
-  int consensus_opinion() const override { return sim_.consensus_opinion(); }
-  std::uint64_t default_budget() const override {
-    return sync_round_cap(sim_.n());
-  }
-  std::uint64_t default_observe_interval() const override { return 1; }
-
- private:
-  core::SyncUsd sim_;
-};
-
-class GossipEngine final : public Engine {
- public:
-  GossipEngine(const pp::Configuration& initial, std::uint64_t seed)
-      : sim_(initial, rng::Rng(seed)) {}
-
-  void advance(std::uint64_t budget) override {
-    const std::uint64_t target = saturating_add(sim_.rounds(), budget);
-    while (!sim_.is_consensus() && sim_.rounds() < target) sim_.round();
-  }
-  std::span<const pp::Count> counts() const override {
-    return sim_.opinions();
-  }
-  pp::Count undecided() const override { return sim_.undecided(); }
-  pp::Count n() const override { return sim_.n(); }
-  std::uint64_t elapsed() const override { return sim_.rounds(); }
-  double parallel_time() const override {
-    return static_cast<double>(sim_.rounds());
-  }
-  bool is_consensus() const override { return sim_.is_consensus(); }
-  int consensus_opinion() const override { return sim_.consensus_opinion(); }
-  std::uint64_t default_budget() const override {
-    return gossip_round_cap(sim_.n(), sim_.k());
-  }
-  std::uint64_t default_observe_interval() const override { return 1; }
-
- private:
-  gossip::GossipUsd sim_;
-};
 
 /// graph: the USD transition function under the edge-restricted scheduler.
 /// One uniformly random (oriented) edge per interaction; on the complete
@@ -219,7 +71,7 @@ class GraphUsdEngine final : public Engine {
 
   void advance(std::uint64_t budget) override {
     const std::uint64_t target =
-        saturating_add(scheduler_->steps(), budget);
+        core::saturating_add(scheduler_->steps(), budget);
     const std::size_t k = counts().size();
     while (!winner_.has_value() && scheduler_->steps() < target) {
       // Consensus can only newly hold after an adoption empties the
@@ -245,18 +97,8 @@ class GraphUsdEngine final : public Engine {
   }
   pp::Count n() const override { return n_; }
   std::uint64_t elapsed() const override { return scheduler_->steps(); }
-  double parallel_time() const override {
-    return static_cast<double>(scheduler_->steps()) /
-           static_cast<double>(n_);
-  }
   bool is_consensus() const override { return winner_.has_value(); }
   int consensus_opinion() const override { return *winner_; }
-  std::uint64_t default_budget() const override {
-    return core::default_interaction_cap(n_, k());
-  }
-  std::uint64_t default_observe_interval() const override {
-    return std::max<std::uint64_t>(1, n_ / 8);
-  }
 
  private:
   pp::Count n_;
@@ -278,7 +120,7 @@ std::vector<LockstepTrialResult> run_batched_trials(
   std::vector<LockstepTrialResult> results;
   results.reserve(seeds.size());
   for (const std::uint64_t seed : seeds) {
-    BatchedEngine engine(initial, seed, options.batch);
+    core::BatchedUsdSimulator engine(initial, rng::Rng(seed), options.batch);
     const bool converged = engine.run_to_consensus(budget);
     results.push_back({.parallel_time = engine.parallel_time(),
                        .converged = converged,
@@ -302,8 +144,9 @@ void register_builtin_engines(Registry& registry) {
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
                        const EngineOptions&) {
-                      return std::make_unique<UsdEngine>(
-                          initial, seed, core::StepMode::kEveryInteraction);
+                      return std::make_unique<core::UsdSimulator>(
+                          initial, rng::Rng(seed),
+                          core::UsdOptions{core::StepMode::kEveryInteraction});
                     },
                 .description = "exact chain, one interaction per step",
                 .default_budget = interaction_budget,
@@ -312,8 +155,9 @@ void register_builtin_engines(Registry& registry) {
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
                        const EngineOptions&) {
-                      return std::make_unique<UsdEngine>(
-                          initial, seed, core::StepMode::kSkipUnproductive);
+                      return std::make_unique<core::UsdSimulator>(
+                          initial, rng::Rng(seed),
+                          core::UsdOptions{core::StepMode::kSkipUnproductive});
                     },
                 .description =
                     "exact chain, geometric skips over unproductive runs",
@@ -323,8 +167,8 @@ void register_builtin_engines(Registry& registry) {
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
                        const EngineOptions& options) {
-                      return std::make_unique<BatchedEngine>(initial, seed,
-                                                             options.batch);
+                      return std::make_unique<core::BatchedUsdSimulator>(
+                          initial, rng::Rng(seed), options.batch);
                     },
                 .description =
                     "chunked tau-leap, O(k) per Theta(n) interactions",
@@ -334,8 +178,8 @@ void register_builtin_engines(Registry& registry) {
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
                        const EngineOptions& options) {
-                      return std::make_unique<BatchedEngine>(initial, seed,
-                                                             options.batch);
+                      return std::make_unique<core::BatchedUsdSimulator>(
+                          initial, rng::Rng(seed), options.batch);
                     },
                 .description = "alias of batched, kept for kusdbench's "
                                "trace (ROADMAP item 2)",
@@ -346,23 +190,25 @@ void register_builtin_engines(Registry& registry) {
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
                        const EngineOptions&) {
-                      return std::make_unique<SyncEngine>(initial, seed);
+                      return std::make_unique<core::SyncUsd>(initial,
+                                                             rng::Rng(seed));
                     },
                 .description =
                     "synchronized round model (exact, <= k draws per round)",
                 .default_budget = [](pp::Count n,
-                                     int) { return sync_round_cap(n); },
+                                     int) { return core::sync_round_cap(n); },
                 .requires_decided_start = true});
   registry.add("gossip",
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,
                        const EngineOptions&) {
-                      return std::make_unique<GossipEngine>(initial, seed);
+                      return std::make_unique<gossip::GossipUsd>(
+                          initial, rng::Rng(seed));
                     },
                 .description =
                     "gossip/PULL round model (exact, <= 2k draws per round)",
                 .default_budget = [](pp::Count n, int k) {
-                  return gossip_round_cap(n, k);
+                  return core::gossip_round_cap(n, k);
                 }});
   registry.add("graph",
                {.factory =

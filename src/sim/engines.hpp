@@ -1,28 +1,25 @@
-// Built-in engine adapters and their registration.
+// The built-in engines and their registration.
 //
-// The adapters wrap the concrete simulators (core::UsdSimulator,
-// core::BatchedUsdSimulator, core::SyncUsd, gossip::GossipUsd,
-// core::GraphScheduler) behind sim::Engine without changing their dynamics:
-// each adapter drives the exact step/chunk/round calls the simulator's own
-// run loop would, so seeded trajectories are identical to driving the
-// simulator directly.
+// Most entries construct a simulator directly: `every` and `skip` are
+// core::UsdSimulator, `batched` (and its alias `batched-lockstep`) is
+// core::BatchedUsdSimulator, `sync` is core::SyncUsd and `gossip` is
+// gossip::GossipUsd, each a core::Engine itself. The two engines that own
+// a topology are sim's own: `graph` (core::GraphScheduler over a realized
+// edge set, in engines.cpp) and `graph-batched` (sim::BatchedGraphEngine).
 #pragma once
 
-#include <cstdint>
-
-#include "pp/configuration.hpp"
+#include "core/budget.hpp"
 #include "sim/registry.hpp"
 
 namespace kusd::sim {
 
-/// Register the built-in engines (every, skip, batched, sync, gossip,
-/// graph) into `registry`. Called once by the Registry constructor.
+/// Register the built-in engines into `registry`. Called once by the
+/// Registry constructor.
 void register_builtin_engines(Registry& registry);
 
-/// Generous round caps used as the sync/gossip default budgets: the
-/// synchronized variant is O(log^2 n) super-rounds w.h.p., gossip
-/// O(k log n) rounds.
-[[nodiscard]] std::uint64_t sync_round_cap(pp::Count n);
-[[nodiscard]] std::uint64_t gossip_round_cap(pp::Count n, int k);
+/// The round models' default budgets live in core/budget.hpp; these keep
+/// the sim:: spelling that kusdbench's trace driver reads.
+using core::gossip_round_cap;
+using core::sync_round_cap;
 
 }  // namespace kusd::sim

@@ -6,14 +6,16 @@
 // (population caps, start-profile constraints, which option groups the
 // engine reads). All engine construction in runner::run_usd, runner::Sweep
 // and kusd_cli goes through here; there is no per-engine switch anywhere
-// above the adapters.
+// above the factories, which construct the simulators (each a
+// core::Engine) directly.
 //
-// Registering an engine:
+// Registering an engine, a simulator that implements core::Engine:
 //
 //   sim::Registry::instance().add("my-engine", {
 //       .factory = [](const pp::Configuration& x0, std::uint64_t seed,
 //                     const sim::EngineOptions& options) {
-//         return std::make_unique<MyEngine>(x0, seed, options);
+//         return std::make_unique<MySimulator>(x0, rng::Rng(seed),
+//                                              options.batch);
 //       },
 //       .description = "one-line summary for --help and docs",
 //   });

@@ -27,7 +27,7 @@ using pp::Configuration;
 
 std::uint64_t population(const BatchedUsdSimulator& sim) {
   std::uint64_t total = sim.undecided();
-  for (auto c : sim.opinions()) total += c;
+  for (auto c : sim.counts()) total += c;
   return total;
 }
 
@@ -57,7 +57,7 @@ TEST(BatchedUsd, ReachesConsensusAndDetectsIt) {
     ASSERT_TRUE(sim.run_to_consensus(~std::uint64_t{0}));
     const int w = sim.consensus_opinion();
     ASSERT_TRUE(w == 0 || w == 1);
-    EXPECT_EQ(sim.opinion(w), 2000u);
+    EXPECT_EQ(sim.counts()[static_cast<std::size_t>(w)], 2000u);
     EXPECT_EQ(sim.undecided(), 0u);
   }
 }
@@ -84,7 +84,7 @@ TEST(BatchedUsd, DeterministicForSameSeed) {
 TEST(BatchedUsd, HonorsInteractionCap) {
   BatchedUsdSimulator sim(Configuration::uniform(100000, 8, 0), rng::Rng(8));
   EXPECT_FALSE(sim.run_to_consensus(1000));
-  EXPECT_GE(sim.interactions(), 1000u);
+  EXPECT_EQ(sim.interactions(), 1000u);
 }
 
 TEST(BatchedUsd, DetectsPreexistingConsensus) {

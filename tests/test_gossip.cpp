@@ -19,7 +19,7 @@ TEST(GossipUsd, RoundConservesPopulation) {
   for (int i = 0; i < 50 && !g.is_consensus(); ++i) {
     g.round();
     std::uint64_t total = g.undecided();
-    for (auto c : g.opinions()) total += c;
+    for (auto c : g.counts()) total += c;
     ASSERT_EQ(total, 1000u);
   }
 }

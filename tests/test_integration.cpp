@@ -18,14 +18,7 @@ namespace kusd {
 namespace {
 
 using runner::run_usd;
-using runner::RunOptions;
 using pp::Configuration;
-
-RunOptions fast_opts() {
-  RunOptions opts;
-  opts.track_phases = false;
-  return opts;
-}
 
 // Theorem 2(2): with an additive bias of Omega(sqrt(n log n)) the plurality
 // wins w.h.p.
@@ -39,7 +32,7 @@ TEST(Theorem2, AdditiveBiasPluralityWins) {
   const auto results = runner::run_trials<int>(
       30, 555,
       [&x0](std::uint64_t seed) {
-        const auto r = run_usd(x0, seed, fast_opts());
+        const auto r = run_usd(x0, seed);
         return r.converged && r.plurality_won ? 1 : 0;
       });
   int wins = 0;
@@ -56,13 +49,11 @@ TEST(Theorem2, MultiplicativeBiasIsFasterThanNoBias) {
   const auto flat = Configuration::uniform(n, k, 0);
   const auto t_mult = runner::run_trials_samples(
       12, 888, [&mult](std::uint64_t seed) {
-        return static_cast<double>(run_usd(mult, seed, fast_opts())
-                                       .interactions);
+        return static_cast<double>(run_usd(mult, seed).interactions);
       });
   const auto t_flat = runner::run_trials_samples(
       12, 889, [&flat](std::uint64_t seed) {
-        return static_cast<double>(run_usd(flat, seed, fast_opts())
-                                       .interactions);
+        return static_cast<double>(run_usd(flat, seed).interactions);
       });
   EXPECT_LT(t_mult.mean(), t_flat.mean());
 }
@@ -77,7 +68,7 @@ TEST(Theorem2, NoBiasConvergesWithinBudget) {
                         std::log(static_cast<double>(n));
   const auto results = runner::run_trials<double>(
       16, 111, [&x0](std::uint64_t seed) {
-        const auto r = run_usd(x0, seed, fast_opts());
+        const auto r = run_usd(x0, seed);
         EXPECT_TRUE(r.converged);
         EXPECT_TRUE(r.winner_initially_significant);
         return static_cast<double>(r.interactions);
@@ -133,7 +124,7 @@ TEST(Phases, SupermajorityWinsWithinNLogN) {
   const double bound = 40.0 * static_cast<double>(n) *
                        std::log(static_cast<double>(n));
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const auto r = run_usd(x0, seed, fast_opts());
+    const auto r = run_usd(x0, seed);
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.winner, 0) << "seed " << seed;
     EXPECT_LE(static_cast<double>(r.interactions), bound);
@@ -151,8 +142,7 @@ TEST(Theorem2, AdditiveBiasScalingExponent) {
     const auto x0 = Configuration::with_additive_bias(n, 4, 0, beta);
     const auto samples = runner::run_trials_samples(
         10, 1000 + n, [&x0](std::uint64_t seed) {
-          return static_cast<double>(
-              run_usd(x0, seed, fast_opts()).interactions);
+          return static_cast<double>(run_usd(x0, seed).interactions);
         });
     ns.push_back(static_cast<double>(n));
     ts.push_back(samples.mean());

@@ -203,7 +203,7 @@ TEST(Lockstep, RejectsEmptyBatchAndAllUndecidedStart) {
 }
 
 TEST(Lockstep, RegistryEngineMatchesBatchedEngine) {
-  // The batched-lockstep Engine adapter (a batch of one) must replay the
+  // The batched-lockstep registry entry (a batch of one) must replay the
   // plain batched engine bit for bit under the same seed and options.
   const auto x0 = Configuration::uniform(2000, 3, 200);
   auto& registry = sim::Registry::instance();
@@ -236,7 +236,7 @@ std::string render(const runner::Sweep& sweep) {
 
 TEST(Lockstep, SweepOutputIsByteIdenticalAcrossStripesAndThreads) {
   // The sweep runs batched-lockstep one trial at a time through the
-  // registry's single-trial adapter, with seeds derived from (point,
+  // registry's single-trial engine, with seeds derived from (point,
   // trial) alone — output cannot depend on thread scheduling or on how
   // trials are cut into stripes.
   runner::SweepSpec spec;
@@ -261,7 +261,7 @@ TEST(Lockstep, SweepOutputIsByteIdenticalAcrossStripesAndThreads) {
 TEST(Lockstep, SweepMatchesScalarBatchedEngineCellForCell) {
   // Per-stream bit-identity lifts to the sweep: the batched-lockstep
   // column of a sweep equals the batched column on every numeric field
-  // (only the engine name differs), because the one-trial adapter replays
+  // (only the engine name differs), because the one-trial engine replays
   // the exact per-trial stream the scalar engine is handed.
   // Two single-engine sweeps so the grid indices — and therefore the
   // per-point and per-trial seeds — line up exactly.

@@ -106,15 +106,6 @@ TEST(RunUsd, DeterministicAcrossCalls) {
   EXPECT_EQ(a.phases.t5, b.phases.t5);
 }
 
-TEST(RunUsd, PhaseTrackingOffLeavesPhasesEmpty) {
-  RunOptions opts;
-  opts.track_phases = false;
-  const auto result =
-      run_usd(Configuration::uniform(2000, 2, 0), 5, opts);
-  EXPECT_TRUE(result.converged);
-  EXPECT_FALSE(result.phases.t1.has_value());
-}
-
 TEST(RunUsd, DefaultCapScalesWithKAndN) {
   EXPECT_GT(core::default_interaction_cap(1000, 8),
             core::default_interaction_cap(1000, 2));

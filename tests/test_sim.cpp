@@ -1,6 +1,6 @@
 // The sim layer: the Engine interface, the string-keyed Registry, the
-// GraphSpec topology axis, and the property that the adapters preserve
-// the dynamics of the simulators they wrap.
+// GraphSpec topology axis, and the property that each registry factory
+// hands its simulator the right mode, options and seed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -122,7 +122,7 @@ TEST(Registry, CustomEnginesAreCreatable) {
   EXPECT_TRUE(engine->run_to_consensus(engine->default_budget()));
 }
 
-// ---- Adapters preserve the wrapped simulators' dynamics ----
+// ---- Each factory hands its simulator the right mode, options and seed ----
 
 TEST(EngineAdapters, SkipMatchesUsdSimulatorByteForByte) {
   const auto x0 = Configuration::uniform(1000, 3, 50);
@@ -405,7 +405,6 @@ TEST(RunUsd, EngineNameSelectsTheEngine) {
   const auto x0 = Configuration::uniform(500, 2, 0);
   runner::RunOptions options;
   options.engine = "sync";
-  options.track_phases = false;
   const auto result = runner::run_usd(x0, 3, options);
   ASSERT_TRUE(result.converged);
   // Native time for sync is super-rounds: polylog, nowhere near the
@@ -430,7 +429,6 @@ TEST(RunUsd, GraphEngineRunsWithTopology) {
 TEST(RunUsd, DefaultEngineIsSkip) {
   const auto x0 = Configuration::uniform(400, 3, 0);
   runner::RunOptions defaults;
-  defaults.track_phases = false;
   runner::RunOptions skip = defaults;
   skip.engine = "skip";
   const auto a = runner::run_usd(x0, 9, defaults);

@@ -115,8 +115,8 @@ TEST(TransitionProbs, EmpiricalOpinionStepFrequenciesMatch) {
   for (int t = 0; t < trials; ++t) {
     core::UsdSimulator sim(x, rng::Rng(r.next_u64()));
     sim.step();
-    if (sim.opinion(0) > 50) ++up0;
-    if (sim.opinion(0) < 50) ++down0;
+    if (sim.counts()[0] > 50) ++up0;
+    if (sim.counts()[0] < 50) ++down0;
   }
   const double sigma = std::sqrt(0.25 * trials);
   EXPECT_NEAR(up0, analysis::p_i_plus(x, 0) * trials, 5 * sigma);

@@ -25,7 +25,7 @@ using pp::Configuration;
 
 std::uint64_t population(const UsdSimulator& sim) {
   std::uint64_t total = sim.undecided();
-  for (auto c : sim.opinions()) total += c;
+  for (auto c : sim.counts()) total += c;
   return total;
 }
 
@@ -55,7 +55,7 @@ TEST(UsdSimulator, ReachesConsensusOnTinyPopulation) {
     ASSERT_TRUE(sim.is_consensus());
     const int w = sim.consensus_opinion();
     ASSERT_TRUE(w == 0 || w == 1);
-    EXPECT_EQ(sim.opinion(w), 10u);
+    EXPECT_EQ(sim.counts()[static_cast<std::size_t>(w)], 10u);
     EXPECT_EQ(sim.undecided(), 0u);
   }
 }

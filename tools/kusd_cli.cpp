@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -227,6 +228,72 @@ void append_number(std::string& out, Integer value) {
   char digits[24];
   out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
 }
+
+// The CSV and JSONL outputs of `sweep` and `merge`. Each file is opened
+// at the first row (or by open()): a run rejected before it emits anything
+// leaves files from an earlier run as they were, and a merge that fails
+// validation leaves no file behind.
+class RowSink {
+ public:
+  RowSink(std::string csv_path, std::string json_path)
+      : csv_path_(std::move(csv_path)), json_path_(std::move(json_path)) {}
+
+  void open() {
+    if (!csv_path_.empty() && !csv_) {
+      csv_.emplace(csv_path_, runner::Sweep::csv_header());
+    }
+    if (!json_path_.empty() && !json_) {
+      json_.reset(std::fopen(json_path_.c_str(), "w"));
+      if (!json_) throw std::runtime_error("cannot open " + json_path_);
+    }
+  }
+
+  void write(const std::vector<std::string>& row) {
+    open();
+    if (csv_) csv_->write_row(row);
+    if (json_) {
+      std::fprintf(json_.get(), "%s\n",
+                   runner::Sweep::json_line(row).c_str());
+    }
+  }
+
+  void flush() {
+    if (csv_) csv_->flush();
+    if (json_) std::fflush(json_.get());
+  }
+
+  /// Flush and close both outputs. A disk-full or I/O failure is reported
+  /// on stderr and returns 1, so a truncated file is never advertised as
+  /// complete output; on success, print `summary` and the output paths.
+  int close(const std::string& summary) {
+    int rc = 0;
+    // Flush before asking the stream: the last buffered rows are written
+    // only now, and that write can fail too.
+    if (csv_) csv_->flush();
+    if (csv_ && !csv_->ok()) {
+      std::fprintf(stderr, "error: writing %s failed\n", csv_path_.c_str());
+      rc = 1;
+    }
+    if (json_ && std::fclose(json_.release()) != 0) {
+      std::fprintf(stderr, "error: writing %s failed\n", json_path_.c_str());
+      rc = 1;
+    }
+    if (rc != 0) return rc;
+    std::printf("%s\n", summary.c_str());
+    if (!csv_path_.empty()) std::printf("csv: %s\n", csv_path_.c_str());
+    if (!json_path_.empty()) std::printf("jsonl: %s\n", json_path_.c_str());
+    return 0;
+  }
+
+ private:
+  std::string csv_path_;
+  std::string json_path_;
+  std::optional<runner::CsvWriter> csv_;
+  struct Close {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+  std::unique_ptr<std::FILE, Close> json_;
+};
 
 std::vector<std::string> split_list(const std::string& spec) {
   std::vector<std::string> items;
@@ -505,24 +572,7 @@ int cmd_sweep(const Args& args) {
   }
 
   const runner::Sweep sweep(std::move(spec));
-  const std::string csv_path = args.get_string("out", "");
-  const std::string json_path = args.get_string("json", "");
-  // The outputs are opened at the first row, as `kusd merge` opens its
-  // own: a run rejected before it emits anything (a --resume journal of
-  // another sweep, say) leaves files from an earlier run as they were.
-  std::optional<runner::CsvWriter> csv;
-  std::FILE* json = nullptr;
-  const auto open_outputs = [&] {
-    if (!csv_path.empty() && !csv) {
-      csv.emplace(csv_path, runner::Sweep::csv_header());
-    }
-    if (!json_path.empty() && json == nullptr) {
-      json = std::fopen(json_path.c_str(), "w");
-      if (json == nullptr) {
-        throw std::runtime_error("cannot open " + json_path);
-      }
-    }
-  };
+  RowSink sink(args.get_string("out", ""), args.get_string("json", ""));
 
   runner::Table table(runner::Sweep::csv_header());
   const auto shard_block =
@@ -541,19 +591,13 @@ int cmd_sweep(const Args& args) {
   std::setvbuf(stderr, progress_buffer, _IOFBF, sizeof progress_buffer);
   std::string progress;  // one progress line, reused across rows
   const auto flush_outputs = [&] {
-    if (csv) csv->flush();
-    if (json != nullptr) std::fflush(json);
+    sink.flush();
     std::fflush(stderr);
   };
   runner::run_sweep_service(
       sweep, service, [&](const runner::SweepRowEvent& event) {
-        open_outputs();
+        sink.write(*event.row);
         table.add_row(*event.row);
-        if (csv) csv->write_row(*event.row);
-        if (json != nullptr) {
-          std::fprintf(json, "%s\n",
-                       runner::Sweep::json_line(*event.row).c_str());
-        }
         ++cells;
         // Live progress on stderr; the aligned table needs all rows for
         // its column widths and is printed to stdout at the end. The line
@@ -587,26 +631,11 @@ int cmd_sweep(const Args& args) {
         std::fwrite(progress.data(), 1, progress.size(), stderr);
         if (event.last_in_batch || cells == 1) flush_outputs();
       });
-  open_outputs();  // a shard with no cells still writes the CSV header
+  sink.open();  // a shard with no cells still writes the CSV header
   flush_outputs();
   table.print();
-  int rc = 0;
-  if (csv && !csv->ok()) {
-    // A disk-full/I/O failure mid-sweep must not exit 0 advertising a
-    // truncated file as complete output.
-    std::fprintf(stderr, "error: writing %s failed\n", csv_path.c_str());
-    rc = 1;
-  }
-  if (json != nullptr && std::fclose(json) != 0) {
-    std::fprintf(stderr, "error: writing %s failed\n", json_path.c_str());
-    rc = 1;
-  }
-  // The summary advertises the outputs as complete: only on success.
-  if (rc != 0) return rc;
-  std::printf("%zu grid cells x %d trials\n", cells, sweep.spec().trials);
-  if (!csv_path.empty()) std::printf("csv: %s\n", csv_path.c_str());
-  if (!json_path.empty()) std::printf("jsonl: %s\n", json_path.c_str());
-  return 0;
+  return sink.close(std::to_string(cells) + " grid cells x " +
+                    std::to_string(sweep.spec().trials) + " trials");
 }
 
 int cmd_merge(const Args& args) {
@@ -624,47 +653,17 @@ int cmd_merge(const Args& args) {
     usage();
   }
 
-  // Output files are opened lazily on the first validated row:
-  // merge_journals validates every journal before emitting anything, so
-  // a failed merge leaves no output file behind — not even an empty one.
-  std::optional<runner::CsvWriter> csv;
-  std::FILE* json = nullptr;
+  // merge_journals validates every journal before it emits a row, and
+  // the sink opens its files at the first row.
+  RowSink sink(csv_path, json_path);
   std::size_t rows = 0;
   runner::merge_journals(
       inputs, [&](std::size_t /*index*/, const std::vector<std::string>& row) {
-        if (!csv_path.empty() && !csv) {
-          csv.emplace(csv_path, runner::Sweep::csv_header());
-        }
-        if (!json_path.empty() && json == nullptr) {
-          json = std::fopen(json_path.c_str(), "w");
-          if (json == nullptr) {
-            throw std::runtime_error("cannot open " + json_path);
-          }
-        }
-        if (csv) csv->write_row(row);
-        if (json != nullptr) {
-          std::fprintf(json, "%s\n", runner::Sweep::json_line(row).c_str());
-        }
+        sink.write(row);
         ++rows;
       });
-  int rc = 0;
-  // Flush before asking the stream: the last buffered rows are written
-  // only now, and that write can fail too.
-  if (csv) csv->flush();
-  if (csv && !csv->ok()) {
-    std::fprintf(stderr, "error: writing %s failed\n", csv_path.c_str());
-    rc = 1;
-  }
-  if (json != nullptr && std::fclose(json) != 0) {
-    std::fprintf(stderr, "error: writing %s failed\n", json_path.c_str());
-    rc = 1;
-  }
-  if (rc != 0) return rc;
-  std::printf("merged %zu cells from %zu shard journals\n", rows,
-              inputs.size());
-  if (!csv_path.empty()) std::printf("csv: %s\n", csv_path.c_str());
-  if (!json_path.empty()) std::printf("jsonl: %s\n", json_path.c_str());
-  return 0;
+  return sink.close("merged " + std::to_string(rows) + " cells from " +
+                    std::to_string(inputs.size()) + " shard journals");
 }
 
 int cmd_trace(const Args& args) {

@@ -17,7 +17,7 @@ The drivers — src/runner/ and tools/kusd_cli.cpp — build, run and
 observe every trial through sim::Registry's engines, so they may not
 include a concrete simulator's header (SIMULATOR_HEADERS) either, even
 where the DAG allows the edge: one trial path, no per-engine code above
-the adapters.
+the registry's factories.
 
 Codes:
   forbidden-dep     include edge not in the declared DAG
@@ -46,8 +46,8 @@ DECLARED_DAG = {
     "runner": {"core", "pp", "rng", "sim", "stats", "urn", "util"},
 }
 
-# The concrete simulators, which only sim's adapters, tests, benches and
-# examples construct directly.
+# The concrete simulators (each a core::Engine), which only the registry's
+# factories in sim, tests, benches and examples construct directly.
 SIMULATOR_HEADERS = {
     "core/usd.hpp",
     "core/batched_usd.hpp",

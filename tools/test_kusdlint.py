@@ -210,7 +210,7 @@ class LayeringTest(FixtureTest):
     def test_drivers_may_not_include_a_simulator(self):
         self.write("src/core/usd.hpp", "#pragma once\n")
         self.write("src/sim/batched_graph_engine.hpp", "#pragma once\n")
-        # Benches (and tests, examples, sim's adapters) may construct one.
+        # Benches, tests, examples and sim's factories may construct one.
         self.write("bench/bench_x.cpp", '#include "core/usd.hpp"\n')
         self.write("src/sim/engines.cpp", '#include "core/usd.hpp"\n')
         self.assertEqual(
