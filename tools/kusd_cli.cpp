@@ -25,6 +25,7 @@
 //        --out sweep.csv
 //   kusd trace --n 100000 --k 8 --out trace.csv
 //   kusd exact --n 12 --k 3 --support 6,4,2
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -55,13 +56,13 @@ namespace {
 
 using namespace kusd;
 
-// The registry names whose engines take a `--graph` topology, joined for
-// error messages ("graph, graph-batched" with the builtins).
-std::string graph_engine_names() {
+// The registry names whose engines have `flag` set, joined for error
+// messages: "graph, graph-batched" for `uses_graph_axis` with the builtins.
+std::string engine_names_with(bool sim::EngineInfo::*flag) {
   const auto& registry = sim::Registry::instance();
   std::string names;
   for (const auto& name : registry.names()) {
-    if (!registry.find(name)->uses_graph_axis) continue;
+    if (!(registry.find(name)->*flag)) continue;
     if (!names.empty()) names += ", ";
     names += name;
   }
@@ -155,6 +156,28 @@ struct Args {
                                        const std::string& fallback) const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
+  }
+  // A comma list. An empty item in a given value ("5,,6", "2,", ",100",
+  // or "" itself) is a usage error, not a skipped value that would run a
+  // grid other than the one typed. An absent flag whose fallback is empty
+  // lists no items.
+  [[nodiscard]] std::vector<std::string> get_list(
+      const std::string& key, const std::string& fallback) const {
+    const auto it = options.find(key);
+    if (it == options.end() && fallback.empty()) return {};
+    const std::string& spec = it == options.end() ? fallback : it->second;
+    std::vector<std::string> items;
+    for (std::size_t pos = 0;;) {
+      const std::size_t next = std::min(spec.find(',', pos), spec.size());
+      if (next == pos) {
+        std::fprintf(stderr, "--%s has an empty item in '%s'\n",
+                     key.c_str(), spec.c_str());
+        usage();
+      }
+      items.push_back(spec.substr(pos, next - pos));
+      if (next == spec.size()) return items;
+      pos = next + 1;
+    }
   }
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
     const auto it = options.find(key);
@@ -295,22 +318,12 @@ class RowSink {
   std::unique_ptr<std::FILE, Close> json_;
 };
 
-std::vector<std::string> split_list(const std::string& spec) {
-  std::vector<std::string> items;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t next = spec.find(',', pos);
-    if (next == std::string::npos) next = spec.size();
-    if (next > pos) items.push_back(spec.substr(pos, next - pos));
-    pos = next + 1;
-  }
-  return items;
-}
-
 // Counts accept scientific notation ("1e6") for ergonomic large-n sweeps.
-std::vector<pp::Count> parse_count_list(const std::string& spec) {
+std::vector<pp::Count> parse_count_list(const Args& args,
+                                        const std::string& key,
+                                        const std::string& fallback) {
   std::vector<pp::Count> out;
-  for (const auto& item : split_list(spec)) {
+  for (const auto& item : args.get_list(key, fallback)) {
     const double value = parse_number_or_usage(item);
     // Cap at 2^53: beyond that the double round-trip silently rounds the
     // literal, which is exactly the quiet size drift this parser rejects.
@@ -325,9 +338,11 @@ std::vector<pp::Count> parse_count_list(const std::string& spec) {
   return out;
 }
 
-std::vector<double> parse_double_list(const std::string& spec) {
+std::vector<double> parse_double_list(const Args& args,
+                                      const std::string& key,
+                                      const std::string& fallback) {
   std::vector<double> out;
-  for (const auto& item : split_list(spec)) {
+  for (const auto& item : args.get_list(key, fallback)) {
     out.push_back(parse_number_or_usage(item));
   }
   return out;
@@ -340,9 +355,9 @@ std::vector<double> parse_double_list(const std::string& spec) {
 // subcommand's own `known` set decides which of these flags it accepts.
 runner::SweepSpec parse_trial_axes(const Args& args) {
   runner::SweepSpec spec;
-  spec.ns = parse_count_list(args.get_string("n", "100000"));
+  spec.ns = parse_count_list(args, "n", "100000");
   spec.ks.clear();
-  for (const auto k : parse_count_list(args.get_string("k", "8"))) {
+  for (const auto k : parse_count_list(args, "k", "8")) {
     spec.ks.push_back(checked_k(k));
   }
   if (spec.ns.empty() || spec.ks.empty()) usage();
@@ -351,10 +366,10 @@ runner::SweepSpec parse_trial_axes(const Args& args) {
   if (bias_kind == "additive") {
     spec.bias_kind = runner::BiasKind::kAdditive;
     spec.bias_values = parse_double_list(
-        args.get_string("beta", std::to_string(spec.ns.front() / 100)));
+        args, "beta", std::to_string(spec.ns.front() / 100));
   } else if (bias_kind == "multiplicative") {
     spec.bias_kind = runner::BiasKind::kMultiplicative;
-    spec.bias_values = parse_double_list(args.get_string("alpha", "2"));
+    spec.bias_values = parse_double_list(args, "alpha", "2");
   } else if (bias_kind != "none") {
     usage();
   }
@@ -362,7 +377,7 @@ runner::SweepSpec parse_trial_axes(const Args& args) {
   const auto& registry = sim::Registry::instance();
   spec.engines.clear();
   bool any_graph_engine = false;
-  for (const auto& name : split_list(args.get_string("engine", "skip"))) {
+  for (const auto& name : args.get_list("engine", "skip")) {
     const sim::EngineInfo* info = registry.find(name);
     if (info == nullptr) {
       std::fprintf(stderr, "unknown engine '%s' (registered: %s)\n",
@@ -376,12 +391,13 @@ runner::SweepSpec parse_trial_axes(const Args& args) {
 
   if (args.options.count("graph") != 0) {
     if (!any_graph_engine) {
-      std::fprintf(stderr, "--graph requires a topology-taking engine (%s)\n",
-                   graph_engine_names().c_str());
+      std::fprintf(
+          stderr, "--graph requires a topology-taking engine (%s)\n",
+          engine_names_with(&sim::EngineInfo::uses_graph_axis).c_str());
       usage();
     }
     spec.graphs.clear();
-    for (const auto& name : split_list(args.get_string("graph", ""))) {
+    for (const auto& name : args.get_list("graph", "")) {
       const auto graph = sim::parse_graph_spec(name);
       if (!graph) {
         std::fprintf(stderr,
@@ -475,7 +491,7 @@ int cmd_sweep(const Args& args) {
 
   runner::SweepSpec spec = parse_trial_axes(args);
   spec.starts.clear();
-  for (const auto& name : split_list(args.get_string("start", "uniform"))) {
+  for (const auto& name : args.get_list("start", "uniform")) {
     const auto start = runner::parse_start_profile(name);
     if (!start) {
       std::fprintf(stderr,
@@ -512,6 +528,25 @@ int cmd_sweep(const Args& args) {
     usage();
   }
   spec.threads = static_cast<std::size_t>(threads);
+  // Only the tau-leap engines read the chunk options, yet the journal
+  // digest hashes them: `--engine skip --chunk 0.9` would run the same
+  // sweep under a different digest, and `--chunk nan` would go unchecked.
+  const auto& registry = sim::Registry::instance();
+  const bool any_chunk_engine = std::any_of(
+      spec.engines.begin(), spec.engines.end(), [&](const auto& name) {
+        return registry.find(name)->uses_chunk_options;
+      });
+  for (const char* flag : {"chunk", "chunk-policy"}) {
+    if (!any_chunk_engine && args.options.count(flag) != 0) {
+      std::fprintf(stderr,
+                   "--%s has no effect: no swept engine reads the chunk "
+                   "options (%s do)\n",
+                   flag,
+                   engine_names_with(&sim::EngineInfo::uses_chunk_options)
+                       .c_str());
+      usage();
+    }
+  }
   spec.batch_chunk_fraction =
       args.get_double("chunk", spec.batch_chunk_fraction);
   {
@@ -641,7 +676,7 @@ int cmd_sweep(const Args& args) {
 int cmd_merge(const Args& args) {
   static const std::set<std::string> known = {"inputs", "out", "json"};
   require_known_options(args, known);
-  const auto inputs = split_list(args.get_string("inputs", ""));
+  const auto inputs = args.get_list("inputs", "");
   if (inputs.empty()) {
     std::fprintf(stderr, "--inputs must list at least one shard journal\n");
     usage();
@@ -699,12 +734,12 @@ int cmd_exact(const Args& args) {
   const pp::Count n = args.get_u64("n", 12);
   const int k = checked_k(args.get_u64("k", 2));
   std::vector<pp::Count> support;
-  const std::string spec = args.get_string("support", "");
-  if (spec.empty()) {
+  const auto items = args.get_list("support", "");
+  if (items.empty()) {
     const auto x0 = pp::Configuration::uniform(n, k, 0);
     support.assign(x0.opinions().begin(), x0.opinions().end());
   } else {
-    for (const auto& item : split_list(spec)) {
+    for (const auto& item : items) {
       support.push_back(parse_u64_or_usage(item));
     }
     if (static_cast<int>(support.size()) != k) {
